@@ -17,17 +17,9 @@ from .error_ledger import (
     matrix_norm_bound,
     total_error_bound,
 )
-from .fixtures import (
-    BUILTINS,
-    builtin_hypergeometric,
-    hypergeometric_companion,
-)
+from .fixtures import builtin_hypergeometric
 from .levinson_solver import (
-    DichotomyReport,
-    ExponentData,
     MissingBackTransform,
-    NonLaurentExponent,
-    SolutionBundle,
     asymptotic_value,
     back_transform,
     check_dichotomy,
@@ -44,12 +36,8 @@ from .ode_connector import (
     linear_system,
 )
 from .symexpr import (
-    ParseError,
-    PoleInDomain,
     RationalFn,
     SymMatrix,
-    UnboundedAtInfinity,
-    sup_bound,
 )
 from .system_model import (
     INVERSE_X,
@@ -57,8 +45,6 @@ from .system_model import (
     InvariantViolation,
     ModeError,
     Monomial,
-    ProblemSpec,
-    ResonanceReport,
     SchemaError,
     load_problem,
     serialize_problem,
@@ -66,12 +52,7 @@ from .system_model import (
     validate_resonance,
 )
 from .transform_engine import (
-    CommutatorTerms,
-    DivisionByZeroDenominator,
-    FinalState,
-    IterationState,
     OrderRegression,
-    PSplit,
     commutator_terms,
     compute_P,
     elimination_defect,
@@ -83,38 +64,23 @@ from .transform_engine import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BUILTINS",
-    "CommutatorTerms",
     "ContractionFailure",
-    "DichotomyReport",
     "DivergentIntegral",
-    "DivisionByZeroDenominator",
     "ErrorLedger",
-    "ExponentData",
-    "FinalState",
     "INVERSE_X",
     "InvariantViolation",
-    "IterationState",
     "LedgerEntry",
     "LinearSystem",
     "MissingBackTransform",
     "ModeError",
     "Monomial",
-    "NonLaurentExponent",
     "OrderRegression",
-    "PSplit",
-    "ParseError",
-    "PoleInDomain",
     "PoleInInterval",
-    "ProblemSpec",
     "RationalFn",
-    "ResonanceReport",
     "STANDARD",
     "SchemaError",
-    "SolutionBundle",
     "StepSizeUnderflow",
     "SymMatrix",
-    "UnboundedAtInfinity",
     "asymptotic_value",
     "back_transform",
     "builtin_hypergeometric",
@@ -125,7 +91,6 @@ __all__ = [
     "elimination_defect",
     "eta_bound",
     "exponent_data",
-    "hypergeometric_companion",
     "initial_state",
     "integrate",
     "is_safely_continuable",
@@ -136,7 +101,6 @@ __all__ = [
     "run",
     "serialize_problem",
     "solution_bundle",
-    "sup_bound",
     "total_error_bound",
     "validate",
     "validate_resonance",

@@ -17,19 +17,17 @@ from fractions import Fraction
 from .error_ledger import (
     ContractionFailure,
     DivergentIntegral,
+    bound_ledger,
     eta_bound,
-    matrix_norm_bound,
     total_error_bound,
 )
 from .fixtures import BUILTINS
 from .levinson_solver import (
     MissingBackTransform,
-    asymptotic_value,
-    back_transform,
     check_dichotomy,
     derive_original_system,
-    exponent_data,
     is_safely_continuable,
+    solution_bundle,
 )
 from .ode_connector import (
     METHOD_INFO,
@@ -38,7 +36,6 @@ from .ode_connector import (
     integrate,
     linear_system,
 )
-from .symexpr import SymMatrix
 from .system_model import (
     INVERSE_X,
     InvariantViolation,
@@ -138,8 +135,17 @@ def _load_spec(args) -> ProblemSpec:
             )
         )
     if args.X_override is not None:
-        spec = validate(spec.with_X(Fraction(args.X_override)))
+        spec = validate(spec.with_X(_rational_flag(args.X_override, "-X")))
     return spec
+
+
+def _rational_flag(value: str, flag: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise InvariantViolation(
+            f"{flag} must be a rational number, got {value!r}"
+        ) from None
 
 
 def _check_resonance(spec: ProblemSpec) -> list[str]:
@@ -176,49 +182,44 @@ def _problem_summary(spec: ProblemSpec, args) -> dict:
     }
 
 
-def _matrix_json(mat: SymMatrix) -> list[list[str]]:
-    return mat.to_strings()
-
-
 def _transform_report(spec: ProblemSpec, fs: FinalState, args) -> dict:
     iterations = []
     for rec in fs.iterations:
         entry = {
             "m": rec.m,
-            "P_scaled": _matrix_json(rec.psplit.scaled),
-            "P_plain": _matrix_json(rec.psplit.plain),
+            "P_scaled": rec.psplit.scaled.to_strings(),
+            "P_plain": rec.psplit.plain.to_strings(),
             "lambda": [f.to_string() for f in rec.lambda_next],
             "nu": {label: nu for label, nu in rec.nu_choices},
             "bucket_orders": {str(k): str(lo) for k, lo in rec.bucket_orders},
         }
         if not rec.s_next.is_zero:
-            entry["S"] = _matrix_json(rec.s_next)
+            entry["S"] = rec.s_next.to_strings()
         iterations.append(entry)
     ledger = fs.ledger
+    norms = bound_ledger(ledger)
     report = {
         "schema": SCHEMA_VERSION,
         "timestamp": _timestamp(),
         "command": "transform",
         "problem": _problem_summary(spec, args),
         "lambda1": [f.to_string() for f in spec.lambda1_diagonal()],
-        "S1": _matrix_json(fs.dominant_terms[0]),
+        "S1": fs.dominant_terms[0].to_strings(),
         "iterations": iterations,
         "ledger": {
             "entries": [
                 {
                     "stage": e.stage,
                     "via_iteration": e.via_iteration,
-                    "matrix": _matrix_json(e.matrix),
-                    "norm_at_X": float(matrix_norm_bound(e.matrix, spec.X)),
+                    "matrix": e.matrix.to_strings(),
+                    "norm_at_X": float(norm),
                 }
-                for e in ledger.entries
+                for e, norm in zip(ledger.entries, norms.entries)
             ],
-            "P_norms": [
-                float(matrix_norm_bound(P, spec.X)) for P in ledger.p_matrices
-            ],
+            "P_norms": [float(norm) for norm in norms.p_matrices],
         },
         "residual_leading_order": str(fs.residual.max_leading_order()),
-        "total_error_bound": total_error_bound(ledger),
+        "total_error_bound": norms.total,
     }
     return report
 
@@ -286,7 +287,8 @@ def _cmd_solve(args) -> int:
         return EXIT_RESONANCE
     if not 1 <= args.k <= spec.n:
         raise InvariantViolation(f"k must be in 1..{spec.n}, got {args.k}")
-    if args.target is not None and spec.back_transform is None:
+    target = None if args.target is None else _rational_flag(args.target, "--target")
+    if target is not None and spec.back_transform is None:
         raise MissingBackTransform(
             "continuation needs the original system, so the problem must "
             "define a back-transformation matrix T(x)"
@@ -305,15 +307,8 @@ def _cmd_solve(args) -> int:
         )
         return EXIT_DICHOTOMY
 
-    data = exponent_data(args.k, fs.diag, spec)
-    vec, C = asymptotic_value(args.k, fs.diag, spec, spec.X)
-    eta = eta_bound(fs.residual, spec)
-    tail = float(data.tail_budget)
-    if tail:
-        import math
-
-        eta = eta + math.expm1(tail) * (1.0 + eta)
-    total = total_error_bound(fs.ledger)
+    bundle = solution_bundle(args.k, fs, eta_bound(fs.residual, spec))
+    data = bundle.exponent
 
     report = {
         "schema": SCHEMA_VERSION,
@@ -321,21 +316,21 @@ def _cmd_solve(args) -> int:
         "command": "solve",
         "problem": _problem_summary(spec, args),
         "k": args.k,
-        "C": C,
-        "Z_at_X": list(vec),
-        "eta_bound": eta,
-        "total_error_bound": total,
+        "C": bundle.C,
+        "Z_at_X": list(bundle.Z_at_X),
+        "eta_bound": bundle.eta_bound,
+        "total_error_bound": total_error_bound(fs.ledger),
         "exponent": {
             "log_coefficient": str(data.log_coefficient),
             "terms": [[str(c), e] for c, e in data.laurent_terms],
-            "tail_budget": tail,
+            "tail_budget": float(data.tail_budget),
         },
         "dichotomy_ok": dichotomy.ok,
     }
-    if spec.back_transform is not None:
-        report["Y_at_X"] = list(back_transform(vec, fs.history, spec, spec.X))
+    if bundle.Y_at_X is not None:
+        report["Y_at_X"] = list(bundle.Y_at_X)
 
-    if args.target is not None:
+    if target is not None:
         if not is_safely_continuable(data):
             growing = [
                 f"{c}*x^{e + 1}/{e + 1}"
@@ -349,7 +344,6 @@ def _cmd_solve(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_FAILURE
-        target = Fraction(args.target)
         A = derive_original_system(spec)
         system = linear_system(A, min(target, spec.X), max(target, spec.X))
         y_target = integrate(

@@ -78,8 +78,22 @@ def _inverse_deviation(p: Fraction, n: int, what: str) -> Fraction:
     return n * p * (1 + p / (1 - n * p))
 
 
-def total_error_bound(ledger: ErrorLedger) -> float:
-    """Bound for the max-entry norm of the total committed error on [X, inf).
+@dataclass(frozen=True)
+class LedgerNorms:
+    """Everything the ledger bounds, from one pass of sup bounds.
+
+    ``entries`` and ``p_matrices`` hold norm bounds on [X, infinity),
+    index for index with the ledger's fields; ``total`` is the value
+    ``total_error_bound`` returns.
+    """
+
+    entries: tuple[Fraction, ...]
+    p_matrices: tuple[Fraction, ...]
+    total: float
+
+
+def bound_ledger(ledger: ErrorLedger) -> LedgerNorms:
+    """Bound every ledger entry and P_m once and combine them.
 
     Each stage contributes alpha * norm(E_j) * (1 + n*s) * (1 + n*D(s)),
     where s bounds the accumulated product norm(P_1 ... up to stage),
@@ -95,10 +109,10 @@ def total_error_bound(ledger: ErrorLedger) -> float:
         acc = acc * (identity + P)
         prefix_norms.append(matrix_norm_bound(acc - identity, X))
         single_norms.append(matrix_norm_bound(P, X))
+    entry_norms = [matrix_norm_bound(entry.matrix, X) for entry in ledger.entries]
 
     total = Fraction(0)
-    for entry in ledger.entries:
-        e_norm = matrix_norm_bound(entry.matrix, X)
+    for entry, e_norm in zip(ledger.entries, entry_norms):
         if e_norm == 0:
             continue
         cap = min(entry.stage, len(prefix_norms))
@@ -109,7 +123,12 @@ def total_error_bound(ledger: ErrorLedger) -> float:
             q = single_norms[entry.via_iteration - 1]
             alpha = 1 + n * _inverse_deviation(q, n, f"P_{entry.via_iteration}")
         total += alpha * e_norm * (1 + n * s) * (1 + n * dev)
-    return float(total)
+    return LedgerNorms(tuple(entry_norms), tuple(single_norms), float(total))
+
+
+def total_error_bound(ledger: ErrorLedger) -> float:
+    """Bound for the max-entry norm of the total committed error on [X, inf)."""
+    return bound_ledger(ledger).total
 
 
 def eta_bound(R_M: SymMatrix, spec, X=None) -> float:
@@ -123,16 +142,7 @@ def eta_bound(R_M: SymMatrix, spec, X=None) -> float:
         raise DivergentIntegral(
             f"M*a = {spec.M * spec.a} must exceed p_rho + 1 = {spec.rho.exponent + 1}"
         )
-    weighted = spec.rho_fn * R_M
-    lo = weighted.max_leading_order()
-    if lo is None:
-        return 0.0
-    w = -lo
-    if w <= 1:
-        raise DivergentIntegral(
-            f"rho * R_M decays like x^{lo}; the integral over [{X}, inf) diverges"
-        )
-    integral = integral_tail_bound_from_weight(weighted, w, X)
+    integral = integral_tail_bound(spec.rho_fn * R_M, X)
     if spec.n * integral >= 1:
         raise ContractionFailure(
             f"n * integral = {float(spec.n * integral):.3g} >= 1; "
@@ -141,25 +151,20 @@ def eta_bound(R_M: SymMatrix, spec, X=None) -> float:
     return float(integral / (1 - spec.n * integral))
 
 
-def integral_tail_bound(f: RationalFn, X) -> Fraction:
-    """Exact-rational bound for integral of |f| over [X, infinity)."""
-    if f.is_zero:
+def integral_tail_bound(mat: SymMatrix, X) -> Fraction:
+    """Exact-rational bound for the integral of norm(mat) over [X, infinity).
+
+    With every entry O(x**-w), the bound is C*X**(1-w)/(w-1) where C
+    bounds sup |entry|*x**w.
+    """
+    lo = mat.max_leading_order()
+    if lo is None:
         return Fraction(0)
-    lo = f.leading_order()
     if lo >= -1:
-        raise DivergentIntegral(f"integrand decays like x^{lo}; integral diverges")
+        raise DivergentIntegral(
+            f"integrand decays like x^{lo}; the integral over [{X}, inf) diverges"
+        )
     X = Fraction(X)
     w = -lo
-    C = sup_bound(f * RationalFn.x_power(w), X)
-    return C * X ** (1 - w) / (w - 1)
-
-
-def integral_tail_bound_from_weight(mat: SymMatrix, w: int, X: Fraction) -> Fraction:
-    """Bound integral of the max-entry norm of mat, all entries O(x**-w)."""
-    xw = RationalFn.x_power(w)
-    C = Fraction(0)
-    for row in mat.entries:
-        for e in row:
-            if not e.is_zero:
-                C = max(C, sup_bound(e * xw, X))
+    C = matrix_norm_bound(mat * RationalFn.x_power(w), X)
     return C * X ** (1 - w) / (w - 1)

@@ -31,15 +31,6 @@ from .system_model import ProblemSpec
 _DPS = 40
 
 
-class NonLaurentExponent(ValueError):
-    """The exponent integrand has no finite Laurent part above the cutoff.
-
-    Exact rational integrands always admit one, so code paths built on
-    RationalFn cannot raise this; the contract keeps it for coefficient
-    fields where a finite expansion could genuinely fail to exist.
-    """
-
-
 class MissingBackTransform(ValueError):
     """The problem carries no back-transformation matrix T(x)."""
 
@@ -84,6 +75,7 @@ class SolutionBundle:
     Y_at_X: tuple[float, ...] | None
     eta_bound: float
     C: float
+    exponent: ExponentData
 
 
 @dataclass(frozen=True)
@@ -151,14 +143,11 @@ def exponent_data(k: int, diag: tuple[RationalFn, ...], spec: ProblemSpec) -> Ex
             log_c += c
         else:
             powers.append((c, e))
-    budget = Fraction(0)
-    if not tail.is_zero:
-        budget = integral_tail_bound(tail, spec.X)
     return ExponentData(
         k=k,
         laurent_terms=tuple(powers),
         log_coefficient=log_c,
-        tail_budget=budget,
+        tail_budget=integral_tail_bound(SymMatrix([[tail]]), spec.X),
     )
 
 
@@ -170,12 +159,17 @@ def asymptotic_value(
     The antiderivative is taken with zero integration constant, which
     normalizes the leading monomial of the solution to unit coefficient.
     """
-    data = exponent_data(k, diag, spec)
+    return _value_from(exponent_data(k, diag, spec), spec, x_eval)
+
+
+def _value_from(
+    data: ExponentData, spec: ProblemSpec, x_eval
+) -> tuple[tuple[float, ...], float]:
     with mpmath.workdps(_DPS):
         value = mpmath.exp(data.antiderivative_at(x_eval))
         C = mpmath.exp(data.antiderivative_at(spec.X))
     vec = [0.0] * spec.n
-    vec[k - 1] = float(value)
+    vec[data.k - 1] = float(value)
     return tuple(vec), float(C)
 
 
@@ -243,10 +237,12 @@ def solution_bundle(k: int, final_state, eta_resid: float) -> SolutionBundle:
     """
     spec = final_state.spec
     data = exponent_data(k, final_state.diag, spec)
-    vec, C = asymptotic_value(k, final_state.diag, spec, spec.X)
+    vec, C = _value_from(data, spec, spec.X)
     tau = float(data.tail_budget)
     eta_total = eta_resid + math.expm1(tau) * (1.0 + eta_resid)
     Y = None
     if spec.back_transform is not None:
         Y = back_transform(vec, final_state.history, spec, spec.X)
-    return SolutionBundle(k=k, Z_at_X=vec, Y_at_X=Y, eta_bound=eta_total, C=C)
+    return SolutionBundle(
+        k=k, Z_at_X=vec, Y_at_X=Y, eta_bound=eta_total, C=C, exponent=data
+    )

@@ -88,13 +88,6 @@ def mul(p: Coeffs, q: Coeffs) -> Coeffs:
     return trim(out)
 
 
-def scale(p: Coeffs, c) -> Coeffs:
-    c = Fraction(c)
-    if not c:
-        return ZERO
-    return tuple(a * c for a in p)
-
-
 def shift(p: Coeffs, k: int) -> Coeffs:
     """Multiply by x**k."""
     if not p:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
@@ -243,6 +242,10 @@ class RationalFn:
         x = Fraction(x)
         if poly.degree(self.den) < 1:
             return False
+        if x > 0 and all(c >= 0 for c in self.den):
+            # no sign change (x**k, x**k*(x + 1), ...): Descartes' rule
+            # leaves no positive root, so skip the Sturm count
+            return False
         if poly.eval_at(self.den, x) == 0:
             return True
         return poly.count_roots_above(self.den, x) > 0
@@ -407,7 +410,7 @@ def sup_bound(f: RationalFn, X, *, rel_slack=Fraction(1, 20), max_cells: int = 4
         raise UnboundedAtInfinity(f"leading power {lo} > 0 on [{X}, inf)")
     X = Fraction(X)
     n, d = f.num, f.den
-    if poly.eval_at(d, X) == 0 or poly.count_roots_above(d, X) > 0:
+    if f.has_pole_at_or_beyond(X):
         raise PoleInDomain(f"denominator vanishes on [{X}, inf)")
 
     crit = poly.sub(
@@ -462,30 +465,6 @@ def sup_bound(f: RationalFn, X, *, rel_slack=Fraction(1, 20), max_cells: int = 4
             )
         finite_max = max(finite_max, b)
     return max(finite_max, tail_max)
-
-
-def differentiate(f: RationalFn) -> RationalFn:
-    return f.differentiate()
-
-
-def leading_order(f: RationalFn) -> int | None:
-    return f.leading_order()
-
-
-@dataclass(frozen=True)
-class OrderExp:
-    """A decay order recorded as sigma steps of size a: O(x**(-sigma*a))."""
-
-    sigma: int
-    a: Fraction
-
-    @property
-    def exponent(self) -> Fraction:
-        return -self.sigma * self.a
-
-    def admits(self, f: RationalFn) -> bool:
-        lo = f.leading_order()
-        return lo is None or Fraction(lo) <= self.exponent
 
 
 class SymMatrix:

@@ -278,6 +278,18 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
                 )
     if spec.back_transform is not None:
         _check_shape(spec.back_transform, n, "back_transform")
+
+    named_rows = [("phi1", (spec.phi1,)), ("E1", spec.E1.entries)]
+    named_rows += [(f"V_{j}1", V.entries) for j, V in spec.ladder]
+    if spec.back_transform is not None:
+        named_rows.append(("back_transform", spec.back_transform.entries))
+    for name, rows in named_rows:
+        for row in rows:
+            for f in row:
+                if f.has_pole_at_or_beyond(spec.X):
+                    raise InvariantViolation(
+                        f"{name} entry {f.to_string()} has a pole on [{spec.X}, inf)"
+                    )
     return spec
 
 
@@ -432,6 +444,8 @@ def _fn(v, where: str) -> RationalFn:
 def _matrix(v, where: str) -> SymMatrix:
     if not isinstance(v, list) or not all(isinstance(row, list) for row in v):
         raise SchemaError(f"{where} must be a matrix (list of rows)")
+    if not v or not v[0] or any(len(row) != len(v[0]) for row in v):
+        raise SchemaError(f"{where} must have nonempty rows of equal length")
     return SymMatrix([[_fn(e, where) for e in row] for row in v])
 
 

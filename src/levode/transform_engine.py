@@ -75,12 +75,6 @@ class IterationState:
     committed: CommittedError
     history: tuple[PSplit, ...]
 
-    def ladder_rung(self, j: int) -> SymMatrix | None:
-        for jj, mat in self.ladder:
-            if jj == j:
-                return mat
-        return None
-
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -101,6 +95,12 @@ class FinalState:
     residual: SymMatrix
     ledger: ErrorLedger
     iterations: tuple[IterationRecord, ...]
+
+
+def _first_rung(ladder: tuple[tuple[int, SymMatrix], ...], n: int) -> SymMatrix:
+    """V_1 of a ladder, or zeros once the ladder has none."""
+    v1 = dict(ladder).get(1)
+    return SymMatrix.zeros(n) if v1 is None else v1
 
 
 def initial_state(spec: ProblemSpec) -> IterationState:
@@ -124,9 +124,7 @@ def _p_and_leftover(
     (and need not be) eliminated, so it is returned for the exact pool.
     """
     n = spec.n
-    v1 = state.ladder_rung(1)
-    if v1 is None:
-        v1 = SymMatrix.zeros(n)
+    v1 = _first_rung(state.ladder, n)
     zero = RationalFn.const(0)
     scaled = [[zero] * n for _ in range(n)]
     plain = [[zero] * n for _ in range(n)]
@@ -191,9 +189,7 @@ def commutator_terms(
     state: IterationState, psplit: PSplit, spec: ProblemSpec
 ) -> CommutatorTerms:
     n = spec.n
-    v1 = state.ladder_rung(1)
-    if v1 is None:
-        v1 = SymMatrix.zeros(n)
+    v1 = _first_rung(state.ladder, n)
     zero = RationalFn.const(0)
     lam_inv = RationalFn.const(1) / spec.lam_fn
     d = spec.d
@@ -241,10 +237,7 @@ def elimination_defect(
     the x * Qtilde' compensation and the uneliminated at-accuracy tails
     are excluded from V1.
     """
-    n = spec.n
-    v1 = state.ladder_rung(1)
-    if v1 is None:
-        v1 = SymMatrix.zeros(n)
+    v1 = _first_rung(state.ladder, spec.n)
     _, leftover = _p_and_leftover(state, spec)
     v_eff = v1 - leftover
     lam_m = SymMatrix.diagonal(state.diag)
@@ -400,12 +393,7 @@ def _iterate(
 def _dominant_first(spec: ProblemSpec) -> SymMatrix:
     """S_1 as displayed: V_11 plus the decaying diagonal of Phi_1."""
     n = spec.n
-    v1 = None
-    for j, mat in spec.ladder:
-        if j == 1:
-            v1 = mat
-    if v1 is None:
-        v1 = SymMatrix.zeros(n)
+    v1 = _first_rung(spec.ladder, n)
     lambda0 = spec.lambda0_diagonal()
     lambda1 = spec.lambda1_diagonal()
     decay = []

@@ -24,7 +24,6 @@ from .levinson_solver import (
     asymptotic_value,
     back_transform,
     check_dichotomy,
-    derive_original_system,
 )
 from .ode_connector import integrate, linear_system
 from .symexpr import RationalFn, SymMatrix

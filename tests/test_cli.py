@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from levode import RationalFn, SymMatrix
+from levode import (
+    RationalFn,
+    SymMatrix,
+    error_ledger,
+    solution_bundle,
+    total_error_bound,
+)
 from levode.cli import main
 from levode.system_model import (
     STANDARD,
@@ -103,6 +109,26 @@ def test_transform_with_lower_accuracy(capsys):
     assert report["problem"]["M"] == 2
 
 
+def test_transform_bounds_each_ledger_matrix_once(capsys, fixture_final, monkeypatch):
+    # which sup bounds are taken does not depend on their values, so a
+    # counting stub stands in for the real (seconds-long) bound
+    calls = []
+
+    def counting_sup_bound(f, X):
+        calls.append(f)
+        return Fraction(1, 10**9)
+
+    monkeypatch.setattr(error_ledger, "sup_bound", counting_sup_bound)
+    total_error_bound(fixture_final.ledger)
+    bare = len(calls)
+    calls.clear()
+    code, _, _ = run_cli(
+        capsys, "transform", "--builtin", "hypergeom", "--format", "json"
+    )
+    assert code == 0
+    assert 0 < len(calls) <= bare
+
+
 def test_transform_with_moved_evaluation_point(capsys):
     code, out, _ = run_cli(
         capsys, "transform", "--builtin", "hypergeom", "-X", "20",
@@ -166,6 +192,40 @@ def test_malformed_json_rejected(capsys, tmp_path):
     assert code == 2
 
 
+def test_ragged_matrix_rejected(capsys, tmp_path):
+    doc = fixture_document()
+    doc["E1"][1] = doc["E1"][1][:-1]
+    path = write_problem(tmp_path, doc)
+    code, _, err = run_cli(capsys, "transform", "--problem", path)
+    assert code == 2
+    assert err == "invalid input: E1 must have nonempty rows of equal length\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("transform", "--builtin", "hypergeom", "-X", "abc"),
+        ("solve", "--builtin", "hypergeom", "-k", "3", "--target", "abc"),
+    ],
+)
+def test_non_numeric_point_rejected(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("invalid input: ")
+    assert "'abc'" in err
+    assert err.count("\n") == 1
+
+
+def test_evaluation_point_before_pole_rejected(capsys):
+    # E1 carries x^3 - 1 denominators, which vanish at x = 1
+    code, _, err = run_cli(
+        capsys, "transform", "--builtin", "hypergeom", "-X", "1"
+    )
+    assert code == 2
+    assert "E1 entry" in err
+    assert "has a pole on [1, inf)" in err
+
+
 def test_small_M_override_rejected(capsys):
     code, _, err = run_cli(
         capsys, "transform", "--builtin", "hypergeom", "-M", "1"
@@ -187,13 +247,18 @@ def test_resonant_scales_rejected(capsys, tmp_path):
 
 # -- solve --------------------------------------------------------------
 
-def test_solve_reports_value_at_X(capsys):
+def test_solve_reports_value_at_X(capsys, fixture_final, fixture_eta):
     code, out, _ = run_cli(
         capsys, "solve", "--builtin", "hypergeom", "-k", "3",
         "--format", "json",
     )
     assert code == 0
     report = json.loads(out)
+    bundle = solution_bundle(3, fixture_final, fixture_eta)
+    assert report["C"] == bundle.C
+    assert report["Z_at_X"] == list(bundle.Z_at_X)
+    assert report["Y_at_X"] == list(bundle.Y_at_X)
+    assert report["eta_bound"] == bundle.eta_bound
     assert report["k"] == 3
     assert report["Z_at_X"][2] == pytest.approx(0.09990009993337498, rel=1e-12)
     assert report["Y_at_X"][0] == pytest.approx(0.09996009933218178, rel=1e-10)

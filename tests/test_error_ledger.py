@@ -124,12 +124,13 @@ def test_matrix_norm_is_max_entry_sup():
 
 def test_tail_integral_exact_for_monomial():
     # int_10^inf 3 t^-2 dt = 3/10
-    assert integral_tail_bound(fn("(3)/(x^2)"), Fraction(10)) == Fraction(3, 10)
+    mat = SymMatrix([[fn("(3)/(x^2)")]])
+    assert integral_tail_bound(mat, Fraction(10)) == Fraction(3, 10)
 
 
 def test_tail_integral_rejects_slow_decay():
     with pytest.raises(DivergentIntegral):
-        integral_tail_bound(fn("(1)/(x)"), Fraction(10))
+        integral_tail_bound(SymMatrix([[fn("(1)/(x)")]]), Fraction(10))
 
 
 # -- the residual damage estimate ---------------------------------------
