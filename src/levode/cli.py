@@ -1,8 +1,10 @@
 """Command-line interface: transform, solve, verify.
 
 Exit codes: 0 success; 1 verification failure, refused continuation, or a
-numeric bound failure; 2 invalid input (schema, invariant, file, flags);
-3 resonance in the small diagonal block; 4 dichotomy failure.
+failed computation (an uncertified or divergent bound, a reduction step
+that breaks down, a solution value beyond the float range); 2 invalid input
+(schema, invariant, file, flags); 3 resonance in the small diagonal block;
+4 dichotomy failure.  JSON reports never contain Infinity or NaN.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .error_ledger import (
 from .fixtures import BUILTINS
 from .levinson_solver import (
     MissingBackTransform,
+    SolutionOverflow,
     check_dichotomy,
     derive_original_system,
     is_safely_continuable,
@@ -36,6 +39,7 @@ from .ode_connector import (
     integrate,
     linear_system,
 )
+from .symexpr import BoundNotCertified
 from .system_model import (
     INVERSE_X,
     InvariantViolation,
@@ -46,7 +50,12 @@ from .system_model import (
     validate,
     validate_resonance,
 )
-from .transform_engine import FinalState, run
+from .transform_engine import (
+    DivisionByZeroDenominator,
+    FinalState,
+    OrderRegression,
+    run,
+)
 from .verify import GROUPS, run_checks
 
 SCHEMA_VERSION = 1
@@ -273,7 +282,7 @@ def _cmd_transform(args) -> int:
     fs = run(spec)
     report = _transform_report(spec, fs, args)
     if args.format == "json":
-        _emit(args, json.dumps(report, sort_keys=True, indent=2))
+        _emit(args, json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
     else:
         _emit(args, _transform_text(report))
     return EXIT_OK
@@ -364,7 +373,7 @@ def _cmd_solve(args) -> int:
         }
 
     if args.format == "json":
-        _emit(args, json.dumps(report, sort_keys=True, indent=2))
+        _emit(args, json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
     else:
         _emit(args, _solve_text(report))
     return EXIT_OK
@@ -428,7 +437,7 @@ def _cmd_verify(args) -> int:
             "rows": [dataclasses.asdict(r) for r in rows],
             "passed": all_pass,
         }
-        _emit(args, json.dumps(report, sort_keys=True, indent=2))
+        _emit(args, json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
     else:
         lines = []
         for r in rows:
@@ -460,9 +469,13 @@ def main(argv=None) -> int:
         print(f"cannot read problem: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (
+        BoundNotCertified,
         ContractionFailure,
         DivergentIntegral,
+        DivisionByZeroDenominator,
+        OrderRegression,
         PoleInInterval,
+        SolutionOverflow,
         StepSizeUnderflow,
     ) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)

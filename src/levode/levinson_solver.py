@@ -35,6 +35,19 @@ class MissingBackTransform(ValueError):
     """The problem carries no back-transformation matrix T(x)."""
 
 
+class SolutionOverflow(ArithmeticError):
+    """A solution value at the evaluation point exceeds the float range."""
+
+
+def _finite_float(value, what: str) -> float:
+    out = float(value)
+    if not math.isfinite(out):
+        raise SolutionOverflow(
+            f"{what} = {mpmath.nstr(value, 8)} is outside the float range"
+        )
+    return out
+
+
 def _to_mpf(value) -> mpmath.mpf:
     if isinstance(value, Fraction):
         return mpmath.mpf(value.numerator) / value.denominator
@@ -169,8 +182,8 @@ def _value_from(
         value = mpmath.exp(data.antiderivative_at(x_eval))
         C = mpmath.exp(data.antiderivative_at(spec.X))
     vec = [0.0] * spec.n
-    vec[data.k - 1] = float(value)
-    return tuple(vec), float(C)
+    vec[data.k - 1] = _finite_float(value, f"Z_{data.k}({x_eval})")
+    return tuple(vec), _finite_float(C, f"C = exp(G_{data.k}({spec.X}))")
 
 
 def back_transform(Z_value, P_history, spec: ProblemSpec, x_eval) -> tuple[float, ...]:
@@ -197,7 +210,7 @@ def back_transform(Z_value, P_history, spec: ProblemSpec, x_eval) -> tuple[float
                 z = Z_value[j]
                 if z:
                     acc += _to_mpf(product[i][j]) * _to_mpf(z)
-            out.append(float(acc))
+            out.append(_finite_float(acc, f"Y_{i + 1}({x_eval})"))
     return tuple(out)
 
 

@@ -13,9 +13,6 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-from scipy.integrate import solve_ivp
-
 from . import poly
 from .symexpr import SymMatrix
 
@@ -73,6 +70,10 @@ def integrate(
     With dense_path set, writes an evenly spaced (x, components) CSV
     sampled from the integrator's dense output.
     """
+    # imported here so that commands which never integrate skip their load time
+    import numpy as np
+    from scipy.integrate import solve_ivp
+
     lo = Fraction(min(x_from, x_to))
     hi = Fraction(max(x_from, x_to))
     if lo < system.domain[0] or hi > system.domain[1]:

@@ -4,9 +4,11 @@ A polynomial is an immutable tuple of ``Fraction`` coefficients indexed by
 power, with no trailing zeros; the zero polynomial is the empty tuple.  All
 operations are exact.  Besides ring arithmetic this module provides the
 pieces of real-root machinery the rest of the package relies on: Sturm
-chains for counting roots on half-open intervals, Yun's squarefree
-decomposition for sign-change analysis, and the Cauchy bound that confines
-every real root to a computable interval.
+chains for counting roots on half-open intervals and for isolating each
+root in an interval of its own, the Fujiwara bound that confines every
+root to a disc, Yun's squarefree decomposition for sign-change analysis,
+and magnitude bounds on an interval from the Taylor coefficients at its
+left end.
 """
 
 from __future__ import annotations
@@ -129,30 +131,31 @@ def valuation(p: Coeffs) -> int:
     return 0
 
 
-def _primitive_ints(p: Coeffs) -> list[int]:
-    """Integer coefficients with content removed and positive leading sign."""
-    den = 1
-    for c in p:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in p]
+def _primitive(ints: list[int]) -> list[int]:
+    """Divide out the positive content, keeping every sign."""
     g = 0
     for v in ints:
         g = math.gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    if ints and ints[-1] < 0:
-        ints = [-v for v in ints]
-    return ints
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _primitive_ints(p: Coeffs) -> list[int]:
+    """Coprime integer coefficients of a positive multiple of ``p``."""
+    den = 1
+    for c in p:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return _primitive([c.numerator * (den // c.denominator) for c in p])
 
 
 def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
-    """Integer pseudo-remainder: some power of lc(g) times (f mod g)."""
+    """Integer pseudo-remainder: a positive multiple of (f mod g)."""
     dg = len(g) - 1
-    lg = g[-1]
+    lg = abs(g[-1])
+    sg = 1 if g[-1] > 0 else -1
     r = list(f)
     while len(r) - 1 >= dg:
         dr = len(r) - 1
-        c = r[-1]
+        c = r[-1] * sg
         r = [lg * v for v in r]
         for j, b in enumerate(g):
             r[dr - dg + j] -= c * b
@@ -179,13 +182,7 @@ def gcd(p: Coeffs, q: Coeffs) -> Coeffs:
     if len(b) > len(a):
         a, b = b, a
     while b:
-        r = _pseudo_rem(a, b)
-        g = 0
-        for c in r:
-            g = math.gcd(g, c)
-        if g > 1:
-            r = [c // g for c in r]
-        a, b = b, r
+        a, b = b, _primitive(_pseudo_rem(a, b))
     lc = Fraction(a[-1])
     head = tuple(Fraction(c) / lc for c in a)
     return shift(head, v) if v else head
@@ -209,21 +206,53 @@ def eval_float(p: Coeffs, x: float) -> float:
     return acc
 
 
-def abs_sum_at(p: Coeffs, x: Fraction) -> Fraction:
-    """Sum of |c_i| * x**i for x >= 0; an upper bound for |p| on [0, x]."""
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + abs(c)
-    return acc
+def magnitude_range(p: Coeffs, u: Fraction, w: Fraction) -> tuple[Fraction, Fraction]:
+    """Bounds (low, high) with low <= |p(x)| <= high for every x in [u, u + w].
+
+    Both are |p(u)| -/+ the coefficient motion sum over k >= 1 of
+    |p_k| * w**k, where p_k are the Taylor coefficients of p at u, so the
+    pair tightens linearly as w shrinks; ``w`` must be nonnegative.  The
+    Taylor shift runs on integers: with u = a/b and p = s * P for integer
+    P, b**n * p(u + t) = s * R(a + b*t) where R(y) = b**n * P(y/b).
+    """
+    if not p:
+        return Fraction(0), Fraction(0)
+    ints = _primitive_ints(p)
+    n = len(ints) - 1
+    a, b = u.numerator, u.denominator
+    h = [c * b ** (n - i) for i, c in enumerate(ints)]
+    for i in range(n):  # h becomes R(a + z) in powers of z
+        for j in range(n - 1, i - 1, -1):
+            h[j] += a * h[j + 1]
+    step = b * w
+    # motion * sd**n = sn * sum over k >= 1 of |h_k| * sn**(k-1) * sd**(n-k)
+    sn, sd = step.numerator, step.denominator
+    motion = sn * _homogeneous_value([abs(c) for c in h[1:]], sn, sd)
+    scale = abs(p[-1]) / (abs(ints[-1]) * b**n * sd**n)
+    value = abs(h[0]) * sd**n
+    return (value - motion) * scale, (value + motion) * scale
 
 
-def cauchy_root_bound(p: Coeffs) -> Fraction:
-    """Every real root of ``p`` has absolute value below this bound."""
-    if degree(p) < 1:
-        return Fraction(1)
-    lc = abs(leading(p))
-    worst = max(abs(c) for c in p[:-1])
-    return 1 + worst / lc
+def fujiwara_bound(p: Coeffs) -> Fraction:
+    """Every complex root of ``p`` has modulus at most this bound.
+
+    Fujiwara (1916): |z| <= 2 * max over k of |a_(n-k) / a_n|**(1/k), with
+    a_0 halved.  Each k-th root is rounded up to a power of two, so the
+    bound is rational and at most twice Fujiwara's.
+    """
+    n = degree(p)
+    best = Fraction(0)
+    for k in range(1, n + 1):
+        r = abs(p[n - k] / p[n])
+        if k == n:
+            r /= 2
+        if r:
+            # 2**(e*k) >= 2**(L+1) > r, then step e down while it still holds
+            e = -(-(r.numerator.bit_length() - r.denominator.bit_length() + 1) // k)
+            while Fraction(2) ** ((e - 1) * k) >= r:
+                e -= 1
+            best = max(best, Fraction(2) ** e)
+    return 2 * best
 
 
 def squarefree_decomposition(p: Coeffs) -> list[Coeffs]:
@@ -261,19 +290,40 @@ def odd_multiplicity_part(p: Coeffs) -> Coeffs:
     return out
 
 
-def _sturm_chain(p: Coeffs) -> list[Coeffs]:
-    p0 = monic(divmod_exact(p, gcd(p, derivative(p)))[0]) if degree(p) > 0 else p
-    chain = [p0, derivative(p0)]
-    while degree(chain[-1]) >= 0 and degree(chain[-1]) > -1:
-        r = divmod_exact(chain[-2], chain[-1])[1]
-        if is_zero(r):
-            break
-        chain.append(neg(r))
+def _sturm_chain(p: Coeffs) -> list[list[int]]:
+    """Sturm chain of the squarefree part of ``p``, from one remainder sequence.
+
+    Each member is a positive multiple of the classical one, kept as
+    primitive integers, which changes no sign and avoids the coefficient
+    growth of a remainder sequence over the rationals.  When ``p`` has
+    repeated roots the sequence ends in gcd(p, p') and every member is
+    divided by it, which leaves a Sturm chain of p / gcd(p, p').
+    """
+    k = valuation(p)
+    if k > 1:  # x**k has the one distinct root 0; keep x alone
+        p = p[k - 1:]
+    chain = [_primitive_ints(p), _primitive_ints(derivative(p))]
+    while len(chain[-1]) > 1:
+        r = _pseudo_rem(chain[-2], chain[-1])
+        if not r:
+            g = make(chain[-1])
+            return [_primitive_ints(divmod_exact(make(q), g)[0]) for q in chain]
+        chain.append(_primitive([-v for v in r]))
     return chain
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x) -> int:
     return (x > 0) - (x < 0)
+
+
+def _homogeneous_value(p: list[int], num: int, den: int) -> int:
+    """den**deg * p(num/den): the integer sum of c_i * num**i * den**(deg - i)."""
+    acc = 0
+    scale = 1
+    for c in reversed(p):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
 
 
 def _variations(signs) -> int:
@@ -281,11 +331,13 @@ def _variations(signs) -> int:
     return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
 
 
-def _variations_at(chain: list[Coeffs], x: Fraction | None) -> int:
+def _variations_at(chain: list[list[int]], x: Fraction | None) -> int:
     """Sign variations of the chain at x; ``None`` means +infinity."""
     if x is None:
-        return _variations(_sign(leading(q)) if q else 0 for q in chain)
-    return _variations(_sign(eval_at(q, x)) for q in chain)
+        return _variations(_sign(q[-1]) for q in chain)
+    return _variations(
+        _sign(_homogeneous_value(q, x.numerator, x.denominator)) for q in chain
+    )
 
 
 def count_roots_above(p: Coeffs, a: Fraction) -> int:
@@ -302,3 +354,27 @@ def count_roots_in(p: Coeffs, a: Fraction, b: Fraction) -> int:
         return 0
     chain = _sturm_chain(p)
     return _variations_at(chain, a) - _variations_at(chain, b)
+
+
+def isolate_roots(p: Coeffs, a: Fraction, b: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals for the distinct real roots of ``p`` in (a, b].
+
+    Returns disjoint half-open intervals (lo, hi], in increasing order, each
+    holding exactly one distinct root, found by bisecting (a, b] with one
+    Sturm chain.
+    """
+    if degree(p) < 1 or b <= a:
+        return []
+    chain = _sturm_chain(p)
+    out = []
+    todo = [(a, b, _variations_at(chain, a), _variations_at(chain, b))]
+    while todo:
+        lo, hi, v_lo, v_hi = todo.pop()
+        if v_lo - v_hi == 1:
+            out.append((lo, hi))
+        elif v_lo - v_hi > 1:
+            mid = (lo + hi) / 2
+            v_mid = _variations_at(chain, mid)
+            todo.append((mid, hi, v_mid, v_hi))
+            todo.append((lo, mid, v_lo, v_mid))
+    return out

@@ -7,8 +7,9 @@ non-commutative products.  On top of the arithmetic the module provides
 
 * differentiation and the leading power at infinity,
 * Laurent expansion at infinity with an exact rational tail,
-* a certified supremum bound for |f| on a right half-line, computed with
-  exact sign evaluations only (no floating point enters the bound),
+* a certified supremum bound for |f| on a right half-line from the
+  Sturm-isolated critical points of f, computed in exact arithmetic only
+  (no floating point enters the bound),
 * a canonical string form and the matching parser.
 
 Everything downstream (the reduction engine, the error ledger, the
@@ -17,7 +18,6 @@ asymptotic evaluator) stores its symbolic state in these two types.
 
 from __future__ import annotations
 
-import heapq
 import re
 from fractions import Fraction
 
@@ -35,6 +35,10 @@ class PoleInDomain(ValueError):
 
 class UnboundedAtInfinity(ValueError):
     """The function grows at infinity, so no finite sup exists."""
+
+
+class BoundNotCertified(RuntimeError):
+    """sup_bound could not bring its bound within rel_slack of an attained value."""
 
 
 class RationalFn:
@@ -390,18 +394,27 @@ def _parse_int_poly(text: str) -> Coeffs:
 # -- supremum bound on a half-line ------------------------------------
 
 
-def sup_bound(f: RationalFn, X, *, rel_slack=Fraction(1, 20), max_cells: int = 4000) -> Fraction:
+_MAX_HALVINGS = 200
+
+
+def sup_bound(f: RationalFn, X, *, rel_slack=Fraction(1, 20)) -> Fraction:
     """Certified upper bound for sup of |f| on [X, infinity).
 
     Raises ``PoleInDomain`` if the denominator vanishes on the half-line and
-    ``UnboundedAtInfinity`` if f grows there.  The bound is computed with
-    exact rational arithmetic: beyond the Cauchy bounds of the denominator
-    and of the derivative numerator the function is monotone, so the tail
-    contributes max(|f| at the cut, |limit|); the finite part is covered by
-    adaptive cells, each bounded by a coefficient-sum estimate for the
-    numerator over a certified positive lower bound for the denominator.
-    Refinement stops once the bound is within ``rel_slack`` of an attained
-    value, so the result is tight as well as sound.
+    ``UnboundedAtInfinity`` if f grows there.  Between consecutive roots of
+    the critical-point polynomial crit = n'd - nd' the function is
+    monotone, so the sup is the largest of |f(X)|, |limit| and |f| at the
+    critical points in (X, inf).  None exceeds the Fujiwara bound B of
+    crit; one Sturm chain isolates each in an interval of (X, B] of its
+    own.  With none there the result is exactly max(|f(X)|, |limit|).
+    Otherwise each isolating interval is halved, keeping the half where
+    crit changes sign, until a bound for |f| on it is within
+    ``rel_slack`` of a value |f| attains.  That bound takes numerator and
+    denominator each as its value at the left end plus or minus the
+    Taylor-coefficient motion across the interval.  All arithmetic is
+    exact rational, so the result is tight as well as sound; an interval
+    that needs more than ``_MAX_HALVINGS`` halvings raises
+    ``BoundNotCertified`` instead of returning a looser value.
     """
     if f.is_zero:
         return Fraction(0)
@@ -416,55 +429,41 @@ def sup_bound(f: RationalFn, X, *, rel_slack=Fraction(1, 20), max_cells: int = 4
     crit = poly.sub(
         poly.mul(poly.derivative(n), d), poly.mul(n, poly.derivative(d))
     )
-    x_cut = max(X, poly.cauchy_root_bound(d), poly.cauchy_root_bound(crit))
-    limit_abs = abs(f.limit_at_infinity())
-    attained = max(abs(f.eval_exact(X)), abs(f.eval_exact(x_cut)), limit_abs)
-    tail_max = max(abs(f.eval_exact(x_cut)), limit_abs)
-    if x_cut == X:
-        return max(abs(f.eval_exact(X)), limit_abs)
-
-    def cell_bound(u: Fraction, v: Fraction) -> Fraction | None:
-        # |den| >= |den(u)| - total coefficient motion on [u, v]
-        motion = Fraction(0)
-        for i in range(1, len(d)):
-            if d[i]:
-                motion += abs(d[i]) * (v**i - u**i)
-        low = abs(poly.eval_at(d, u)) - motion
-        if low <= 0:
-            return None
-        return poly.abs_sum_at(n, v) / low
-
-    heap: list[tuple] = []
-    counter = 0
-
-    def push(u: Fraction, v: Fraction):
-        nonlocal counter
-        b = cell_bound(u, v)
-        key = float("inf") if b is None else float(b)
-        counter += 1
-        heapq.heappush(heap, (-key, counter, u, v, b))
-
-    push(X, x_cut)
-    cells = 1
-    while heap and cells < max_cells:
-        top = -heap[0][0]
-        if top <= float(attained * (1 + rel_slack)) and heap[0][4] is not None:
-            break
-        _, _, u, v, _ = heapq.heappop(heap)
-        mid = (u + v) / 2
-        attained = max(attained, abs(f.eval_exact(mid)))
-        push(u, mid)
-        push(mid, v)
-        cells += 1
-
-    finite_max = Fraction(0)
-    for _, _, _, _, b in heap:
-        if b is None:
-            raise RuntimeError(
-                "sup_bound hit its refinement limit before certifying every cell"
+    intervals = poly.isolate_roots(crit, X, poly.fujiwara_bound(crit))
+    attained = max(
+        [abs(f.eval_exact(X)), abs(f.limit_at_infinity())]
+        + [abs(f.eval_exact(v)) for _, v in intervals]
+    )
+    bounds = Fraction(0)
+    for u, v in intervals:
+        at_v = poly.eval_at(crit, v)
+        if at_v == 0:
+            continue  # the critical point is v, already attained
+        for _ in range(_MAX_HALVINGS):
+            low = poly.magnitude_range(d, u, v - u)[0]
+            if low > 0:
+                bound = poly.magnitude_range(n, u, v - u)[1] / low
+                if bound <= attained * (1 + rel_slack):
+                    bounds = max(bounds, bound)
+                    break
+            mid = (u + v) / 2
+            attained = max(attained, abs(f.eval_exact(mid)))
+            at_mid = poly.eval_at(crit, mid)
+            if at_mid == 0:
+                break  # the critical point is mid, now attained
+            # a root of even multiplicity is no extremum: crit keeps its
+            # sign, the halving closes in on u, and the bound on |f(u)|
+            # is met by the values attained at the midpoints
+            if (at_mid > 0) == (at_v > 0):
+                v = mid
+            else:
+                u = mid
+        else:
+            raise BoundNotCertified(
+                f"sup_bound cannot certify |{f}| near x = {float(v):.6g} on "
+                f"[{X}, inf) within {_MAX_HALVINGS} halvings"
             )
-        finite_max = max(finite_max, b)
-    return max(finite_max, tail_max)
+    return max(bounds, attained)
 
 
 class SymMatrix:

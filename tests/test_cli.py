@@ -14,7 +14,10 @@ from levode import (
     solution_bundle,
     total_error_bound,
 )
+from levode import cli
 from levode.cli import main
+from levode.symexpr import BoundNotCertified
+from levode.transform_engine import DivisionByZeroDenominator, OrderRegression
 from levode.system_model import (
     STANDARD,
     Monomial,
@@ -323,6 +326,41 @@ def test_solve_writes_dense_trace(capsys, tmp_path):
     assert len(lines) == 202
 
 
+def test_solve_overflowing_value_exits_1(capsys):
+    # exp(G_1(20)) is about 1.6e1154, beyond the float range; the JSON
+    # report must not carry it as Infinity
+    code, out, err = run_cli(
+        capsys, "solve", "--builtin", "hypergeom", "-k", "1", "-X", "20",
+        "--format", "json",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("computation failed: Z_1(20) = 1.6427925e+1154")
+    assert err.count("\n") == 1
+
+
+# -- computation failures -------------------------------------------------
+
+@pytest.mark.parametrize(
+    "module,name,error",
+    [
+        (cli, "run", DivisionByZeroDenominator("elimination denominator vanishes")),
+        (cli, "run", OrderRegression("term decays slower than promised")),
+        (error_ledger, "sup_bound", BoundNotCertified("cannot certify the bound")),
+    ],
+    ids=["division-by-zero", "order-regression", "bound-not-certified"],
+)
+def test_computation_failure_exits_1(capsys, monkeypatch, module, name, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(module, name, fail)
+    code, out, err = run_cli(capsys, "transform", "--builtin", "hypergeom")
+    assert code == 1
+    assert out == ""
+    assert err == f"computation failed: {error}\n"
+
+
 # -- verify -------------------------------------------------------------
 
 def test_verify_symbolic_group_passes(capsys):
@@ -370,3 +408,16 @@ def test_installed_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "transform"
+
+
+def test_cli_import_leaves_numerics_unloaded():
+    # only continuation integrates, so loading the CLI must not pay for scipy
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import levode.cli, sys; print('scipy' in sys.modules, 'numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.split() == ["False", "False"]

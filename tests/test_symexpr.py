@@ -6,6 +6,7 @@ import pytest
 
 from levode import poly
 from levode.symexpr import (
+    BoundNotCertified,
     ParseError,
     PoleInDomain,
     RationalFn,
@@ -206,6 +207,76 @@ def test_sup_bound_interior_maximum_is_tight():
     assert F(1, 2) <= bound <= F(1, 2) * F(21, 20)
 
 
+def test_sup_bound_exact_when_monotone_despite_cancellation():
+    # the critical point x**3 = 320/3 lies below 10, so |f| decreases on
+    # [10, inf) and the sup is exactly |f(10)| = 8280/(5*10**12)
+    assert sup_bound(fn("(9*x^3 - 720)/(5*x^12)"), F(10)) == F(207, 125000000000)
+
+
+def test_sup_bound_interior_critical_point_within_rel_slack():
+    # f' vanishes at x = 27/4, where |f| = 16/729
+    bound = sup_bound(fn("(-8*x + 27)/(27*x^2)"), F(5))
+    assert F(16, 729) <= bound <= F(16, 729) * F(21, 20)
+
+
+def test_sup_bound_flat_critical_point_is_no_extremum():
+    # crit = 2*x^3*(x - 2)^2*(x + 1): f' vanishes at 2 without changing
+    # sign, so |f| decreases on [1, inf) from |f(1)| = 1
+    f = fn("(-2*x^3 + 3*x^2 - 2)/(x^4)")
+    assert len(poly.isolate_roots(f.differentiate().num, F(1), F(8))) == 1
+    assert 1 <= sup_bound(f, F(1)) <= F(21, 20)
+    assert sup_bound(f, F(3, 2)) <= abs(f.eval_exact(F(3, 2))) * F(21, 20)
+
+
+def test_sup_bound_raises_when_it_cannot_certify():
+    # the maximum sits at the irrational x = sqrt(2), so no finite
+    # refinement meets a zero slack; the bound must say so, not return
+    with pytest.raises(BoundNotCertified):
+        sup_bound(fn("(x)/(x^2 + 2)"), F(1, 2), rel_slack=F(0))
+
+
+def test_sup_bound_meets_rel_slack_contract():
+    """Oracle: sympy's exact real roots of f' give the true sup."""
+    pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    from hypothesis import assume, given, settings, strategies as st
+
+    coeffs = st.lists(st.integers(-20, 20), min_size=1, max_size=5)
+    x = sympy.Symbol("x")
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        num=coeffs,
+        den=coeffs,
+        X0=st.sampled_from([F(-2), F(0), F(1, 2), F(1), F(3)]),
+        rel_slack=st.sampled_from([F(1, 20), F(1, 1000)]),
+    )
+    def check(num, den, X0, rel_slack):
+        assume(any(den))
+        f = RationalFn(num, den)
+        assume(not f.is_zero and f.leading_order() <= 0)
+        assume(not f.has_pole_at_or_beyond(X0))
+        bound = sup_bound(f, X0, rel_slack=rel_slack)
+
+        num_s = sympy.Poly(list(reversed(f.num)), x)
+        den_s = sympy.Poly(list(reversed(f.den)), x)
+        expr = num_s.as_expr() / den_s.as_expr()
+        crit = num_s.diff(x) * den_s - num_s * den_s.diff(x)
+        points = [sympy.Rational(X0.numerator, X0.denominator)]
+        if crit.degree() > 0:
+            points += [r for r in sympy.real_roots(crit) if r > points[0]]
+        values = [abs(expr.subs(x, r)).evalf(60) for r in points]
+        if num_s.degree() == den_s.degree():
+            values.append(abs(num_s.LC() / den_s.LC()))
+        true_sup = max(sympy.Float(v, 60) for v in values)
+        tol = sympy.Float(10, 60) ** -40
+        bound_s = sympy.Rational(bound.numerator, bound.denominator)
+        assert true_sup * (1 - tol) <= bound_s
+        assert bound_s <= (1 + sympy.Rational(rel_slack.numerator, rel_slack.denominator)) * true_sup * (1 + tol)
+
+    check()
+
+
 def test_sup_bound_rejects_poles_and_growth():
     with pytest.raises(PoleInDomain):
         sup_bound(fn("(1)/(x - 20)"), F(10))
@@ -291,3 +362,47 @@ def test_poly_odd_multiplicity_part():
     part = poly.odd_multiplicity_part(p)
     assert poly.count_roots_above(part, F(0)) == 1
     assert poly.count_roots_above(part, F(2)) == 1
+
+
+def test_poly_fujiwara_bound_exceeds_every_root():
+    cases = [
+        ([F(1), F(3), F(5)], poly.ONE),
+        ([F(-7), F(1, 2)], poly.make([1, 0, 1])),  # plus the roots +-i
+        ([F(1, 1000)], poly.ONE),
+        ([F(2)], poly.make([16, 0, 4, 0, 1])),  # x^4 + 4x^2 + 16 has no real root
+        ([F(-1000), F(999), F(1, 7)], poly.make([1, 1, 1])),
+    ]
+    for roots, cofactor in cases:
+        p = cofactor
+        for r in roots:
+            p = poly.mul(p, poly.make([-r, 1]))
+        bound = poly.fujiwara_bound(p)
+        assert all(abs(r) <= bound for r in roots)
+        assert poly.count_roots_above(p, bound) == 0
+        assert poly.count_roots_in(p, -bound - 1, bound) == len(set(roots))
+    assert poly.fujiwara_bound(poly.make([5])) == 0
+
+
+def test_poly_isolate_roots_gives_one_root_per_interval():
+    p = poly.ONE
+    for r in (F(-3), F(1), F(1), F(1001, 1000), F(2), F(4)):  # 1 is a double root
+        p = poly.mul(p, poly.make([-r, 1]))
+    for a, b in [(F(-10), F(10)), (F(1), F(4)), (F(0), F(2)), (F(5), F(9))]:
+        intervals = poly.isolate_roots(p, a, b)
+        assert len(intervals) == poly.count_roots_in(p, a, b)
+        for lo, hi in intervals:
+            assert a <= lo < hi <= b
+            assert poly.count_roots_in(p, lo, hi) == 1
+        for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
+            assert hi <= lo
+    # (1, 4] excludes the root at 1 and includes the one at 4
+    assert len(poly.isolate_roots(p, F(1), F(4))) == 3
+
+
+def test_poly_magnitude_range_brackets_values():
+    p = poly.make([-720, 0, 0, 9])
+    for u, w in [(F(10), F(1)), (F(-2), F(3)), (F(4), F(1, 8))]:
+        low, high = poly.magnitude_range(p, u, w)
+        for i in range(11):
+            assert low <= abs(poly.eval_at(p, u + w * i / 10)) <= high
+    assert poly.magnitude_range(p, F(3), F(0)) == (F(477), F(477))
