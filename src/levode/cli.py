@@ -2,9 +2,10 @@
 
 Exit codes: 0 success; 1 verification failure, refused continuation, or a
 failed computation (an uncertified or divergent bound, a reduction step
-that breaks down, a solution value beyond the float range); 2 invalid input
-(schema, invariant, file, flags); 3 resonance in the small diagonal block;
-4 dichotomy failure.  JSON reports never contain Infinity or NaN.
+that breaks down, a bound or solution value beyond the float range);
+2 invalid input (schema, invariant, file, flags); 3 resonance in the small
+diagonal block; 4 dichotomy failure.  JSON reports never contain Infinity
+or NaN.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from .error_ledger import (
+    BoundOverflow,
     ContractionFailure,
     DivergentIntegral,
     bound_ledger,
@@ -52,6 +54,8 @@ from .system_model import (
 )
 from .transform_engine import (
     DivisionByZeroDenominator,
+    EliminationIdentityViolated,
+    ExpansionCapExceeded,
     FinalState,
     OrderRegression,
     run,
@@ -470,9 +474,12 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except (
         BoundNotCertified,
+        BoundOverflow,
         ContractionFailure,
         DivergentIntegral,
         DivisionByZeroDenominator,
+        EliminationIdentityViolated,
+        ExpansionCapExceeded,
         OrderRegression,
         PoleInInterval,
         SolutionOverflow,

@@ -36,6 +36,17 @@ class DivergentIntegral(ValueError):
     """The error integral over [X, infinity) does not converge."""
 
 
+class BoundOverflow(OverflowError):
+    """An exact bound, or a figure in a message, lies beyond the float range."""
+
+
+def _to_float(value: Fraction, what: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise BoundOverflow(f"{what} exceeds the float range") from None
+
+
 @dataclass(frozen=True)
 class LedgerEntry:
     """Error committed at a stage, without its implicit inverse factor.
@@ -71,8 +82,9 @@ def matrix_norm_bound(mat: SymMatrix, X) -> Fraction:
 def _inverse_deviation(p: Fraction, n: int, what: str) -> Fraction:
     """Bound for norm(inverse(I+P) - I) given p >= norm(P)."""
     if n * p >= 1:
+        label = f"n*norm({what})"
         raise ContractionFailure(
-            f"n*norm({what}) = {float(n * p):.3g} >= 1; "
+            f"{label} = {_to_float(n * p, label):.3g} >= 1; "
             "move the evaluation point X outward"
         )
     return n * p * (1 + p / (1 - n * p))
@@ -123,7 +135,9 @@ def bound_ledger(ledger: ErrorLedger) -> LedgerNorms:
             q = single_norms[entry.via_iteration - 1]
             alpha = 1 + n * _inverse_deviation(q, n, f"P_{entry.via_iteration}")
         total += alpha * e_norm * (1 + n * s) * (1 + n * dev)
-    return LedgerNorms(tuple(entry_norms), tuple(single_norms), float(total))
+    return LedgerNorms(
+        tuple(entry_norms), tuple(single_norms), _to_float(total, "total error bound")
+    )
 
 
 def total_error_bound(ledger: ErrorLedger) -> float:
@@ -143,12 +157,13 @@ def eta_bound(R_M: SymMatrix, spec, X=None) -> float:
             f"M*a = {spec.M * spec.a} must exceed p_rho + 1 = {spec.rho.exponent + 1}"
         )
     integral = integral_tail_bound(spec.rho_fn * R_M, X)
-    if spec.n * integral >= 1:
+    weight = spec.n * integral
+    if weight >= 1:
         raise ContractionFailure(
-            f"n * integral = {float(spec.n * integral):.3g} >= 1; "
+            f"n * integral = {_to_float(weight, 'n * integral'):.3g} >= 1; "
             "move the evaluation point X outward"
         )
-    return float(integral / (1 - spec.n * integral))
+    return _to_float(integral / (1 - weight), "eta bound")
 
 
 def integral_tail_bound(mat: SymMatrix, X) -> Fraction:

@@ -1,7 +1,8 @@
 """Numeric continuation of the original system Y' = A(x) Y.
 
-The coefficient matrix stays symbolic; every integrator stage evaluates
-the exact rational entries afresh at the requested point.  Integration
+The coefficient matrix stays symbolic up to this boundary: its entries are
+rounded to float Horner tables once per matrix (``SymMatrix.eval_float``),
+and every integrator stage evaluates those tables.  Integration
 uses an adaptive embedded Runge-Kutta 5(4) pair, which is enough because
 continuation targets are regular points and the interval excludes poles
 by an exact root count before any numerics start.
@@ -88,9 +89,12 @@ def integrate(
         return tuple(float(v) for v in y0)
 
     A = system.A
+    # refilled on every call; each product is a fresh array
+    M = np.empty((A.rows, A.cols))
 
     def rhs(x, y):
-        return np.asarray(A.eval_float(x), dtype=float) @ y
+        M[...] = A.eval_float(x)
+        return M @ y
 
     sol = solve_ivp(
         rhs,

@@ -238,9 +238,14 @@ class RationalFn:
             raise ZeroDivisionError(f"pole at x = {x}")
         return poly.eval_at(self.num, x) / d
 
+    def float_table(self) -> tuple[tuple[float, ...], tuple[float, ...] | None]:
+        """Numerator and denominator as ``poly.float_coeffs``, the denominator
+        None when it is 1: the arguments of ``poly.horner_ratio``."""
+        den = None if self.den == poly.ONE else poly.float_coeffs(self.den)
+        return poly.float_coeffs(self.num), den
+
     def eval_float(self, x: float) -> float:
-        d = poly.eval_float(self.den, x)
-        return poly.eval_float(self.num, x) / d
+        return poly.horner_ratio(*self.float_table(), x)
 
     def has_pole_at_or_beyond(self, x) -> bool:
         x = Fraction(x)
@@ -469,7 +474,8 @@ def sup_bound(f: RationalFn, X, *, rel_slack=Fraction(1, 20)) -> Fraction:
 class SymMatrix:
     """Dense matrix of RationalFn entries with exact non-commutative products."""
 
-    __slots__ = ("rows", "cols", "entries")
+    # _float_table: the entries' float_table()s, built by the first eval_float
+    __slots__ = ("rows", "cols", "entries", "_float_table")
 
     def __init__(self, entries):
         rows = tuple(tuple(_as_fn(e) for e in row) for row in entries)
@@ -481,6 +487,7 @@ class SymMatrix:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "_float_table", None)
 
     def __setattr__(self, *a):
         raise AttributeError("SymMatrix is immutable")
@@ -627,7 +634,16 @@ class SymMatrix:
         return [[e.eval_exact(x) for e in row] for row in self.entries]
 
     def eval_float(self, x: float) -> list[list[float]]:
-        return [[e.eval_float(x) for e in row] for row in self.entries]
+        """Entries at x, each equal to its ``RationalFn.eval_float(x)``.
+
+        The coefficients are rounded to floats on the first call only.
+        """
+        table = self._float_table
+        if table is None:
+            table = tuple(tuple(e.float_table() for e in row) for row in self.entries)
+            object.__setattr__(self, "_float_table", table)
+        ratio = poly.horner_ratio
+        return [[ratio(num, den, x) for num, den in row] for row in table]
 
     def to_strings(self) -> list[list[str]]:
         return [[e.to_string() for e in row] for row in self.entries]

@@ -28,6 +28,14 @@ class DivisionByZeroDenominator(ZeroDivisionError):
     """A resonant exponent makes an elimination denominator vanish."""
 
 
+class EliminationIdentityViolated(RuntimeError):
+    """The exact re-check of the elimination identity left a nonzero defect."""
+
+
+class ExpansionCapExceeded(RuntimeError):
+    """A re-expansion of (I + P)^-1 kept more than _EXPANSION_CAP powers."""
+
+
 class OrderRegression(RuntimeError):
     """A re-expansion term decays slower than the iteration promises."""
 
@@ -217,7 +225,7 @@ def commutator_terms(
     )
     defect = elimination_defect(state, psplit, terms, spec)
     if not defect.is_zero:
-        raise RuntimeError(
+        raise EliminationIdentityViolated(
             f"elimination identity violated at iteration {state.m}: "
             f"defect leading order {defect.max_leading_order()}"
         )
@@ -322,7 +330,7 @@ def _iterate(
         while not _at_accuracy(nxt, spec):
             powers.append(nxt)
             if len(powers) > _EXPANSION_CAP:
-                raise RuntimeError(
+                raise ExpansionCapExceeded(
                     f"expansion of {label} at iteration {m} did not reach accuracy"
                 )
             nxt = P * powers[-1]

@@ -263,10 +263,10 @@ def _check_eta_soundness(ctx, tol):
 
     R = ctx.final_state.residual
     rho = ctx.spec.rho_fn
-    entries = [e for row in R.entries for e in row if not e.is_zero]
 
     def norm_at(t: float) -> float:
-        return abs(rho.eval_float(t)) * max(abs(e.eval_float(t)) for e in entries)
+        rows = R.eval_float(t)
+        return abs(rho.eval_float(t)) * max(abs(v) for row in rows for v in row)
 
     value, err = quad(norm_at, float(ctx.spec.X), math.inf, limit=200)
     ok = math.isfinite(ctx.eta) and ctx.eta >= value - err

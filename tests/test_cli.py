@@ -14,7 +14,7 @@ from levode import (
     solution_bundle,
     total_error_bound,
 )
-from levode import cli
+from levode import cli, transform_engine
 from levode.cli import main
 from levode.symexpr import BoundNotCertified
 from levode.transform_engine import DivisionByZeroDenominator, OrderRegression
@@ -359,6 +359,64 @@ def test_computation_failure_exits_1(capsys, monkeypatch, module, name, error):
     assert code == 1
     assert out == ""
     assert err == f"computation failed: {error}\n"
+
+
+def test_elimination_identity_violation_exits_1(capsys, monkeypatch):
+    # a nonzero defect stands in for a broken elimination step; the
+    # cleared cache would otherwise serve commutator terms checked before
+    monkeypatch.setattr(
+        transform_engine,
+        "elimination_defect",
+        lambda *args: SymMatrix([[RationalFn.x_power(-7)]]),
+    )
+    transform_engine.commutator_terms.cache_clear()
+    code, out, err = run_cli(capsys, "transform", "--builtin", "hypergeom")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "computation failed: elimination identity violated at iteration 1: "
+        "defect leading order -7\n"
+    )
+
+
+def test_expansion_past_cap_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(transform_engine, "_at_accuracy", lambda mat, spec: False)
+    code, out, err = run_cli(capsys, "transform", "--builtin", "hypergeom")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "computation failed: expansion of Qtilde_deriv at iteration 1 "
+        "did not reach accuracy\n"
+    )
+
+
+HUGE = Fraction(10**400)
+TRANSFORM = ("transform", "--builtin", "hypergeom")
+SOLVE = ("solve", "--builtin", "hypergeom", "-k", "3")
+
+
+@pytest.mark.parametrize(
+    "stubs,argv,what",
+    [
+        ({"sup_bound": lambda f, X: HUGE}, TRANSFORM,
+         "n*norm(accumulated transform at stage 1)"),
+        ({"sup_bound": lambda f, X: HUGE,
+          "_inverse_deviation": lambda *args: Fraction(0)}, TRANSFORM,
+         "total error bound"),
+        ({"integral_tail_bound": lambda mat, X: HUGE}, SOLVE, "n * integral"),
+        ({"integral_tail_bound": lambda mat, X: Fraction(1, 3) - 1 / HUGE},
+         SOLVE, "eta bound"),
+    ],
+    ids=["contraction-message", "total", "eta-message", "eta"],
+)
+def test_bound_beyond_float_range_exits_1(capsys, monkeypatch, stubs, argv, what):
+    # an exact bound past about 1e308 has no float to be rounded to
+    for name, stub in stubs.items():
+        monkeypatch.setattr(error_ledger, name, stub)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"computation failed: {what} exceeds the float range\n"
 
 
 # -- verify -------------------------------------------------------------

@@ -11,6 +11,7 @@ from levode import (
     RationalFn,
     StepSizeUnderflow,
     SymMatrix,
+    derive_original_system,
     integrate,
     linear_system,
 )
@@ -121,3 +122,35 @@ def test_dense_output_for_empty_interval(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows == [["x", "y1"], ["1.0", "2.5"]]
+
+
+class CountingMatrix:
+    """Forwards to a SymMatrix and counts right-hand-side evaluations."""
+
+    def __init__(self, inner: SymMatrix):
+        self.inner = inner
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def eval_float(self, x):
+        self.calls += 1
+        return self.inner.eval_float(x)
+
+
+# Y(10) of the k = 3 solution as `levode solve --builtin hypergeom -k 3`
+# reports it, and Y(0) from there as evaluating the exact coefficients
+# afresh at every stage gave it
+Y3_AT_10 = (0.09996009933218178, -0.009984069933576718, 0.001992013986677493)
+Y3_AT_0 = (1.8777858808658072, -1.7630399065703817, 2.0000000007168395)
+
+
+def test_continuation_trajectory_is_pinned(fixture_spec):
+    # rounding the coefficients once must leave every RHS value, hence
+    # every step the integrator takes, exactly as it was
+    A = CountingMatrix(derive_original_system(fixture_spec))
+    system = LinearSystem(A, (Fraction(0), Fraction(10)))
+    y = integrate(system, Y3_AT_10, 10, 0, rtol=1e-10, atol=1e-12)
+    assert A.calls == 6290
+    assert y == Y3_AT_0

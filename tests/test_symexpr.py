@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 
 import pytest
@@ -325,6 +326,73 @@ def test_matrix_diagonal_split():
     assert a.diagonal_part() + a.off_diagonal_part() == a
     assert a.diagonal_part().entry(0, 1).is_zero
     assert a.off_diagonal_part().entry(1, 1).is_zero
+
+
+def _reference_eval_float(f: RationalFn, x: float) -> float:
+    """Horner sums over float(Fraction) coefficients, then one division."""
+
+    def horner(p):
+        acc = 0.0
+        for c in reversed(p):
+            acc = acc * x + float(c)
+        return acc
+
+    d = horner(f.den)
+    return horner(f.num) / d
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def test_matrix_eval_float_is_bit_identical_to_reference():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    coeff = st.fractions(min_value=-1000, max_value=1000, max_denominator=60)
+    polynomial = st.lists(coeff, min_size=1, max_size=5)
+    entry = st.one_of(
+        st.just(RationalFn.const(0)),
+        coeff.map(RationalFn.const),
+        polynomial.map(RationalFn),
+        st.builds(RationalFn.monomial, coeff, st.integers(-9, -1)),
+        st.builds(
+            lambda num, den: RationalFn(num) / fn(den),
+            polynomial,
+            st.sampled_from(
+                ["x^3 - 1", "x^2 + x + 1", "3*x^2 - 7", "7*x^4 + 2*x + 1/3", "5*x^9"]
+            ),
+        ),
+    )
+    matrix = st.integers(1, 3).flatmap(
+        lambda cols: st.lists(
+            st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=3
+        )
+    ).map(SymMatrix)
+    point = st.builds(
+        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+        st.sampled_from([1.0, -1.0]),
+        st.floats(1.0, 10.0, exclude_max=True),
+        st.integers(-30, 30),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(M=matrix, xs=st.lists(point, min_size=1, max_size=4))
+    def check(M, xs):
+        for _ in range(2):  # the first call builds the float tables
+            for x in xs:
+                try:
+                    want = [_reference_eval_float(e, x) for row in M.entries for e in row]
+                except ZeroDivisionError:  # a float pole, e.g. x^3 - 1 at 1.0
+                    with pytest.raises(ZeroDivisionError):
+                        M.eval_float(x)
+                    continue
+                got = [v for row in M.eval_float(x) for v in row]
+                assert _bits(got) == _bits(want)
+                single = [e.eval_float(x) for row in M.entries for e in row]
+                assert _bits(single) == _bits(want)
+
+    check()
 
 
 def test_matrix_max_leading_order():
