@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -69,6 +70,10 @@ EXIT_FAILURE = 1
 EXIT_INVALID = 2
 EXIT_RESONANCE = 3
 EXIT_DICHOTOMY = 4
+
+
+class ProblemUnreadable(ValueError):
+    """The problem file could not be opened or is not JSON."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -130,8 +135,12 @@ def _load_spec(args) -> ProblemSpec:
     if args.builtin:
         spec = BUILTINS[args.builtin]()
     else:
-        with open(args.problem) as fh:
-            spec = load_problem(json.load(fh))
+        try:
+            with open(args.problem) as fh:
+                doc = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ProblemUnreadable(exc) from None
+        spec = load_problem(doc)
     if args.M_override is not None:
         if args.M_override < 2:
             raise InvariantViolation("M override must be at least 2")
@@ -159,6 +168,13 @@ def _rational_flag(value: str, flag: str) -> Fraction:
         raise InvariantViolation(
             f"{flag} must be a rational number, got {value!r}"
         ) from None
+
+
+def _float_range(value: Fraction, what: str) -> None:
+    try:
+        float(value)
+    except OverflowError:
+        raise InvariantViolation(f"{what} is beyond the float range") from None
 
 
 def _check_resonance(spec: ProblemSpec) -> list[str]:
@@ -293,6 +309,11 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    for flag, value in (("--rtol", args.rtol), ("--atol", args.atol)):
+        if not 0 < value < math.inf:
+            raise InvariantViolation(
+                f"{flag} must be a positive finite number, got {value!r}"
+            )
     spec = _load_spec(args)
     hits = _check_resonance(spec)
     if hits:
@@ -301,11 +322,14 @@ def _cmd_solve(args) -> int:
     if not 1 <= args.k <= spec.n:
         raise InvariantViolation(f"k must be in 1..{spec.n}, got {args.k}")
     target = None if args.target is None else _rational_flag(args.target, "--target")
-    if target is not None and spec.back_transform is None:
-        raise MissingBackTransform(
-            "continuation needs the original system, so the problem must "
-            "define a back-transformation matrix T(x)"
-        )
+    if target is not None:
+        if spec.back_transform is None:
+            raise MissingBackTransform(
+                "continuation needs the original system, so the problem must "
+                "define a back-transformation matrix T(x)"
+            )
+        _float_range(target, f"--target {args.target}")
+        _float_range(spec.X, "the evaluation point X")
     fs = run(spec)
     dichotomy = check_dichotomy(spec, fs.diag)
     if not dichotomy.ok_for(args.k):
@@ -417,11 +441,14 @@ def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
                 f"tolerance override must be NAME=VALUE, got {pair!r}"
             )
         try:
-            out[name] = float(value)
+            tol = float(value)
         except ValueError:
+            tol = math.nan
+        if not math.isfinite(tol):
             raise InvariantViolation(
-                f"tolerance value for {name!r} is not a number: {value!r}"
-            ) from None
+                f"tolerance value for {name!r} is not a finite number: {value!r}"
+            )
+        out[name] = tol
     return out
 
 
@@ -469,8 +496,11 @@ def main(argv=None) -> int:
     except (SchemaError, InvariantViolation, ModeError, MissingBackTransform) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (OSError, json.JSONDecodeError) as exc:
+    except ProblemUnreadable as exc:
         print(f"cannot read problem: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (
         BoundNotCertified,

@@ -145,18 +145,17 @@ def total_error_bound(ledger: ErrorLedger) -> float:
     return bound_ledger(ledger).total
 
 
-def eta_bound(R_M: SymMatrix, spec, X=None) -> float:
+def eta_bound(R_M: SymMatrix, spec) -> float:
     """Bound for the Levinson deviation eta from the final residual R_M.
 
     Requires the accuracy exponent to beat the rho weight: M*a > p_rho + 1,
     otherwise the defining integral diverges.
     """
-    X = Fraction(spec.X if X is None else X)
     if spec.M * spec.a <= spec.rho.exponent + 1:
         raise DivergentIntegral(
             f"M*a = {spec.M * spec.a} must exceed p_rho + 1 = {spec.rho.exponent + 1}"
         )
-    integral = integral_tail_bound(spec.rho_fn * R_M, X)
+    integral = integral_tail_bound(spec.rho_fn * R_M, spec.X)
     weight = spec.n * integral
     if weight >= 1:
         raise ContractionFailure(

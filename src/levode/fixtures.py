@@ -7,7 +7,7 @@ checked against independent values.  A change of variables turns its
 companion system Y' = A(x)Y into the half-line form Z' = x^(-1)(Lambda + R)Z
 with one lambda = x^3 scaled diagonal entry and two unit-scale entries.
 This module ships that problem as a ready-made ProblemSpec, along with the
-companion matrix and the factored change of variables for cross-checks.
+companion matrix and the change of variables for cross-checks.
 """
 
 from __future__ import annotations
@@ -73,18 +73,6 @@ def builtin_hypergeometric() -> ProblemSpec:
         back_transform=back_transform_matrix(),
     )
     return validate(spec)
-
-
-def back_transform_factors() -> tuple[SymMatrix, SymMatrix, SymMatrix]:
-    """The change of variables Y = F1 F2 F3 Z as its three factors."""
-    x = RationalFn.x_power(1)
-    x3 = RationalFn.x_power(3)
-    one = RationalFn.const(1)
-    z = RationalFn.const(0)
-    f1 = SymMatrix.diagonal([one, one / x, x])
-    f2 = SymMatrix([[one, one, one], [x3, one, -one], [x3 - 1, z, 2 / x3]])
-    f3 = SymMatrix([[one, z, z], [3 / x3, one, z], [z, z, one]])
-    return f1, f2, f3
 
 
 def back_transform_matrix() -> SymMatrix:

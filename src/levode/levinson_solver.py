@@ -73,13 +73,6 @@ class ExponentData:
                 total += _to_mpf(Fraction(c, e + 1)) * xm ** (e + 1)
             return total
 
-    def antiderivative_fn(self) -> RationalFn:
-        """The power-term part as an exact rational function (no log)."""
-        acc = RationalFn.const(0)
-        for c, e in self.laurent_terms:
-            acc = acc + RationalFn.monomial(Fraction(c, e + 1), e + 1)
-        return acc
-
 
 @dataclass(frozen=True)
 class SolutionBundle:
@@ -134,7 +127,7 @@ def check_dichotomy(spec: ProblemSpec, diag: tuple[RationalFn, ...]) -> Dichotom
                 results.append(PairResult(j, k, True, False))
                 continue
             divergent = F.leading_order() >= -1
-            if F.has_pole_at_or_beyond(X):
+            if F.has_pole_in(X):
                 sign_constant = False
             else:
                 changes = poly.count_roots_above(

@@ -4,8 +4,9 @@ The coefficient matrix stays symbolic up to this boundary: its entries are
 rounded to float Horner tables once per matrix (``SymMatrix.eval_float``),
 and every integrator stage evaluates those tables.  Integration
 uses an adaptive embedded Runge-Kutta 5(4) pair, which is enough because
-continuation targets are regular points and the interval excludes poles
-by an exact root count before any numerics start.
+continuation targets are regular points and a ``LinearSystem`` screens its
+domain for poles by an exact root count when it is built, before any
+numerics start.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import poly
 from .symexpr import SymMatrix
 
 METHOD_INFO = {"method": "RK45", "order": 5}
@@ -32,27 +32,23 @@ class StepSizeUnderflow(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearSystem:
+    """Y' = A(x) Y on the closed interval ``domain``, free of poles there."""
+
     A: SymMatrix
     domain: tuple[Fraction, Fraction]
 
-
-def _check_no_poles(A: SymMatrix, lo: Fraction, hi: Fraction) -> None:
-    for i, row in enumerate(A.entries):
-        for j, entry in enumerate(row):
-            den = entry.den
-            if poly.degree(den) < 1:
-                continue
-            if poly.eval_at(den, lo) == 0 or poly.count_roots_in(den, lo, hi) > 0:
-                raise PoleInInterval(
-                    f"entry ({i + 1},{j + 1}) has a pole in [{lo}, {hi}]"
-                )
+    def __post_init__(self):
+        lo, hi = self.domain
+        for i, row in enumerate(self.A.entries):
+            for j, entry in enumerate(row):
+                if entry.has_pole_in(lo, hi):
+                    raise PoleInInterval(
+                        f"entry ({i + 1},{j + 1}) has a pole in [{lo}, {hi}]"
+                    )
 
 
 def linear_system(A: SymMatrix, lo, hi) -> LinearSystem:
-    lo, hi = Fraction(lo), Fraction(hi)
-    if hi < lo:
-        lo, hi = hi, lo
-    _check_no_poles(A, lo, hi)
+    lo, hi = sorted((Fraction(lo), Fraction(hi)))
     return LinearSystem(A=A, domain=(lo, hi))
 
 
@@ -81,7 +77,6 @@ def integrate(
         raise ValueError(
             f"[{lo}, {hi}] leaves the system domain [{system.domain[0]}, {system.domain[1]}]"
         )
-    _check_no_poles(system.A, lo, hi)
     y0 = np.asarray(y0, dtype=float)
     if x_from == x_to:
         if dense_path is not None:

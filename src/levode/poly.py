@@ -357,14 +357,12 @@ def _variations_at(chain: list[list[int]], x: Fraction | None) -> int:
 
 def count_roots_above(p: Coeffs, a: Fraction) -> int:
     """Number of distinct real roots of ``p`` in the open interval (a, inf)."""
-    if degree(p) < 1:
-        return 0
-    chain = _sturm_chain(p)
-    return _variations_at(chain, a) - _variations_at(chain, None)
+    return count_roots_in(p, a)
 
 
-def count_roots_in(p: Coeffs, a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots of ``p`` in the half-open interval (a, b]."""
+def count_roots_in(p: Coeffs, a: Fraction, b: Fraction | None = None) -> int:
+    """Number of distinct real roots of ``p`` in the half-open interval (a, b];
+    ``b`` None means (a, inf)."""
     if degree(p) < 1:
         return 0
     chain = _sturm_chain(p)

@@ -74,6 +74,9 @@ class RationalFn:
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("RationalFn is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return RationalFn, (self.num, self.den)
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -247,37 +250,28 @@ class RationalFn:
     def eval_float(self, x: float) -> float:
         return poly.horner_ratio(*self.float_table(), x)
 
-    def has_pole_at_or_beyond(self, x) -> bool:
-        x = Fraction(x)
+    def has_pole_in(self, lo, hi=None) -> bool:
+        """True when the denominator vanishes on [lo, hi], or on [lo, inf)
+        when ``hi`` is None."""
+        lo = Fraction(lo)
         if poly.degree(self.den) < 1:
             return False
-        if x > 0 and all(c >= 0 for c in self.den):
+        if lo > 0 and all(c >= 0 for c in self.den):
             # no sign change (x**k, x**k*(x + 1), ...): Descartes' rule
             # leaves no positive root, so skip the Sturm count
             return False
-        if poly.eval_at(self.den, x) == 0:
+        if poly.eval_at(self.den, lo) == 0:
             return True
-        return poly.count_roots_above(self.den, x) > 0
+        hi = None if hi is None else Fraction(hi)
+        return poly.count_roots_in(self.den, lo, hi) > 0
 
     # -- canonical text form -------------------------------------------
-
-    def _integer_parts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        denoms = [c.denominator for c in self.num + self.den]
-        m = 1
-        for d in denoms:
-            m = m * d // _gcd_int(m, d)
-        ni = [int(c * m) for c in self.num]
-        di = [int(c * m) for c in self.den]
-        g = 0
-        for v in ni + di:
-            g = _gcd_int(g, abs(v))
-        g = g or 1
-        return tuple(v // g for v in ni), tuple(v // g for v in di)
 
     def to_string(self) -> str:
         if self.is_zero:
             return "0"
-        ni, di = self._integer_parts()
+        ints = poly._primitive_ints(self.num + self.den)
+        ni, di = ints[: len(self.num)], ints[len(self.num):]
         num_s = _format_int_poly(ni)
         if len(di) == 1 and di[0] == 1:
             return num_s
@@ -296,12 +290,6 @@ class RationalFn:
         if poly.is_zero(den):
             raise ParseError(f"zero denominator in {text!r}")
         return cls(num, den)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _format_int_poly(coeffs) -> str:
@@ -428,7 +416,7 @@ def sup_bound(f: RationalFn, X, *, rel_slack=Fraction(1, 20)) -> Fraction:
         raise UnboundedAtInfinity(f"leading power {lo} > 0 on [{X}, inf)")
     X = Fraction(X)
     n, d = f.num, f.den
-    if f.has_pole_at_or_beyond(X):
+    if f.has_pole_in(X):
         raise PoleInDomain(f"denominator vanishes on [{X}, inf)")
 
     crit = poly.sub(
@@ -492,6 +480,9 @@ class SymMatrix:
     def __setattr__(self, *a):
         raise AttributeError("SymMatrix is immutable")
 
+    def __reduce__(self):  # rebuilt through __init__, without _float_table
+        return SymMatrix, (self.entries,)
+
     # -- constructors --------------------------------------------------
 
     @classmethod
@@ -536,15 +527,6 @@ class SymMatrix:
     def __hash__(self):
         return hash(self.entries)
 
-    def diagonal_part(self) -> "SymMatrix":
-        z = RationalFn.const(0)
-        return SymMatrix(
-            [
-                [self.entries[i][j] if i == j else z for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
     def off_diagonal_part(self) -> "SymMatrix":
         z = RationalFn.const(0)
         return SymMatrix(
@@ -553,9 +535,6 @@ class SymMatrix:
                 for i in range(self.rows)
             ]
         )
-
-    def diagonal_entries(self) -> tuple[RationalFn, ...]:
-        return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
     # -- arithmetic ----------------------------------------------------
 

@@ -286,7 +286,7 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
     for name, rows in named_rows:
         for row in rows:
             for f in row:
-                if f.has_pole_at_or_beyond(spec.X):
+                if f.has_pole_in(spec.X):
                     raise InvariantViolation(
                         f"{name} entry {f.to_string()} has a pole on [{spec.X}, inf)"
                     )

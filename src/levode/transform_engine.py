@@ -297,11 +297,6 @@ def _first_order_products(
     return [(label, mat) for label, mat in out if not mat.is_zero]
 
 
-def _at_accuracy(mat: SymMatrix, spec: ProblemSpec) -> bool:
-    lo = mat.max_leading_order()
-    return lo is None or Fraction(lo) <= spec.accuracy_exponent
-
-
 def iterate(state: IterationState, spec: ProblemSpec) -> IterationState:
     new_state, _ = _iterate(state, spec)
     return new_state
@@ -327,7 +322,7 @@ def _iterate(
         # powers until one falls at or beyond accuracy, ledger the rest.
         powers = [base]
         nxt = P * base
-        while not _at_accuracy(nxt, spec):
+        while not nxt.order_at_most(spec.accuracy_exponent):
             powers.append(nxt)
             if len(powers) > _EXPANSION_CAP:
                 raise ExpansionCapExceeded(

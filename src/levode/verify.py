@@ -20,11 +20,7 @@ import mpmath
 
 from .error_ledger import eta_bound, total_error_bound
 from .fixtures import builtin_hypergeometric, hypergeometric_companion
-from .levinson_solver import (
-    asymptotic_value,
-    back_transform,
-    check_dichotomy,
-)
+from .levinson_solver import check_dichotomy, solution_bundle
 from .ode_connector import integrate, linear_system
 from .symexpr import RationalFn, SymMatrix
 from .system_model import INVERSE_X, Monomial, ProblemSpec
@@ -99,18 +95,14 @@ class FixtureContext:
 
     @cached_property
     def eta(self) -> float:
+        # the residual's eta alone: the soundness row checks this bound, not
+        # the bundle's, which the exponent tail enlarges
         return eta_bound(self.final_state.residual, self.spec)
 
     @cached_property
-    def z3(self):
-        vec, C = asymptotic_value(3, self.final_state.diag, self.spec, self.spec.X)
-        return vec, C
-
-    @cached_property
-    def y_at_X(self) -> tuple[float, ...]:
-        return back_transform(
-            self.z3[0], self.final_state.history, self.spec, self.spec.X
-        )
+    def bundle(self):
+        """Z and Y at X of the k = 3 solution, as ``levode solve`` reports them."""
+        return solution_bundle(3, self.final_state, self.eta)
 
     @cached_property
     def companion_system(self):
@@ -120,7 +112,7 @@ class FixtureContext:
     def y_at_0(self) -> tuple[float, ...]:
         return integrate(
             self.companion_system,
-            self.y_at_X,
+            self.bundle.Y_at_X,
             self.spec.X,
             0,
             rtol=CONTINUATION_RTOL,
@@ -184,7 +176,7 @@ def _check_elimination_sample(ctx, tol):
 
 
 def _check_z33(ctx, tol):
-    computed = ctx.z3[0][2]
+    computed = ctx.bundle.Z_at_X[2]
     return (
         repr(computed),
         repr(Z33_REFERENCE),
@@ -194,8 +186,9 @@ def _check_z33(ctx, tol):
 
 
 def _check_y10(ctx, tol):
-    diff = max(abs(c - r) for c, r in zip(ctx.y_at_X, Y10_REFERENCE))
-    return repr(ctx.y_at_X), repr(Y10_REFERENCE), tol, diff <= tol
+    y_at_X = ctx.bundle.Y_at_X
+    diff = max(abs(c - r) for c, r in zip(y_at_X, Y10_REFERENCE))
+    return repr(y_at_X), repr(Y10_REFERENCE), tol, diff <= tol
 
 
 def _check_dichotomy_fixture(ctx, tol):
@@ -337,7 +330,6 @@ _CHECKS = (
 def run_checks(
     only: str | None = None,
     tolerance_overrides: dict[str, float] | None = None,
-    ctx: FixtureContext | None = None,
 ) -> list[CheckRow]:
     if only is not None and only not in GROUPS:
         raise ValueError(f"unknown check group {only!r}; choose from {GROUPS}")
@@ -345,7 +337,7 @@ def run_checks(
     unknown = set(overrides) - {name for name, _, _ in _CHECKS}
     if unknown:
         raise ValueError(f"tolerance override for unknown check: {sorted(unknown)}")
-    ctx = ctx or FixtureContext()
+    ctx = FixtureContext()
     rows: list[CheckRow] = []
     for name, group, fn in _CHECKS:
         if only is not None and group != only:

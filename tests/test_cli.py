@@ -229,6 +229,56 @@ def test_evaluation_point_before_pole_rejected(capsys):
     assert "has a pole on [1, inf)" in err
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("--target", "0", "--rtol", "nan"), "--rtol"),
+        (("--target", "0", "--rtol", "-1"), "--rtol"),
+        (("--target", "0", "--rtol", "inf", "--format", "json"), "--rtol"),
+        (("--atol", "0"), "--atol"),
+        (("--target", "1e400"), "--target"),
+        (("-X", "1e400", "--target", "0"), "evaluation point X"),
+    ],
+)
+def test_bad_tolerance_or_target_rejected(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *SOLVE, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input: ")
+    assert flag in err
+    assert err.count("\n") == 1
+
+
+def test_non_finite_verify_tolerance_rejected(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--only", "error", "--tolerance", "total_error=inf",
+        "--format", "json",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "invalid input: tolerance value for 'total_error' is not a finite "
+        "number: 'inf'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("transform", "--builtin", "hypergeom", "--output", "{missing}"),
+        ("solve", "--builtin", "hypergeom", "-k", "3", "--target", "5",
+         "--dense-csv", "{missing}"),
+    ],
+)
+def test_unwritable_output_reported_as_write_failure(capsys, tmp_path, argv):
+    missing = str(tmp_path / "absent" / "out.txt")
+    code, _, err = run_cli(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 2
+    assert err.startswith("cannot write output: ")
+    assert missing in err
+    assert err.count("\n") == 1
+
+
 def test_small_M_override_rejected(capsys):
     code, _, err = run_cli(
         capsys, "transform", "--builtin", "hypergeom", "-M", "1"
@@ -380,7 +430,7 @@ def test_elimination_identity_violation_exits_1(capsys, monkeypatch):
 
 
 def test_expansion_past_cap_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(transform_engine, "_at_accuracy", lambda mat, spec: False)
+    monkeypatch.setattr(SymMatrix, "order_at_most", lambda mat, exponent: False)
     code, out, err = run_cli(capsys, "transform", "--builtin", "hypergeom")
     assert code == 1
     assert out == ""
@@ -452,6 +502,50 @@ def test_verify_rejects_malformed_tolerance(capsys):
     code, _, err = run_cli(capsys, "verify", "--tolerance", "justaname")
     assert code == 2
     assert "NAME=VALUE" in err
+
+
+# -- exit-code contract under fuzzed flags -------------------------------
+
+def _strict_json_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_fuzzed_flags_keep_the_exit_code_contract(capsys):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    def optional(flag, values):
+        # the --flag=value form keeps values such as -1 from reading as flags
+        return st.one_of(
+            st.just(()), st.sampled_from(values).map(lambda v: (f"{flag}={v}",))
+        )
+
+    numbers = ["nan", "inf", "-1", "0", "1e400", "1e-6", "1e-10"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        command=st.sampled_from(["transform", "solve"]),
+        fmt=st.sampled_from(["text", "json"]),
+        k=st.sampled_from(["0", "1", "2", "3", "4"]),
+        X=optional("-X", ["5", "10", "20", "1/3", "1e400", "abc"]),
+        M=optional("-M", ["1", "2", "3", "4"]),
+        target=optional("--target", ["0", "5", "12", "-1", "1e400", "nan"]),
+        rtol=optional("--rtol", numbers),
+        atol=optional("--atol", numbers),
+    )
+    def check(command, fmt, k, X, M, target, rtol, atol):
+        argv = [command, "--builtin", "hypergeom", "--format", fmt, *X, *M]
+        if command == "solve":
+            argv += ["-k", k, *target, *rtol, *atol]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in {0, 1, 2, 3, 4}
+        if code:
+            assert err.count("\n") <= 1, err
+        if fmt == "json" and out:
+            json.loads(out, parse_constant=_strict_json_constant)
+
+    check()
 
 
 # -- console entry point ------------------------------------------------

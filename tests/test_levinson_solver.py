@@ -54,9 +54,10 @@ def test_antiderivative_differentiates_back(k, fixture_spec, fixture_final):
     data = exponent_data(k, fixture_final.diag, spec)
     integrand = spec.rho_fn * fixture_final.diag[k - 1]
     _, tail = integrand.laurent_split(spec.accuracy_exponent - 1)
-    rebuilt = data.antiderivative_fn().differentiate() + RationalFn.monomial(
-        data.log_coefficient, -1
-    )
+    powers = RationalFn.const(0)
+    for c, e in data.laurent_terms:
+        powers = powers + RationalFn.monomial(Fraction(c, e + 1), e + 1)
+    rebuilt = powers.differentiate() + RationalFn.monomial(data.log_coefficient, -1)
     assert rebuilt == integrand - tail
 
 

@@ -74,13 +74,12 @@ def test_pole_rejected_at_construction():
         linear_system(A, Fraction(0), Fraction(10))
 
 
-def test_pole_rejected_when_integrating():
-    # the system object can be built on a safe domain statement, but the
-    # integrator re-screens the actual interval
+def test_pole_rejected_by_system_constructor():
+    # a LinearSystem screens its own domain, so none can be built that
+    # the integrator would have to re-screen
     A = SymMatrix([[RationalFn.parse("(1)/(x - 5)")]])
-    system = LinearSystem(A, (Fraction(0), Fraction(10)))
-    with pytest.raises(PoleInInterval):
-        integrate(system, (1.0,), 0.0, 10.0, rtol=1e-8, atol=1e-10)
+    with pytest.raises(PoleInInterval, match=r"entry \(1,1\) has a pole in \[0, 10\]"):
+        LinearSystem(A, (Fraction(0), Fraction(10)))
 
 
 def test_interval_outside_domain_rejected():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import struct
 from fractions import Fraction
 
@@ -256,7 +258,7 @@ def test_sup_bound_meets_rel_slack_contract():
         assume(any(den))
         f = RationalFn(num, den)
         assume(not f.is_zero and f.leading_order() <= 0)
-        assume(not f.has_pole_at_or_beyond(X0))
+        assume(not f.has_pole_in(X0))
         bound = sup_bound(f, X0, rel_slack=rel_slack)
 
         num_s = sympy.Poly(list(reversed(f.num)), x)
@@ -276,6 +278,30 @@ def test_sup_bound_meets_rel_slack_contract():
         assert bound_s <= (1 + sympy.Rational(rel_slack.numerator, rel_slack.denominator)) * true_sup * (1 + tol)
 
     check()
+
+
+@pytest.mark.parametrize(
+    "source,lo,hi,expected",
+    [
+        ("(1)/(x - 5)", F(5), F(10), True),  # pole at the left end
+        ("(1)/(x - 5)", F(0), F(5), True),  # pole at the right end
+        ("(1)/(x - 5)", F(0), F(10), True),  # pole strictly inside
+        ("(1)/(x - 5)", F(6), F(10), False),
+        ("(1)/(x - 5)", F(-3), F(4), False),
+        ("(1)/(x - 5)", F(6), None, False),  # half-line beyond the pole
+        ("(1)/(x - 5)", F(4), None, True),
+        ("(1)/(x - 5)", F(5), None, True),
+        ("(x)/(x^2 + 1)", F(-10), None, False),  # no real root
+        ("x^3 - 2", F(-10), F(10), False),  # polynomial, no pole anywhere
+        ("(1)/(x^3 + x)", F(1), None, False),  # Descartes: no positive root
+        ("(1)/(x^3 + x)", F(0), F(1), True),  # ... but a pole at 0
+        ("(1)/(x^3 - 2*x^2 + x - 3)", F(2), F(3), True),  # mixed signs, root near 2.17
+        ("(1)/(x^3 - 2*x^2 + x - 3)", F(3), None, False),
+        ("(1)/(x^3 - 2*x^2 + x - 3)", F(0), F(2), False),
+    ],
+)
+def test_has_pole_in(source, lo, hi, expected):
+    assert fn(source).has_pole_in(lo, hi) is expected
 
 
 def test_sup_bound_rejects_poles_and_growth():
@@ -323,9 +349,26 @@ def test_matrix_inverse_and_det():
 
 def test_matrix_diagonal_split():
     a = SymMatrix(((fn("x"), fn("2")), (fn("3"), fn("4"))))
-    assert a.diagonal_part() + a.off_diagonal_part() == a
-    assert a.diagonal_part().entry(0, 1).is_zero
+    assert SymMatrix.diagonal([fn("x"), fn("4")]) + a.off_diagonal_part() == a
     assert a.off_diagonal_part().entry(1, 1).is_zero
+
+
+@pytest.mark.parametrize(
+    "route",
+    [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_ledger_matrices_survive_copy_and_pickle(route, fixture_final):
+    for entry in fixture_final.ledger.entries:
+        m = entry.matrix
+        m.eval_float(10.0)  # fills the float table, which is not carried over
+        twin = route(m)
+        assert twin == m
+        assert twin.to_strings() == m.to_strings()
+        assert twin._float_table is None
+        f = m.entry(1, 0)
+        assert route(f) == f
+        assert route(f).to_string() == f.to_string()
 
 
 def _reference_eval_float(f: RationalFn, x: float) -> float:

@@ -19,11 +19,7 @@ from levode import (
     validate,
     validate_resonance,
 )
-from levode.fixtures import (
-    back_transform_factors,
-    back_transform_matrix,
-    builtin_hypergeometric,
-)
+from levode.fixtures import back_transform_matrix, builtin_hypergeometric
 
 F = Fraction
 
@@ -176,7 +172,14 @@ def test_fixture_remainder_entries(fixture_spec):
 
 
 def test_back_transform_factors_multiply_out():
-    f1, f2, f3 = back_transform_factors()
+    # the change of variables Y = F1 F2 F3 Z as its three factors
+    x = RationalFn.x_power(1)
+    x3 = RationalFn.x_power(3)
+    one = RationalFn.const(1)
+    z = RationalFn.const(0)
+    f1 = SymMatrix.diagonal([one, one / x, x])
+    f2 = SymMatrix([[one, one, one], [x3, one, -one], [x3 - 1, z, 2 / x3]])
+    f3 = SymMatrix([[one, z, z], [3 / x3, one, z], [z, z, one]])
     assert f1 * f2 * f3 == back_transform_matrix()
 
 
