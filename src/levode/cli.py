@@ -76,8 +76,35 @@ class ProblemUnreadable(ValueError):
     """The problem file could not be opened or is not JSON."""
 
 
+class UsageError(ValueError):
+    """The command line does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print its usage and exit, so
+    that a bad command line gets the one ``invalid input:`` line and exit 2
+    of every other bad input.  Subcommand parsers share the class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _target_values_attached(argv: list[str]) -> list[str]:
+    """``--target V`` written as ``--target=V``, so that argparse takes a
+    negative V such as -1/3 as the value instead of as a flag."""
+    out = []
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok == "--target":
+            value = next(tokens, None)
+            if value is not None:
+                tok = f"--target={value}"
+        out.append(tok)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="levode",
         description=(
             "Reduce a singular linear ODE system by repeated transformations, "
@@ -486,14 +513,17 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = parser.parse_args(_target_values_attached(argv))
         if args.command == "transform":
             return _cmd_transform(args)
         if args.command == "solve":
             return _cmd_solve(args)
         return _cmd_verify(args)
-    except (SchemaError, InvariantViolation, ModeError, MissingBackTransform) as exc:
+    except (
+        SchemaError, InvariantViolation, ModeError, MissingBackTransform, UsageError
+    ) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except ProblemUnreadable as exc:

@@ -36,7 +36,8 @@ class MissingBackTransform(ValueError):
 
 
 class SolutionOverflow(ArithmeticError):
-    """A solution value at the evaluation point exceeds the float range."""
+    """A solution value, at the evaluation point or continued, exceeds the
+    float range."""
 
 
 def _finite_float(value, what: str) -> float:

@@ -15,6 +15,7 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .levinson_solver import SolutionOverflow
 from .symexpr import SymMatrix
 
 METHOD_INFO = {"method": "RK45", "order": 5}
@@ -65,7 +66,9 @@ def integrate(
     """Value of the solution at x_to; supports decreasing x.
 
     With dense_path set, writes an evenly spaced (x, components) CSV
-    sampled from the integrator's dense output.
+    sampled from the integrator's dense output.  Float overflow inside
+    the integrator emits no warning: it ends in ``StepSizeUnderflow``, or
+    in ``SolutionOverflow`` when the value at x_to is not finite.
     """
     # imported here so that commands which never integrate skip their load time
     import numpy as np
@@ -91,18 +94,21 @@ def integrate(
         M[...] = A.eval_float(x)
         return M @ y
 
-    sol = solve_ivp(
-        rhs,
-        (float(x_from), float(x_to)),
-        y0,
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        dense_output=dense_path is not None,
-        max_step=np.inf if max_step is None else max_step,
-    )
+    with np.errstate(all="ignore"):
+        sol = solve_ivp(
+            rhs,
+            (float(x_from), float(x_to)),
+            y0,
+            method="RK45",
+            rtol=rtol,
+            atol=atol,
+            dense_output=dense_path is not None,
+            max_step=np.inf if max_step is None else max_step,
+        )
     if not sol.success:
         raise StepSizeUnderflow(sol.message)
+    if not np.all(np.isfinite(sol.y[:, -1])):
+        raise SolutionOverflow(f"Y({x_to}) is outside the float range")
     if dense_path is not None:
         xs = np.linspace(float(x_from), float(x_to), _DENSE_POINTS)
         _write_dense(dense_path, xs, [tuple(sol.sol(x)) for x in xs])

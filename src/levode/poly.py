@@ -58,7 +58,7 @@ def constant(c) -> Coeffs:
 def x_power(k: int) -> Coeffs:
     if k < 0:
         raise ValueError("x_power wants a nonnegative exponent")
-    return (Fraction(0),) * k + (Fraction(1),)
+    return (Fraction(0),) * k + ONE
 
 
 def add(p: Coeffs, q: Coeffs) -> Coeffs:
@@ -92,8 +92,8 @@ def mul(p: Coeffs, q: Coeffs) -> Coeffs:
 
 def shift(p: Coeffs, k: int) -> Coeffs:
     """Multiply by x**k."""
-    if not p:
-        return ZERO
+    if not p or not k:
+        return p
     return (Fraction(0),) * k + p
 
 

@@ -2,7 +2,11 @@
 
 ``RationalFn`` is an immutable reduced quotient of polynomials with exact
 rational coefficients (monic denominator, gcd cancelled), so equal values
-have equal representations.  ``SymMatrix`` is a dense matrix of them with
+have equal representations.  Almost every denominator the reduction meets
+is a power of x: such a quotient is reduced by slicing off the common power
+of x, with no polynomial gcd, two of them add by shifting numerators and
+multiply by adding exponents, and a zero operand short-circuits.  Other
+denominators take the gcd.  ``SymMatrix`` is a dense matrix of them with
 non-commutative products.  On top of the arithmetic the module provides
 
 * differentiation and the leading power at infinity,
@@ -47,27 +51,34 @@ class RationalFn:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=poly.ONE):
-        if isinstance(num, (int, Fraction)):
-            num = poly.constant(num)
-        else:
-            num = poly.trim(Fraction(c) for c in num)
-        if isinstance(den, (int, Fraction)):
-            den = poly.constant(den)
-        else:
-            den = poly.trim(Fraction(c) for c in den)
-        if poly.is_zero(den):
+        num, den = _coeffs(num), _coeffs(den)
+        if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if poly.is_zero(num):
+        self._normalise(num, den)
+
+    def _normalise(self, num: Coeffs, den: Coeffs) -> None:
+        """Store num/den in lowest terms with a monic denominator.
+
+        ``num`` and ``den`` are trimmed tuples of Fraction, ``den`` nonzero.
+        A denominator c*x**k shares at most x**min(valuation(num), k) with
+        the numerator, which is cancelled by slicing; any other denominator
+        goes through ``poly.gcd``.
+        """
+        if not num:
             num, den = poly.ZERO, poly.ONE
+        elif _x_exponent(den) is not None:
+            v = min(poly.valuation(num), len(den) - 1)
+            if v:
+                num, den = num[v:], den[v:]
         else:
             g = poly.gcd(num, den)
             if poly.degree(g) > 0:
                 num = poly.divmod_exact(num, g)[0]
                 den = poly.divmod_exact(den, g)[0]
-            lc = poly.leading(den)
-            if lc != 1:
-                num = tuple(c / lc for c in num)
-                den = tuple(c / lc for c in den)
+        lc = den[-1]
+        if lc != 1:
+            num = tuple(c / lc for c in num)
+            den = tuple(c / lc for c in den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -81,18 +92,22 @@ class RationalFn:
 
     @classmethod
     def const(cls, c) -> "RationalFn":
-        return cls(Fraction(c))
+        return cls.monomial(c, 0)
 
     @classmethod
     def x_power(cls, e: int) -> "RationalFn":
         """x**e for any integer e, negative powers going to the denominator."""
-        if e >= 0:
-            return cls(poly.x_power(e))
-        return cls(poly.ONE, poly.x_power(-e))
+        return cls.monomial(1, e)
 
     @classmethod
     def monomial(cls, c, e: int) -> "RationalFn":
-        return cls.const(c) * cls.x_power(e)
+        """c * x**e for any integer e."""
+        c = Fraction(c)
+        if not c:
+            return _ZERO
+        if e >= 0:
+            return _fn(poly.shift((c,), e), poly.ONE)
+        return _fn((c,), poly.x_power(-e))
 
     # -- predicates and structure -------------------------------------
 
@@ -114,6 +129,7 @@ class RationalFn:
         return not self.is_zero
 
     # -- ring operations ----------------------------------------------
+    # Denominators are monic, so x**k is the only c*x**k form they take.
 
     @staticmethod
     def _coerce(v):
@@ -127,15 +143,24 @@ class RationalFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFn(
-            poly.add(poly.mul(self.num, o.den), poly.mul(o.num, self.den)),
-            poly.mul(self.den, o.den),
-        )
+        if not o.num:
+            return self
+        if not self.num:
+            return o
+        (n1, d1), (n2, d2) = (self.num, self.den), (o.num, o.den)
+        if d1 == d2:
+            return _fn(poly.add(n1, n2), d1)
+        k1, k2 = _x_exponent(d1), _x_exponent(d2)
+        if k1 is not None and k2 is not None:
+            k = max(k1, k2)
+            num = poly.add(poly.shift(n1, k - k1), poly.shift(n2, k - k2))
+            return _fn(num, d1 if k1 > k2 else d2)
+        return _fn(poly.add(poly.mul(n1, d2), poly.mul(n2, d1)), poly.mul(d1, d2))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFn(poly.neg(self.num), self.den)
+        return _fn(poly.neg(self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -153,7 +178,14 @@ class RationalFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFn(poly.mul(self.num, o.num), poly.mul(self.den, o.den))
+        if not (self.num and o.num):
+            return _ZERO
+        k1, k2 = _x_exponent(self.den), _x_exponent(o.den)
+        if k1 is not None and k2 is not None:
+            den = poly.x_power(k1 + k2)
+        else:
+            den = poly.mul(self.den, o.den)
+        return _fn(poly.mul(self.num, o.num), den)
 
     __rmul__ = __mul__
 
@@ -163,7 +195,7 @@ class RationalFn:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division by the zero function")
-        return RationalFn(poly.mul(self.num, o.den), poly.mul(self.den, o.num))
+        return _fn(poly.mul(self.num, o.den), poly.mul(self.den, o.num))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -189,7 +221,7 @@ class RationalFn:
 
     def differentiate(self) -> "RationalFn":
         n, d = self.num, self.den
-        return RationalFn(
+        return _fn(
             poly.sub(poly.mul(poly.derivative(n), d), poly.mul(n, poly.derivative(d))),
             poly.mul(d, d),
         )
@@ -290,6 +322,29 @@ class RationalFn:
         if poly.is_zero(den):
             raise ParseError(f"zero denominator in {text!r}")
         return cls(num, den)
+
+
+def _coeffs(v) -> Coeffs:
+    """A constant or an iterable of coefficient-like values as a polynomial."""
+    return poly.constant(v) if isinstance(v, (int, Fraction)) else poly.make(v)
+
+
+def _x_exponent(den: Coeffs) -> int | None:
+    """k when ``den`` is c*x**k, else None."""
+    k = len(den) - 1
+    return None if any(den[:k]) else k
+
+
+def _fn(num: Coeffs, den: Coeffs) -> RationalFn:
+    """num/den through the normaliser: trimmed Fraction tuples, den nonzero."""
+    if not num:
+        return _ZERO
+    f = object.__new__(RationalFn)
+    f._normalise(num, den)
+    return f
+
+
+_ZERO = RationalFn(poly.ZERO)
 
 
 def _format_int_poly(coeffs) -> str:

@@ -8,6 +8,7 @@ endpoint.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -136,6 +137,27 @@ def test_elimination_identity_random_specs():
                 lo = mat.max_leading_order()
                 assert -Fraction(lo) >= (state.m + j - 1) * spec.a
     assert time.perf_counter() - start < 30.0
+
+
+SWEEP_DIGEST = "d409c53de7e9691c068a89bda564ca437060bbbf3ee1b94a77ab7c1f2c7c88c3"
+
+
+def test_random_sweep_canonical_forms_are_pinned():
+    # per problem: sha256 of the canonical strings of the diagonal, then of
+    # the residual, the dominant terms and the ledger matrices row by row;
+    # then sha256 of the per-problem digests in stream order
+    def digest(strings):
+        return hashlib.sha256("\n".join(strings).encode()).hexdigest()
+
+    rng = random.Random(2024)
+    digests = []
+    for _ in range(200):
+        fs = run(random_problem(rng))
+        strings = [f.to_string() for f in fs.diag]
+        for m in (fs.residual, *fs.dominant_terms, *(e.matrix for e in fs.ledger.entries)):
+            strings += [s for row in m.to_strings() for s in row]
+        digests.append(digest(strings))
+    assert digest(digests) == SWEEP_DIGEST
 
 
 def test_exact_solution_checks(fixture_spec):

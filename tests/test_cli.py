@@ -249,6 +249,51 @@ def test_bad_tolerance_or_target_rejected(capsys, argv, flag):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("solve", "--builtin", "hypergeom", "-k", "x"),
+         "argument -k: invalid int value: 'x'"),
+        (("solve", "--builtin", "hypergeom", "-k", "3", "--target"),
+         "argument --target: expected one argument"),
+        (("transform", "--builtin", "hypergeom", "--bogus"),
+         "unrecognized arguments: --bogus"),
+        ((), "the following arguments are required: command"),
+    ],
+)
+def test_unparsable_command_line_is_one_line(capsys, argv, message):
+    # argparse would print its usage text and an error line
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"invalid input: {message}\n"
+
+
+def test_negative_target_without_equals_sign(capsys):
+    code, out, err = run_cli(
+        capsys, "solve", "--builtin", "hypergeom", "-k", "3",
+        "--target", "-1/3", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["continuation"]["target"] == "-1/3"
+
+
+def test_failed_continuation_prints_one_line():
+    # from X = 1e300 the float Horner sums overflow on the way to 0; the
+    # numpy warnings they raise must not reach stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "levode.cli", "solve", "--builtin", "hypergeom",
+         "-k", "3", "-X", "1e300", "--target", "0"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("computation failed: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_non_finite_verify_tolerance_rejected(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--only", "error", "--tolerance", "total_error=inf",
@@ -520,16 +565,23 @@ def test_fuzzed_flags_keep_the_exit_code_contract(capsys):
             st.just(()), st.sampled_from(values).map(lambda v: (f"{flag}={v}",))
         )
 
+    def target_flag(values):
+        # --target also takes a negative value as the next argument
+        return st.one_of(
+            optional("--target", values),
+            st.sampled_from(values).map(lambda v: ("--target", v)),
+        )
+
     numbers = ["nan", "inf", "-1", "0", "1e400", "1e-6", "1e-10"]
 
     @settings(max_examples=30, deadline=None)
     @given(
         command=st.sampled_from(["transform", "solve"]),
         fmt=st.sampled_from(["text", "json"]),
-        k=st.sampled_from(["0", "1", "2", "3", "4"]),
+        k=st.sampled_from(["0", "1", "2", "3", "4", "x"]),
         X=optional("-X", ["5", "10", "20", "1/3", "1e400", "abc"]),
         M=optional("-M", ["1", "2", "3", "4"]),
-        target=optional("--target", ["0", "5", "12", "-1", "1e400", "nan"]),
+        target=target_flag(["0", "5", "12", "-1", "-1/3", "-1e400", "1e400", "nan"]),
         rtol=optional("--rtol", numbers),
         atol=optional("--atol", numbers),
     )

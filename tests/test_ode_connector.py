@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from levode import (
     linear_system,
 )
 from levode.fixtures import hypergeometric_companion
+from levode.levinson_solver import SolutionOverflow
 from levode.ode_connector import METHOD_INFO, LinearSystem
 
 
@@ -93,6 +95,28 @@ def test_runaway_growth_reported():
     system = linear_system(const_matrix([[100000]]), Fraction(0), Fraction(100))
     with pytest.raises(StepSizeUnderflow):
         integrate(system, (1.0,), 0.0, 100.0, rtol=1e-10, atol=1e-12)
+
+
+def test_runaway_growth_emits_no_float_warning():
+    system = linear_system(const_matrix([[100000]]), Fraction(0), Fraction(100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepSizeUnderflow):
+            integrate(system, (1.0,), 0.0, 100.0, rtol=1e-10, atol=1e-12)
+
+
+def test_non_finite_value_reported_as_overflow(monkeypatch):
+    import numpy as np
+    import scipy.integrate
+
+    class Overflowed:  # what an integrator run that overflowed would return
+        success = True
+        y = np.array([[1.0, np.inf]])
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k: Overflowed())
+    system = linear_system(const_matrix([[1]]), Fraction(0), Fraction(1))
+    with pytest.raises(SolutionOverflow, match="outside the float range"):
+        integrate(system, (1.0,), 0.0, 1.0, rtol=1e-10, atol=1e-12)
 
 
 def test_dense_output_file(tmp_path):

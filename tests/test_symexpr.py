@@ -59,6 +59,83 @@ def test_reduction_cancels_common_factors():
     assert top / bot == fn("x - 1")
 
 
+def test_kernel_matches_sympy_cancel():
+    """Differential oracle: every result is sympy's cancelled quotient, with
+    a monic denominator and Fraction coefficients, whatever route made it."""
+    pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    from hypothesis import assume, given, settings, strategies as st
+
+    x = sympy.Symbol("x")
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    nonzero = coeff.filter(bool)
+    denominators = st.one_of(
+        st.just([1]),
+        st.integers(1, 5).map(lambda k: [0] * k + [1]),  # x^k
+        st.builds(lambda k, c: [0] * k + [c], st.integers(0, 5), nonzero),  # c*x^k
+        st.integers(1, 3).map(lambda k: [0] * k + [1, 1]),  # x^k (x + 1)
+        st.just([-1, 0, 0, 1]),  # x^3 - 1
+        st.just([-7, 0, 3]),  # 3x^2 - 7
+    )
+    operand = st.one_of(
+        st.just(RationalFn.const(0)),
+        st.builds(RationalFn, st.lists(coeff, max_size=5), denominators),
+    )
+
+    def to_sympy(f):
+        num = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(f.num))
+        den = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(f.den))
+        return num / den
+
+    def monic_form(expr):
+        num, den = sympy.fraction(sympy.cancel(expr))
+        num, den = sympy.Poly(num, x), sympy.Poly(den, x)
+        lc = den.LC()
+        return tuple(
+            poly.trim(F(int(q.p), int(q.q)) for q in (c / lc for c in reversed(p.all_coeffs())))
+            for p in (num, den)
+        )
+
+    def check(f, expr):
+        assert (f.num, f.den) == monic_form(expr)
+        assert all(type(c) is Fraction for c in f.num + f.den)
+
+    def same(f, g):
+        assert f == g
+        assert hash(f) == hash(g)
+        assert f.to_string() == g.to_string()
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=operand, b=operand, k=st.integers(-3, 3), scale=nonzero, lift=st.integers(0, 3))
+    def run(a, b, k, scale, lift):
+        ea, eb = to_sympy(a), to_sympy(b)
+        check(a + b, ea + eb)
+        check(a - b, ea - eb)
+        check(a * b, ea * eb)
+        check(-a, -ea)
+        check(a.differentiate(), sympy.diff(ea, x))
+        same(a + b, b + a)
+        same(a * b, b * a)
+        if not b.is_zero:
+            check(a / b, ea / eb)
+            same(a * b / b, a)
+        if not (a.is_zero and k < 0):
+            check(a**k, ea**k)
+        stop = F(k, 2)
+        terms, tail = a.laurent_split(stop)
+        check(tail, ea - sum(sympy.Rational(c.numerator, c.denominator) * x**e for c, e in terms))
+        assert all(e > stop for _, e in terms)
+        assert tail.is_zero or tail.leading_order() <= stop
+        # the public constructor, fed a scaled and lifted form of a result,
+        # lands on the same representation as the arithmetic
+        r = a * b + a
+        lifted = [poly.shift(tuple(scale * c for c in p), lift) for p in (r.num, r.den)]
+        same(RationalFn(*lifted), r)
+        same(RationalFn([int(c) if c.denominator == 1 else c for c in r.num], r.den), r)
+
+    run()
+
+
 def test_integer_and_fraction_coercion():
     a = fn("(1)/(x)")
     assert a + 1 == fn("(x + 1)/(x)")
