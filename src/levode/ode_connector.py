@@ -2,16 +2,24 @@
 
 The coefficient matrix stays symbolic up to this boundary: its entries are
 rounded to float Horner tables once per matrix (``SymMatrix.eval_float``),
-and every integrator stage evaluates those tables.  Integration
-uses an adaptive embedded Runge-Kutta 5(4) pair, which is enough because
-continuation targets are regular points and a ``LinearSystem`` screens its
-domain for poles by an exact root count when it is built, before any
-numerics start.
+and every integrator stage evaluates those tables.  Continuation targets
+are regular points, and a ``LinearSystem`` screens its domain for poles by
+an exact root count when it is built, before any numerics start.
+
+The integrator is the Dormand-Prince 5(4) pair (Dormand & Prince 1980,
+J. Comput. Appl. Math. 6) with Shampine's quartic dense output (Math.
+Comp. 46, 1986).  It follows scipy's ``RK45`` step for step: the same
+tableau, initial step selection, RMS error norm, step-size controller and
+stage sums, so every trajectory equals ``solve_ivp(method="RK45")`` bit
+for bit, without importing scipy.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,11 +76,11 @@ def integrate(
     With dense_path set, writes an evenly spaced (x, components) CSV
     sampled from the integrator's dense output.  Float overflow inside
     the integrator emits no warning: it ends in ``StepSizeUnderflow``, or
-    in ``SolutionOverflow`` when the value at x_to is not finite.
+    in ``SolutionOverflow`` once the solution reaches the end of the float
+    range.
     """
-    # imported here so that commands which never integrate skip their load time
+    # imported here so that commands which never integrate skip its load time
     import numpy as np
-    from scipy.integrate import solve_ivp
 
     lo = Fraction(min(x_from, x_to))
     hi = Fraction(max(x_from, x_to))
@@ -81,10 +89,21 @@ def integrate(
             f"[{lo}, {hi}] leaves the system domain [{system.domain[0]}, {system.domain[1]}]"
         )
     y0 = np.asarray(y0, dtype=float)
-    if x_from == x_to:
+    t0, t_end = float(x_from), float(x_to)
+    if t0 == t_end:
         if dense_path is not None:
-            _write_dense(dense_path, [float(x_from)], [tuple(y0)])
+            _write_dense(dense_path, [t0], [tuple(y0)])
         return tuple(float(v) for v in y0)
+    if y0.ndim != 1 or not np.isfinite(y0).all():
+        raise ValueError("the initial value must be a finite vector")
+    max_step = math.inf if max_step is None else max_step
+    if not max_step > 0:
+        raise ValueError("max_step must be positive")
+    if not atol >= 0:
+        raise ValueError("atol must be nonnegative")
+    if rtol < _MIN_RTOL:
+        warnings.warn(f"rtol {rtol!r} is below 100 machine epsilons; using {_MIN_RTOL!r}")
+        rtol = _MIN_RTOL
 
     A = system.A
     # refilled on every call; each product is a fresh array
@@ -95,24 +114,158 @@ def integrate(
         return M @ y
 
     with np.errstate(all="ignore"):
-        sol = solve_ivp(
-            rhs,
-            (float(x_from), float(x_to)),
-            y0,
-            method="RK45",
-            rtol=rtol,
-            atol=atol,
-            dense_output=dense_path is not None,
-            max_step=np.inf if max_step is None else max_step,
+        y, steps = _dormand_prince(
+            rhs, t0, t_end, y0, rtol, atol, max_step, dense_path is not None
         )
-    if not sol.success:
-        raise StepSizeUnderflow(sol.message)
-    if not np.all(np.isfinite(sol.y[:, -1])):
-        raise SolutionOverflow(f"Y({x_to}) is outside the float range")
     if dense_path is not None:
-        xs = np.linspace(float(x_from), float(x_to), _DENSE_POINTS)
-        _write_dense(dense_path, xs, [tuple(sol.sol(x)) for x in xs])
-    return tuple(float(v) for v in sol.y[:, -1])
+        xs = np.linspace(t0, t_end, _DENSE_POINTS)
+        _write_dense(dense_path, xs, _dense_values(steps, xs, t_end > t0))
+    return tuple(float(v) for v in y)
+
+
+# The Dormand-Prince 5(4) tableau as scipy's RK45 holds it: nodes C, stage
+# weights A (row s feeds stage s), fifth-order weights B, error weights E
+# (fifth- minus fourth-order weights, the last one on the FSAL stage) and
+# the dense-output coefficients P of Shampine's quartic (optimal c_6).
+_C = (0, 1/5, 3/10, 4/5, 8/9, 1)
+_A = (
+    (),
+    (1/5,),
+    (3/40, 9/40),
+    (44/45, -56/15, 32/9),
+    (19372/6561, -25360/2187, 64448/6561, -212/729),
+    (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656),
+)
+_B = (35/384, 0, 500/1113, 125/192, -2187/6784, 11/84)
+_E = (-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40)
+_P = (
+    (1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432),
+    (0, 0, 0, 0),
+    (0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799),
+    (0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072),
+    (0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632),
+    (0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844),
+    (0, 40617522/29380423, -110615467/29380423, 69997945/29380423),
+)
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+_ERROR_EXPONENT = -1 / 5  # the embedded error estimate is of order 4
+_MIN_RTOL = 100 * sys.float_info.epsilon
+_FLOAT_MAX = sys.float_info.max
+
+
+def _rms(v):
+    import numpy as np
+
+    return np.linalg.norm(v) / v.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, f0, t_end, direction, rtol, atol, max_step):
+    """First step size by Hairer, Norsett & Wanner, Sec. II.4."""
+    import numpy as np
+
+    interval_length = abs(t_end - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    y1 = y0 + h0 * direction * f0
+    f1 = fun(t0 + h0 * direction, y1)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval_length, max_step)
+
+
+def _dormand_prince(fun, t0, t_end, y0, rtol, atol, max_step, dense):
+    """y(t_end) by adaptive Dormand-Prince 5(4) steps, and with ``dense``
+    the accepted steps as (t_old, t, y_old, Q) for ``_dense_values``.
+
+    The stage sums stay ``np.dot`` calls: summed in Python floats they
+    differ from scipy's in the last bit, and the trajectory with them.
+    """
+    import numpy as np
+
+    A = [np.array(row) for row in _A]
+    B, E, P = np.array(_B), np.array(_E), np.array(_P)
+    direction = 1.0 if t_end > t0 else -1.0
+    t, y = t0, y0
+    f = fun(t, y)
+    h_abs = float(_initial_step(fun, t, y, f, t_end, direction, rtol, atol, max_step))
+    K = np.empty((7, y.size))
+    steps = []
+    while direction * (t - t_end) < 0:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepSizeUnderflow(
+                    "Required step size is less than spacing between numbers."
+                )
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, A[s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, B)
+            f_new = K[6] = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = float(_rms(np.dot(K.T, E) * h / scale))
+            if error_norm < 1:
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        if error_norm == 0:
+            factor = _MAX_FACTOR
+        else:
+            factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+        if rejected:
+            factor = min(1, factor)
+        h_abs *= factor
+        # Not in scipy: a component at the largest double stands for any
+        # value up to where rounding gives inf, and from there only steps
+        # too short to move it avoid overflow, so the loop would crawl on
+        # for ~1e14 steps; a non-finite state never becomes finite again.
+        if not (np.abs(y_new) < _FLOAT_MAX).all():
+            raise SolutionOverflow(f"Y({t_new!r}) is outside the float range")
+        if dense:
+            steps.append((t, t_new, y, K.T.dot(P)))
+        t, y, f = t_new, y_new, f_new
+    return y, steps
+
+
+def _dense_values(steps, xs, ascending):
+    """The dense output at each x: the quartic of the step whose interval
+    holds x, chosen as scipy's ``OdeSolution`` chooses at step ends."""
+    import numpy as np
+
+    ts = np.array([steps[0][0]] + [step[1] for step in steps])
+    ts_sorted, side = (ts, "left") if ascending else (ts[::-1], "right")
+    last = len(steps) - 1
+    rows = []
+    for x in xs:
+        segment = min(max(int(np.searchsorted(ts_sorted, x, side=side)) - 1, 0), last)
+        t_old, t, y_old, Q = steps[segment if ascending else last - segment]
+        h = t - t_old
+        p = np.cumprod(np.tile((x - t_old) / h, 4))
+        y = h * np.dot(Q, p)
+        y += y_old
+        rows.append(tuple(y))
+    return rows
 
 
 def _write_dense(path, xs, rows) -> None:

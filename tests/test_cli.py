@@ -625,3 +625,19 @@ def test_cli_import_leaves_numerics_unloaded():
     )
     assert proc.returncode == 0
     assert proc.stdout.split() == ["False", "False"]
+
+
+def test_solve_with_continuation_leaves_scipy_unloaded():
+    # the integrator is levode's own, so only verify's quadrature needs scipy
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, levode.cli; code = levode.cli.main(['solve', '--builtin', "
+         "'hypergeom', '-k', '3', '--target', '0']); "
+         "print(code, 'scipy' in sys.modules, file=sys.stderr)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.split() == ["0", "False"]
+    assert "Y(0) = [1.8777858808658072, " in proc.stdout

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import csv
 import math
+import random
+import time
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from levode import (
@@ -18,7 +21,7 @@ from levode import (
 )
 from levode.fixtures import hypergeometric_companion
 from levode.levinson_solver import SolutionOverflow
-from levode.ode_connector import METHOD_INFO, LinearSystem
+from levode.ode_connector import _DENSE_POINTS, METHOD_INFO, LinearSystem
 
 
 def const_matrix(rows):
@@ -105,18 +108,23 @@ def test_runaway_growth_emits_no_float_warning():
             integrate(system, (1.0,), 0.0, 100.0, rtol=1e-10, atol=1e-12)
 
 
-def test_non_finite_value_reported_as_overflow(monkeypatch):
-    import numpy as np
-    import scipy.integrate
-
-    class Overflowed:  # what an integrator run that overflowed would return
-        success = True
-        y = np.array([[1.0, np.inf]])
-
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k: Overflowed())
-    system = linear_system(const_matrix([[1]]), Fraction(0), Fraction(1))
+def test_non_finite_value_reported_as_overflow():
+    # y' = y/50 from 1.7e308 passes the largest double near x = 2.79
+    system = linear_system(const_matrix([[Fraction(1, 50)]]), Fraction(0), Fraction(100))
     with pytest.raises(SolutionOverflow, match="outside the float range"):
-        integrate(system, (1.0,), 0.0, 1.0, rtol=1e-10, atol=1e-12)
+        integrate(system, (1.7e308,), 0.0, 100.0, rtol=1e-3, atol=1e-6)
+
+
+@pytest.mark.parametrize("rate,x_from,x_to", [("1/100", 0.0, 1.0), ("-1/100", 1.0, 0.0)])
+def test_state_at_float_maximum_ends_promptly(rate, x_from, x_to):
+    # the state reaches the largest double after 0.43 of the interval;
+    # from there only steps too short to change it avoid overflow, and
+    # about 1e14 of them would remain
+    system = linear_system(SymMatrix([[rate]]), Fraction(0), Fraction(1))
+    start = time.perf_counter()
+    with pytest.raises(SolutionOverflow, match="outside the float range"):
+        integrate(system, (1.79e308,), x_from, x_to, rtol=1e-3, atol=1e-6)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_dense_output_file(tmp_path):
@@ -177,3 +185,100 @@ def test_continuation_trajectory_is_pinned(fixture_spec):
     y = integrate(system, Y3_AT_10, 10, 0, rtol=1e-10, atol=1e-12)
     assert A.calls == 6290
     assert y == Y3_AT_0
+
+
+# -- bit for bit against scipy's RK45 -------------------------------------
+# The owned Dormand-Prince loop promises scipy's trajectory exactly: the
+# same value at the end, the same number of right-hand-side evaluations,
+# the same dense output, and failure where scipy reports failure.
+
+SCIPY_SEED = 2024
+SCIPY_CASES = 24
+
+
+def _random_entry(rng: random.Random) -> RationalFn:
+    degree = rng.choice((0, 0, 1, 2))
+    coeffs = [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(degree + 1)]
+    return RationalFn(tuple(coeffs), (Fraction(1),))
+
+
+def _random_case(rng: random.Random):
+    n = rng.randint(1, 4)
+    A = SymMatrix([[_random_entry(rng) for _ in range(n)] for _ in range(n)])
+    a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    b = a + Fraction(rng.randint(1, 8), rng.randint(1, 3))
+    x_from, x_to = (a, b) if rng.random() < 0.5 else (b, a)
+    y0 = tuple(rng.uniform(-2, 2) for _ in range(n))
+    rtol = rng.choice((1e-3, 1e-5, 1e-8, 1e-10))
+    atol = rtol * rng.choice((1e-2, 1.0))
+    max_step = rng.choice((None, None, 0.05, 0.3))
+    return A, x_from, x_to, y0, rtol, atol, max_step
+
+
+def _scipy_rk45(A, y0, x_from, x_to, rtol, atol, max_step):
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+
+    def rhs(x, y):
+        return np.array(A.eval_float(x)) @ y
+
+    with np.errstate(all="ignore"):
+        return scipy_integrate.solve_ivp(
+            rhs, (float(x_from), float(x_to)), np.asarray(y0, dtype=float),
+            method="RK45", rtol=rtol, atol=atol, dense_output=True,
+            max_step=np.inf if max_step is None else max_step,
+        )
+
+
+def _dense_rows(path):
+    with open(path, newline="") as fh:
+        return [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+
+
+def _assert_same_run(A, x_from, x_to, y0, rtol, atol, max_step, path):
+    ref = _scipy_rk45(A, y0, x_from, x_to, rtol, atol, max_step)
+    counted = CountingMatrix(A)
+    system = linear_system(counted, min(x_from, x_to), max(x_from, x_to))
+    if not ref.success:
+        with pytest.raises(StepSizeUnderflow, match=ref.message):
+            integrate(system, y0, x_from, x_to, rtol=rtol, atol=atol, max_step=max_step)
+        assert counted.calls == ref.nfev
+        return ref
+    y = integrate(system, y0, x_from, x_to, rtol=rtol, atol=atol,
+                  dense_path=str(path), max_step=max_step)
+    assert y == tuple(float(v) for v in ref.y[:, -1])
+    assert counted.calls == ref.nfev
+    xs = np.linspace(float(x_from), float(x_to), _DENSE_POINTS)
+    expected = [[float(x)] + [float(v) for v in ref.sol(x)] for x in xs]
+    assert _dense_rows(path) == expected
+    return ref
+
+
+def test_random_systems_match_scipy_bit_for_bit(tmp_path):
+    rng = random.Random(SCIPY_SEED)
+    rejecting = 0
+    for i in range(SCIPY_CASES):
+        A, x_from, x_to, y0, rtol, atol, max_step = _random_case(rng)
+        ref = _assert_same_run(A, x_from, x_to, y0, rtol, atol, max_step,
+                               tmp_path / f"case{i}.csv")
+        # 2 evaluations start the run, then 6 per attempted step
+        rejecting += ref.nfev > 2 + 6 * (len(ref.t) - 1)
+    # the sample must exercise the controller's rejection branch
+    assert rejecting >= 5
+
+
+@pytest.mark.parametrize(
+    "rows,x_from,x_to,y0",
+    [
+        ([["100000"]], 0, Fraction(1, 100), 1.0),
+        ([["-100000"]], Fraction(1, 100), 0, 1.0),
+        ([["0", "1"], ["x^2", "-1"]], 0, 60, 1.0),
+        # the first derivative already overflows: a zero initial step
+        ([["100000"]], 0, 1, 1.79e308),
+    ],
+    ids=["growth", "growth-backward", "polynomial-growth", "overflowing-start"],
+)
+def test_failures_match_scipy(tmp_path, rows, x_from, x_to, y0):
+    A = SymMatrix(rows)
+    ref = _assert_same_run(A, Fraction(x_from), Fraction(x_to), (y0,) * len(rows),
+                           1e-6, 1e-8, None, tmp_path / "fail.csv")
+    assert not ref.success
