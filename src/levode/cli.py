@@ -37,6 +37,7 @@ from .levinson_solver import (
 )
 from .ode_connector import (
     METHOD_INFO,
+    MIN_RTOL,
     PoleInInterval,
     StepSizeUnderflow,
     integrate,
@@ -341,6 +342,12 @@ def _cmd_solve(args) -> int:
             raise InvariantViolation(
                 f"{flag} must be a positive finite number, got {value!r}"
             )
+    if args.rtol < MIN_RTOL:
+        # integrate would warn and run at MIN_RTOL, and the report would
+        # name a tolerance the run never used
+        raise InvariantViolation(
+            f"--rtol must be at least {MIN_RTOL!r} (100 machine epsilons), got {args.rtol!r}"
+        )
     spec = _load_spec(args)
     hits = _check_resonance(spec)
     if hits:

@@ -20,13 +20,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
+from typing import TYPE_CHECKING
 
 from . import poly
 from .error_ledger import integral_tail_bound
 from .symexpr import RationalFn, SymMatrix
 from .system_model import ProblemSpec
+
+# mpmath is imported inside the functions that use it, so commands that
+# never evaluate a solution, such as transform, skip its load time
+if TYPE_CHECKING:
+    import mpmath
 
 _DPS = 40
 
@@ -43,6 +47,8 @@ class SolutionOverflow(ArithmeticError):
 def _finite_float(value, what: str) -> float:
     out = float(value)
     if not math.isfinite(out):
+        import mpmath
+
         raise SolutionOverflow(
             f"{what} = {mpmath.nstr(value, 8)} is outside the float range"
         )
@@ -50,6 +56,8 @@ def _finite_float(value, what: str) -> float:
 
 
 def _to_mpf(value) -> mpmath.mpf:
+    import mpmath
+
     if isinstance(value, Fraction):
         return mpmath.mpf(value.numerator) / value.denominator
     return mpmath.mpf(value)
@@ -65,6 +73,8 @@ class ExponentData:
     tail_budget: Fraction
 
     def antiderivative_at(self, x) -> mpmath.mpf:
+        import mpmath
+
         with mpmath.workdps(_DPS):
             xm = _to_mpf(x)
             total = mpmath.mpf(0)
@@ -172,6 +182,8 @@ def asymptotic_value(
 def _value_from(
     data: ExponentData, spec: ProblemSpec, x_eval
 ) -> tuple[tuple[float, ...], float]:
+    import mpmath
+
     with mpmath.workdps(_DPS):
         value = mpmath.exp(data.antiderivative_at(x_eval))
         C = mpmath.exp(data.antiderivative_at(spec.X))
@@ -196,6 +208,8 @@ def back_transform(Z_value, P_history, spec: ProblemSpec, x_eval) -> tuple[float
             [sum(product[i][t] * factor[t][j] for t in range(n)) for j in range(n)]
             for i in range(n)
         ]
+    import mpmath
+
     with mpmath.workdps(_DPS):
         out = []
         for i in range(n):

@@ -1,8 +1,9 @@
 """Numeric continuation of the original system Y' = A(x) Y.
 
 The coefficient matrix stays symbolic up to this boundary: its entries are
-rounded to float Horner tables once per matrix (``SymMatrix.eval_float``),
-and every integrator stage evaluates those tables.  Continuation targets
+rounded to floats once per matrix (``SymMatrix.eval_float``), which fills
+the constant entries once and runs Horner only on the entries that vary
+with x at every integrator stage.  Continuation targets
 are regular points, and a ``LinearSystem`` screens its domain for poles by
 an exact root count when it is built, before any numerics start.
 
@@ -11,7 +12,8 @@ J. Comput. Appl. Math. 6) with Shampine's quartic dense output (Math.
 Comp. 46, 1986).  It follows scipy's ``RK45`` step for step: the same
 tableau, initial step selection, RMS error norm, step-size controller and
 stage sums, so every trajectory equals ``solve_ivp(method="RK45")`` bit
-for bit, without importing scipy.
+for bit, without importing scipy.  The stages are computed in place into
+one preallocated array, in scipy's order of float operations.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .levinson_solver import SolutionOverflow
 from .symexpr import SymMatrix
 
 METHOD_INFO = {"method": "RK45", "order": 5}
+# the smallest rtol the step-size controller can resolve, as scipy's RK45 has it
+MIN_RTOL = 100 * sys.float_info.epsilon
 
 _DENSE_POINTS = 201
 
@@ -101,17 +105,16 @@ def integrate(
         raise ValueError("max_step must be positive")
     if not atol >= 0:
         raise ValueError("atol must be nonnegative")
-    if rtol < _MIN_RTOL:
-        warnings.warn(f"rtol {rtol!r} is below 100 machine epsilons; using {_MIN_RTOL!r}")
-        rtol = _MIN_RTOL
+    if rtol < MIN_RTOL:
+        warnings.warn(f"rtol {rtol!r} is below 100 machine epsilons; using {MIN_RTOL!r}")
+        rtol = MIN_RTOL
 
     A = system.A
-    # refilled on every call; each product is a fresh array
-    M = np.empty((A.rows, A.cols))
+    M = np.empty((A.rows, A.cols))  # refilled on every call
 
-    def rhs(x, y):
+    def rhs(x, y, out=None):
         M[...] = A.eval_float(x)
-        return M @ y
+        return np.matmul(M, y, out=out)
 
     with np.errstate(all="ignore"):
         y, steps = _dormand_prince(
@@ -151,14 +154,16 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10
 _ERROR_EXPONENT = -1 / 5  # the embedded error estimate is of order 4
-_MIN_RTOL = 100 * sys.float_info.epsilon
 _FLOAT_MAX = sys.float_info.max
 
 
 def _rms(v):
+    """``np.linalg.norm(v) / sqrt(n)`` by the norm's own formula.  The
+    result stays a numpy float: dividing by it when it is zero gives inf
+    or nan, as in scipy, where a Python float raises ZeroDivisionError."""
     import numpy as np
 
-    return np.linalg.norm(v) / v.size ** 0.5
+    return np.sqrt(v.dot(v)) / v.size ** 0.5
 
 
 def _initial_step(fun, t0, y0, f0, t_end, direction, rtol, atol, max_step):
@@ -188,8 +193,12 @@ def _dormand_prince(fun, t0, t_end, y0, rtol, atol, max_step, dense):
     """y(t_end) by adaptive Dormand-Prince 5(4) steps, and with ``dense``
     the accepted steps as (t_old, t, y_old, Q) for ``_dense_values``.
 
-    The stage sums stay ``np.dot`` calls: summed in Python floats they
-    differ from scipy's in the last bit, and the trajectory with them.
+    ``fun(t, y, out)`` writes the derivative into ``out``.  The stage sums
+    stay ``np.dot`` calls: summed in Python floats they differ from
+    scipy's in the last bit, and the trajectory with them.  The stages go
+    into one preallocated array and the updates run in place, each in
+    scipy's order of float operations: y + dot*h is formed as dot, times
+    h, plus y, which IEEE commutativity makes the same result.
     """
     import numpy as np
 
@@ -197,9 +206,15 @@ def _dormand_prince(fun, t0, t_end, y0, rtol, atol, max_step, dense):
     B, E, P = np.array(_B), np.array(_E), np.array(_P)
     direction = 1.0 if t_end > t0 else -1.0
     t, y = t0, y0
-    f = fun(t, y)
-    h_abs = float(_initial_step(fun, t, y, f, t_end, direction, rtol, atol, max_step))
     K = np.empty((7, y.size))
+    KT = K.T
+    stages = [(_C[s], K[:s].T, A[s], K[s]) for s in range(1, 6)]
+    KT_B = K[:-1].T
+    fun(t, y, K[0])  # K[0] holds the derivative at the start of each step
+    h_abs = float(_initial_step(fun, t, y, K[0], t_end, direction, rtol, atol, max_step))
+    ay = np.abs(y)
+    ay_new = np.empty_like(ay)
+    scale = np.empty_like(ay)
     steps = []
     while direction * (t - t_end) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -218,13 +233,23 @@ def _dormand_prince(fun, t0, t_end, y0, rtol, atol, max_step, dense):
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            K[0] = f
-            for s in range(1, 6):
-                K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, A[s]) * h)
-            y_new = y + h * np.dot(K[:-1].T, B)
-            f_new = K[6] = fun(t + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = float(_rms(np.dot(K.T, E) * h / scale))
+            for c, KT_s, a, k in stages:
+                d = np.dot(KT_s, a)
+                d *= h
+                d += y
+                fun(t + c * h, d, k)
+            y_new = np.dot(KT_B, B)
+            y_new *= h
+            y_new += y
+            fun(t + h, y_new, K[6])
+            np.abs(y_new, out=ay_new)
+            np.maximum(ay, ay_new, out=scale)
+            scale *= rtol
+            scale += atol
+            err = np.dot(KT, E)
+            err *= h
+            err /= scale
+            error_norm = float(_rms(err))
             if error_norm < 1:
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
@@ -239,12 +264,15 @@ def _dormand_prince(fun, t0, t_end, y0, rtol, atol, max_step, dense):
         # Not in scipy: a component at the largest double stands for any
         # value up to where rounding gives inf, and from there only steps
         # too short to move it avoid overflow, so the loop would crawl on
-        # for ~1e14 steps; a non-finite state never becomes finite again.
-        if not (np.abs(y_new) < _FLOAT_MAX).all():
+        # for ~1e14 steps; a non-finite state never becomes finite again
+        # (the maximum of a state holding nan is nan).
+        if not np.maximum.reduce(ay_new) < _FLOAT_MAX:
             raise SolutionOverflow(f"Y({t_new!r}) is outside the float range")
         if dense:
-            steps.append((t, t_new, y, K.T.dot(P)))
-        t, y, f = t_new, y_new, f_new
+            steps.append((t, t_new, y, KT.dot(P)))
+        t, y = t_new, y_new
+        ay, ay_new = ay_new, ay
+        K[0] = K[6]
     return y, steps
 
 

@@ -273,14 +273,20 @@ class RationalFn:
             raise ZeroDivisionError(f"pole at x = {x}")
         return poly.eval_at(self.num, x) / d
 
-    def float_table(self) -> tuple[tuple[float, ...], tuple[float, ...] | None]:
-        """Numerator and denominator as ``poly.float_coeffs``, the denominator
-        None when it is 1: the arguments of ``poly.horner_ratio``."""
+    def float_table(self) -> float | tuple[tuple[float, ...], tuple[float, ...] | None]:
+        """The form ``eval_float`` evaluates.  A constant is its float value,
+        which is its Horner value at every finite x (0.0*x + c == c); any
+        other function is its numerator and denominator as
+        ``poly.float_coeffs``, the denominator None when it is 1: the
+        arguments of ``poly.horner_ratio``."""
+        if self.den == poly.ONE and len(self.num) <= 1:
+            return float(self.num[0]) if self.num else 0.0
         den = None if self.den == poly.ONE else poly.float_coeffs(self.den)
         return poly.float_coeffs(self.num), den
 
     def eval_float(self, x: float) -> float:
-        return poly.horner_ratio(*self.float_table(), x)
+        table = self.float_table()
+        return table if type(table) is float else poly.horner_ratio(*table, x)
 
     def has_pole_in(self, lo, hi=None) -> bool:
         """True when the denominator vanishes on [lo, hi], or on [lo, inf)
@@ -517,7 +523,9 @@ def sup_bound(f: RationalFn, X, *, rel_slack=Fraction(1, 20)) -> Fraction:
 class SymMatrix:
     """Dense matrix of RationalFn entries with exact non-commutative products."""
 
-    # _float_table: the entries' float_table()s, built by the first eval_float
+    # _float_table: (rows, varying), built by the first eval_float: the rows
+    # with every constant entry's value in place, and (i, j, num, den) for
+    # each entry that varies with x
     __slots__ = ("rows", "cols", "entries", "_float_table")
 
     def __init__(self, entries):
@@ -668,16 +676,31 @@ class SymMatrix:
         return [[e.eval_exact(x) for e in row] for row in self.entries]
 
     def eval_float(self, x: float) -> list[list[float]]:
-        """Entries at x, each equal to its ``RationalFn.eval_float(x)``.
+        """Entries at x as fresh rows, each equal to its
+        ``RationalFn.eval_float(x)``.
 
-        The coefficients are rounded to floats on the first call only.
+        The first call rounds the coefficients to floats and builds the rows
+        of constant entries once; every call copies those rows and runs
+        Horner only on the entries that vary with x.
         """
         table = self._float_table
         if table is None:
-            table = tuple(tuple(e.float_table() for e in row) for row in self.entries)
+            rows, varying = [], []
+            for i, row in enumerate(self.entries):
+                values = [e.float_table() for e in row]
+                for j, v in enumerate(values):
+                    if type(v) is not float:
+                        varying.append((i, j, *v))
+                        values[j] = 0.0  # overwritten on every call
+                rows.append(values)
+            table = rows, tuple(varying)
             object.__setattr__(self, "_float_table", table)
+        rows, varying = table
+        out = [row.copy() for row in rows]
         ratio = poly.horner_ratio
-        return [[ratio(num, den, x) for num, den in row] for row in table]
+        for i, j, num, den in varying:
+            out[i][j] = ratio(num, den, x)
+        return out
 
     def to_strings(self) -> list[list[str]]:
         return [[e.to_string() for e in row] for row in self.entries]

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import mpmath
-
 from .error_ledger import eta_bound, total_error_bound
 from .fixtures import builtin_hypergeometric, hypergeometric_companion
 from .levinson_solver import check_dichotomy, solution_bundle
@@ -277,6 +275,8 @@ def _check_y0_regression(ctx, tol):
 
 
 def _check_y0_analytic(ctx, tol):
+    import mpmath  # loaded only when this check runs
+
     with mpmath.workdps(30):
         analytic = float(2 * mpmath.power(3, Fraction(-1, 3)) * mpmath.gamma(Fraction(2, 3)))
     computed = ctx.y_at_0[0]

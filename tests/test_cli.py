@@ -249,6 +249,19 @@ def test_bad_tolerance_or_target_rejected(capsys, argv, flag):
     assert err.count("\n") == 1
 
 
+def test_rtol_below_machine_resolution_rejected(capsys):
+    # integrate would run at 100 machine epsilons instead, so the report
+    # would name a tolerance the run never used
+    code, out, err = run_cli(
+        capsys, "solve", "--builtin", "hypergeom", "-k", "3", "--target", "2",
+        "--rtol", "1e-20", "--atol", "1e-14",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input: --rtol must be at least ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -625,6 +638,22 @@ def test_cli_import_leaves_numerics_unloaded():
     )
     assert proc.returncode == 0
     assert proc.stdout.split() == ["False", "False"]
+
+
+def test_transform_leaves_mpmath_unloaded():
+    # only evaluating a solution needs multiprecision
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, levode.cli; code = levode.cli.main(['transform', '--builtin', "
+         "'hypergeom', '--format', 'json']); "
+         "print(code, 'mpmath' in sys.modules, file=sys.stderr)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.split() == ["0", "False"]
+    assert json.loads(proc.stdout)["command"] == "transform"
 
 
 def test_solve_with_continuation_leaves_scipy_unloaded():

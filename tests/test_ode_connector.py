@@ -215,11 +215,27 @@ def _random_case(rng: random.Random):
     return A, x_from, x_to, y0, rtol, atol, max_step
 
 
+def _reference_rows(A):
+    """A(x) as rows of floats without levode's float tables: each entry is
+    a Horner sum over float(Fraction) coefficients, then one division."""
+    tables = [[(e.num[::-1], e.den[::-1]) for e in row] for row in A.entries]
+
+    def horner(coeffs, x):
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * x + float(c)
+        return acc
+
+    return lambda x: [[horner(num, x) / horner(den, x) for num, den in row]
+                      for row in tables]
+
+
 def _scipy_rk45(A, y0, x_from, x_to, rtol, atol, max_step):
     scipy_integrate = pytest.importorskip("scipy.integrate")
+    rows = _reference_rows(A)
 
     def rhs(x, y):
-        return np.array(A.eval_float(x)) @ y
+        return np.array(rows(x)) @ y
 
     with np.errstate(all="ignore"):
         return scipy_integrate.solve_ivp(
@@ -264,6 +280,46 @@ def test_random_systems_match_scipy_bit_for_bit(tmp_path):
         rejecting += ref.nfev > 2 + 6 * (len(ref.t) - 1)
     # the sample must exercise the controller's rejection branch
     assert rejecting >= 5
+
+
+RATIONAL_SEED = 1998
+RATIONAL_CASES = 16
+# x^2 + 1, 3x^2 + 7, x^2 + x + 1 and x^4 + 2: no real root, so the
+# entries are pole-free on every interval
+POLE_FREE = ((1, 0, 1), (7, 0, 3), (1, 1, 1), (2, 0, 0, 0, 1))
+
+
+def _rational_entry(rng: random.Random) -> RationalFn:
+    kind = rng.choice(("zero", "constant", "polynomial", "rational", "rational"))
+    if kind == "zero":
+        return RationalFn.const(0)
+    coeffs = [Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+              for _ in range(1 if kind == "constant" else rng.randint(1, 3))]
+    if kind != "rational":
+        return RationalFn(tuple(coeffs))
+    return RationalFn(tuple(coeffs), rng.choice(POLE_FREE))
+
+
+def test_rational_systems_match_scipy_bit_for_bit(tmp_path):
+    # constant entries are filled once and the rest go through Horner with
+    # their denominators: the split must leave scipy's trajectory as it is
+    rng = random.Random(RATIONAL_SEED)
+    kinds = set()
+    for i in range(RATIONAL_CASES):
+        n = rng.randint(1, 4)
+        A = SymMatrix([[_rational_entry(rng) for _ in range(n)] for _ in range(n)])
+        kinds |= {(e.den != (1,), len(e.num)) for row in A.entries for e in row}
+        a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        b = a + Fraction(rng.randint(1, 6), rng.randint(1, 3))
+        x_from, x_to = (a, b) if rng.random() < 0.5 else (b, a)
+        y0 = tuple(rng.uniform(-2, 2) for _ in range(n))
+        rtol = rng.choice((1e-4, 1e-7, 1e-10))
+        _assert_same_run(A, x_from, x_to, y0, rtol, rtol / 100, None,
+                         tmp_path / f"case{i}.csv")
+    # zeros, constants, polynomials and rationals all took part
+    assert {(False, 0), (False, 1), (True, 1)} <= kinds
+    assert any(rational and size > 1 for rational, size in kinds)
+    assert any(not rational and size > 1 for rational, size in kinds)
 
 
 @pytest.mark.parametrize(

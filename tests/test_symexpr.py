@@ -515,6 +515,22 @@ def test_matrix_eval_float_is_bit_identical_to_reference():
     check()
 
 
+@pytest.mark.parametrize(
+    "M",
+    [SymMatrix([["2", "-1/3"], ["0", "7"]]), SymMatrix.zeros(2, 3)],
+    ids=["all-constant", "all-zero"],
+)
+def test_constant_matrix_eval_float_returns_fresh_rows(M):
+    first = M.eval_float(1.5)
+    want = [[float(e.eval_exact(0)) for e in row] for row in M.entries]
+    assert first == want
+    first[0][0] = 99.0
+    first[-1].append(5.0)
+    second = M.eval_float(-2.0)
+    assert second == want
+    assert all(a is not b for a, b in zip(first, second))
+
+
 def test_matrix_max_leading_order():
     a = SymMatrix(((fn("(1)/(x^3)"), fn("(5)/(x^9)")),
                    (fn("0"), fn("(1)/(x^6)"))))
