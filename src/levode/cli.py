@@ -166,7 +166,7 @@ def _load_spec(args) -> ProblemSpec:
         try:
             with open(args.problem) as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSON, UTF-8 or int-size errors
             raise ProblemUnreadable(exc) from None
         spec = load_problem(doc)
     if args.M_override is not None:

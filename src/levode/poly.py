@@ -1,7 +1,12 @@
-"""Dense univariate polynomial arithmetic over exact rationals.
+"""Dense univariate polynomial arithmetic over the integers and the rationals.
 
-A polynomial is an immutable tuple of ``Fraction`` coefficients indexed by
-power, with no trailing zeros; the zero polynomial is the empty tuple.  All
+A polynomial is an immutable tuple of coefficients indexed by power, with
+no trailing zeros; the zero polynomial is the empty tuple.  Coefficients
+are ints or ``Fraction``s, and one kernel serves both: the ring operations
+(``add``, ``neg``, ``sub``, ``scale``, ``mul``, ``shift``, ``derivative``)
+keep a tuple of ints in Z[x], ``divmod_exact`` does too whenever the
+divisor divides, and no operation ever rounds to a float.  ``RationalFn``
+keeps its numerator and denominator as such integer tuples.  All
 operations are exact.  Besides ring arithmetic this module provides the
 pieces of real-root machinery the rest of the package relies on: Sturm
 chains for counting roots on half-open intervals and for isolating each
@@ -16,10 +21,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Coeffs = tuple[Fraction, ...]
+Coeffs = tuple[int | Fraction, ...]
 
 ZERO: Coeffs = ()
-ONE: Coeffs = (Fraction(1),)
+ONE: Coeffs = (1,)
 
 
 def make(values) -> Coeffs:
@@ -58,7 +63,7 @@ def constant(c) -> Coeffs:
 def x_power(k: int) -> Coeffs:
     if k < 0:
         raise ValueError("x_power wants a nonnegative exponent")
-    return (Fraction(0),) * k + ONE
+    return (0,) * k + ONE
 
 
 def add(p: Coeffs, q: Coeffs) -> Coeffs:
@@ -78,10 +83,15 @@ def sub(p: Coeffs, q: Coeffs) -> Coeffs:
     return add(p, neg(q))
 
 
+def scale(p: Coeffs, c) -> Coeffs:
+    """c * p for a nonzero scalar c."""
+    return p if c == 1 else tuple(c * v for v in p)
+
+
 def mul(p: Coeffs, q: Coeffs) -> Coeffs:
     if not p or not q:
         return ZERO
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
@@ -94,22 +104,30 @@ def shift(p: Coeffs, k: int) -> Coeffs:
     """Multiply by x**k."""
     if not p or not k:
         return p
-    return (Fraction(0),) * k + p
+    return (0,) * k + p
 
 
 def divmod_exact(p: Coeffs, q: Coeffs) -> tuple[Coeffs, Coeffs]:
-    """Quotient and remainder of polynomial division; ``q`` must be nonzero."""
+    """Quotient and remainder of polynomial division; ``q`` must be nonzero.
+
+    Over ints each quotient coefficient is an exact int while the divisor's
+    leading coefficient divides it, so a divisor of ``p`` in Z[x] gives an
+    integer quotient; otherwise it is a Fraction, never a float.
+    """
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(p)
     dq = degree(q)
     lq = leading(q)
-    quo = [Fraction(0)] * max(0, len(p) - dq)
+    quo = [0] * max(0, len(p) - dq)
     for i in range(len(p) - 1, dq - 1, -1):
         c = rem[i]
         if not c:
             continue
-        f = c / lq
+        if type(c) is int and type(lq) is int and not c % lq:
+            f = c // lq
+        else:
+            f = Fraction(c, lq)
         quo[i - dq] = f
         for j, b in enumerate(q):
             rem[i - dq + j] -= f * b
@@ -120,7 +138,7 @@ def monic(p: Coeffs) -> Coeffs:
     if not p:
         return ZERO
     lc = leading(p)
-    return p if lc == 1 else tuple(c / lc for c in p)
+    return p if lc == 1 else tuple(Fraction(c, lc) for c in p)
 
 
 def valuation(p: Coeffs) -> int:
@@ -133,17 +151,13 @@ def valuation(p: Coeffs) -> int:
 
 def _primitive(ints: list[int]) -> list[int]:
     """Divide out the positive content, keeping every sign."""
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+    g = math.gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
 
 
 def _primitive_ints(p: Coeffs) -> list[int]:
     """Coprime integer coefficients of a positive multiple of ``p``."""
-    den = 1
-    for c in p:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in p))
     return _primitive([c.numerator * (den // c.denominator) for c in p])
 
 
@@ -165,27 +179,33 @@ def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
     return r
 
 
-def gcd(p: Coeffs, q: Coeffs) -> Coeffs:
-    """Monic greatest common divisor via a primitive remainder sequence.
+def primitive_gcd(p: Coeffs, q: Coeffs) -> Coeffs:
+    """Greatest common divisor of nonzero ``p`` and ``q`` as primitive ints
+    with a positive leading coefficient, via a primitive remainder sequence.
 
     Working over the integers with content removal after every step avoids
     the coefficient blowup of naive Euclid over the rationals.
     """
-    if not p:
-        return monic(q)
-    if not q:
-        return monic(p)
     vp, vq = valuation(p), valuation(q)
-    v = min(vp, vq)
     a = _primitive_ints(p[vp:])
     b = _primitive_ints(q[vq:])
     if len(b) > len(a):
         a, b = b, a
     while b:
         a, b = b, _primitive(_pseudo_rem(a, b))
-    lc = Fraction(a[-1])
-    head = tuple(Fraction(c) / lc for c in a)
-    return shift(head, v) if v else head
+    if a[-1] < 0:
+        a = [-c for c in a]
+    return shift(tuple(a), min(vp, vq))
+
+
+def gcd(p: Coeffs, q: Coeffs) -> Coeffs:
+    """Monic greatest common divisor, with Fraction coefficients."""
+    if not p:
+        return monic(q)
+    if not q:
+        return monic(p)
+    g = primitive_gcd(p, q)
+    return tuple(Fraction(c, g[-1]) for c in g)
 
 
 def derivative(p: Coeffs) -> Coeffs:
@@ -243,9 +263,9 @@ def magnitude_range(p: Coeffs, u: Fraction, w: Fraction) -> tuple[Fraction, Frac
     # motion * sd**n = sn * sum over k >= 1 of |h_k| * sn**(k-1) * sd**(n-k)
     sn, sd = step.numerator, step.denominator
     motion = sn * _homogeneous_value([abs(c) for c in h[1:]], sn, sd)
-    scale = abs(p[-1]) / (abs(ints[-1]) * b**n * sd**n)
+    factor = Fraction(abs(p[-1]), abs(ints[-1]) * b**n * sd**n)
     value = abs(h[0]) * sd**n
-    return (value - motion) * scale, (value + motion) * scale
+    return (value - motion) * factor, (value + motion) * factor
 
 
 def fujiwara_bound(p: Coeffs) -> Fraction:
@@ -258,7 +278,7 @@ def fujiwara_bound(p: Coeffs) -> Fraction:
     n = degree(p)
     best = Fraction(0)
     for k in range(1, n + 1):
-        r = abs(p[n - k] / p[n])
+        r = abs(Fraction(p[n - k], p[n]))
         if k == n:
             r /= 2
         if r:

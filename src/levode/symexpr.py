@@ -1,13 +1,18 @@
 """Exact rational-function algebra and order-of-magnitude tools.
 
-``RationalFn`` is an immutable reduced quotient of polynomials with exact
-rational coefficients (monic denominator, gcd cancelled), so equal values
-have equal representations.  Almost every denominator the reduction meets
-is a power of x: such a quotient is reduced by slicing off the common power
-of x, with no polynomial gcd, two of them add by shifting numerators and
-multiply by adding exponents, and a zero operand short-circuits.  Other
-denominators take the gcd.  ``SymMatrix`` is a dense matrix of them with
-non-commutative products.  On top of the arithmetic the module provides
+``RationalFn`` is an immutable reduced quotient of integer polynomials,
+stored as one pair of int tuples (N, D): coprime as polynomials, with no
+integer content common to all their coefficients, and lc(D) > 0.  Equal
+values have equal pairs, so equality, hashing and the canonical string
+work on ints alone; ``num`` and ``den`` view the pair as Fractions over a
+monic denominator, built on access.  Almost every denominator the
+reduction meets is c*x**k: such a quotient is reduced by slicing off the
+common power of x, with no polynomial gcd, two of them add by shifting
+and scaling numerators, and a zero operand short-circuits.  Other
+denominators are divided by the primitive integer gcd; every polynomial
+operation is ``poly``'s, the one kernel for int and Fraction tuples.
+``SymMatrix`` is a dense matrix of them with non-commutative products.  On
+top of the arithmetic the module provides
 
 * differentiation and the leading power at infinity,
 * Laurent expansion at infinity with an exact rational tail,
@@ -22,11 +27,18 @@ asymptotic evaluator) stores its symbolic state in these two types.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
 from . import poly
 from .poly import Coeffs
+
+
+# The largest degree a parsed polynomial, or a monomial exponent of a
+# problem document, may have.  A dense coefficient tuple is built up to
+# it, so the cap keeps x^999999999 from allocating a billion entries.
+MAX_DEGREE = 1000
 
 
 class ParseError(ValueError):
@@ -46,47 +58,40 @@ class BoundNotCertified(RuntimeError):
 
 
 class RationalFn:
-    """A reduced ratio of polynomials in one variable over the rationals."""
+    """A reduced ratio of integer polynomials in one variable.
 
-    __slots__ = ("num", "den")
+    Stored as the canonical pair ``(int_num, int_den)``: trimmed int tuples,
+    coprime as polynomials, with no common integer content and a positive
+    leading denominator coefficient.  ``num`` and ``den`` view it as
+    Fractions over a monic denominator, built on access.
+    """
+
+    __slots__ = ("int_num", "int_den")
 
     def __init__(self, num, den=poly.ONE):
         num, den = _coeffs(num), _coeffs(den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        self._normalise(num, den)
-
-    def _normalise(self, num: Coeffs, den: Coeffs) -> None:
-        """Store num/den in lowest terms with a monic denominator.
-
-        ``num`` and ``den`` are trimmed tuples of Fraction, ``den`` nonzero.
-        A denominator c*x**k shares at most x**min(valuation(num), k) with
-        the numerator, which is cancelled by slicing; any other denominator
-        goes through ``poly.gcd``.
-        """
-        if not num:
-            num, den = poly.ZERO, poly.ONE
-        elif _x_exponent(den) is not None:
-            v = min(poly.valuation(num), len(den) - 1)
-            if v:
-                num, den = num[v:], den[v:]
-        else:
-            g = poly.gcd(num, den)
-            if poly.degree(g) > 0:
-                num = poly.divmod_exact(num, g)[0]
-                den = poly.divmod_exact(den, g)[0]
-        lc = den[-1]
-        if lc != 1:
-            num = tuple(c / lc for c in num)
-            den = tuple(c / lc for c in den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        ints = tuple(poly._primitive_ints(num + den))
+        _store(self, *_normal(ints[: len(num)], ints[len(num):]))
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("RationalFn is immutable")
 
     def __reduce__(self):  # copy and pickle rebuild through __init__
-        return RationalFn, (self.num, self.den)
+        return RationalFn, (self.int_num, self.int_den)
+
+    @property
+    def num(self) -> Coeffs:
+        """The numerator over the monic denominator, as Fractions."""
+        lc = self.int_den[-1]
+        return tuple(Fraction(c, lc) for c in self.int_num)
+
+    @property
+    def den(self) -> Coeffs:
+        """The monic denominator, as Fractions."""
+        lc = self.int_den[-1]
+        return tuple(Fraction(c, lc) for c in self.int_den)
 
     # -- constructors -------------------------------------------------
 
@@ -102,34 +107,35 @@ class RationalFn:
     @classmethod
     def monomial(cls, c, e: int) -> "RationalFn":
         """c * x**e for any integer e."""
-        c = Fraction(c)
+        if type(c) is not int:
+            c = Fraction(c)
         if not c:
             return _ZERO
+        a, b = c.numerator, c.denominator
         if e >= 0:
-            return _fn(poly.shift((c,), e), poly.ONE)
-        return _fn((c,), poly.x_power(-e))
+            return _pair(poly.shift((a,), e), (b,))
+        return _pair((a,), poly.shift((b,), -e))
 
     # -- predicates and structure -------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return poly.is_zero(self.num)
+        return not self.int_num
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = RationalFn.const(other)
         if not isinstance(other, RationalFn):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.int_num == other.int_num and self.int_den == other.int_den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.int_num, self.int_den))
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     # -- ring operations ----------------------------------------------
-    # Denominators are monic, so x**k is the only c*x**k form they take.
 
     @staticmethod
     def _coerce(v):
@@ -143,24 +149,31 @@ class RationalFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.num:
+        n1, n2 = self.int_num, o.int_num
+        if not n2:
             return self
-        if not self.num:
+        if not n1:
             return o
-        (n1, d1), (n2, d2) = (self.num, self.den), (o.num, o.den)
-        if d1 == d2:
-            return _fn(poly.add(n1, n2), d1)
+        d1, d2 = self.int_den, o.int_den
         k1, k2 = _x_exponent(d1), _x_exponent(d2)
-        if k1 is not None and k2 is not None:
+        if k1 is not None and k2 is not None:  # c1*x**k1 and c2*x**k2
             k = max(k1, k2)
-            num = poly.add(poly.shift(n1, k - k1), poly.shift(n2, k - k2))
-            return _fn(num, d1 if k1 > k2 else d2)
+            n1, d1 = poly.shift(n1, k - k1), poly.shift(d1, k - k1)
+            n2, d2 = poly.shift(n2, k - k2), poly.shift(d2, k - k2)
+        if len(d1) == len(d2):
+            # denominators equal up to a constant factor (equal ones too):
+            # lift both to their least common multiple
+            g = math.gcd(d1[-1], d2[-1])
+            a1, a2 = d2[-1] // g, d1[-1] // g
+            den = poly.scale(d1, a1)
+            if den == poly.scale(d2, a2):
+                return _fn(poly.add(poly.scale(n1, a1), poly.scale(n2, a2)), den)
         return _fn(poly.add(poly.mul(n1, d2), poly.mul(n2, d1)), poly.mul(d1, d2))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _fn(poly.neg(self.num), self.den)
+        return _pair(poly.neg(self.int_num), self.int_den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -178,14 +191,11 @@ class RationalFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not (self.num and o.num):
+        if not (self.int_num and o.int_num):
             return _ZERO
-        k1, k2 = _x_exponent(self.den), _x_exponent(o.den)
-        if k1 is not None and k2 is not None:
-            den = poly.x_power(k1 + k2)
-        else:
-            den = poly.mul(self.den, o.den)
-        return _fn(poly.mul(self.num, o.num), den)
+        return _fn(
+            poly.mul(self.int_num, o.int_num), poly.mul(self.int_den, o.int_den)
+        )
 
     __rmul__ = __mul__
 
@@ -195,7 +205,9 @@ class RationalFn:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division by the zero function")
-        return _fn(poly.mul(self.num, o.den), poly.mul(self.den, o.num))
+        return _fn(
+            poly.mul(self.int_num, o.int_den), poly.mul(self.int_den, o.int_num)
+        )
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -207,8 +219,8 @@ class RationalFn:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return RationalFn.const(1) / self ** (-k)
-        out = RationalFn.const(1)
+            return _ONE / self ** (-k)
+        out = _ONE
         base = self
         while k:
             if k & 1:
@@ -220,7 +232,7 @@ class RationalFn:
     # -- calculus and asymptotics -------------------------------------
 
     def differentiate(self) -> "RationalFn":
-        n, d = self.num, self.den
+        n, d = self.int_num, self.int_den
         return _fn(
             poly.sub(poly.mul(poly.derivative(n), d), poly.mul(n, poly.derivative(d))),
             poly.mul(d, d),
@@ -230,12 +242,12 @@ class RationalFn:
         """Exponent e with f ~ c*x^e at infinity; ``None`` for the zero function."""
         if self.is_zero:
             return None
-        return poly.degree(self.num) - poly.degree(self.den)
+        return len(self.int_num) - len(self.int_den)
 
     def leading_coefficient(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero function has no leading coefficient")
-        return poly.leading(self.num) / poly.leading(self.den)
+        return Fraction(self.int_num[-1], self.int_den[-1])
 
     def limit_at_infinity(self) -> Fraction:
         lo = self.leading_order()
@@ -268,10 +280,10 @@ class RationalFn:
 
     def eval_exact(self, x) -> Fraction:
         x = Fraction(x)
-        d = poly.eval_at(self.den, x)
+        d = poly.eval_at(self.int_den, x)
         if d == 0:
             raise ZeroDivisionError(f"pole at x = {x}")
-        return poly.eval_at(self.num, x) / d
+        return poly.eval_at(self.int_num, x) / d
 
     def float_table(self) -> float | tuple[tuple[float, ...], tuple[float, ...] | None]:
         """The form ``eval_float`` evaluates.  A constant is its float value,
@@ -279,10 +291,12 @@ class RationalFn:
         other function is its numerator and denominator as
         ``poly.float_coeffs``, the denominator None when it is 1: the
         arguments of ``poly.horner_ratio``."""
-        if self.den == poly.ONE and len(self.num) <= 1:
-            return float(self.num[0]) if self.num else 0.0
-        den = None if self.den == poly.ONE else poly.float_coeffs(self.den)
-        return poly.float_coeffs(self.num), den
+        num = self.num
+        if len(self.int_den) == 1:
+            if len(num) <= 1:
+                return float(num[0]) if num else 0.0
+            return poly.float_coeffs(num), None
+        return poly.float_coeffs(num), poly.float_coeffs(self.den)
 
     def eval_float(self, x: float) -> float:
         table = self.float_table()
@@ -292,28 +306,27 @@ class RationalFn:
         """True when the denominator vanishes on [lo, hi], or on [lo, inf)
         when ``hi`` is None."""
         lo = Fraction(lo)
-        if poly.degree(self.den) < 1:
+        den = self.int_den
+        if len(den) < 2:
             return False
-        if lo > 0 and all(c >= 0 for c in self.den):
+        if lo > 0 and all(c >= 0 for c in den):
             # no sign change (x**k, x**k*(x + 1), ...): Descartes' rule
             # leaves no positive root, so skip the Sturm count
             return False
-        if poly.eval_at(self.den, lo) == 0:
+        if poly.eval_at(den, lo) == 0:
             return True
         hi = None if hi is None else Fraction(hi)
-        return poly.count_roots_in(self.den, lo, hi) > 0
+        return poly.count_roots_in(den, lo, hi) > 0
 
     # -- canonical text form -------------------------------------------
 
     def to_string(self) -> str:
         if self.is_zero:
             return "0"
-        ints = poly._primitive_ints(self.num + self.den)
-        ni, di = ints[: len(self.num)], ints[len(self.num):]
-        num_s = _format_int_poly(ni)
-        if len(di) == 1 and di[0] == 1:
+        num_s = _format_int_poly(self.int_num)
+        if self.int_den == poly.ONE:
             return num_s
-        return f"({num_s})/({_format_int_poly(di)})"
+        return f"({num_s})/({_format_int_poly(self.int_den)})"
 
     __str__ = to_string
 
@@ -327,7 +340,7 @@ class RationalFn:
         den = _parse_int_poly(den_s) if den_s is not None else poly.ONE
         if poly.is_zero(den):
             raise ParseError(f"zero denominator in {text!r}")
-        return cls(num, den)
+        return _fn(num, den)
 
 
 def _coeffs(v) -> Coeffs:
@@ -341,16 +354,59 @@ def _x_exponent(den: Coeffs) -> int | None:
     return None if any(den[:k]) else k
 
 
-def _fn(num: Coeffs, den: Coeffs) -> RationalFn:
-    """num/den through the normaliser: trimmed Fraction tuples, den nonzero."""
+def _normal(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
+    """The canonical pair of num/den, for trimmed int tuples, den nonzero.
+
+    A denominator c*x**k shares at most x**min(valuation(num), k) with the
+    numerator, which is cancelled by slicing; any other denominator is
+    divided, with its numerator, by their primitive gcd.  Then the common
+    integer content is divided out and the sign makes lc(den) positive.
+    """
     if not num:
-        return _ZERO
+        return poly.ZERO, poly.ONE
+    k = _x_exponent(den)
+    if k is not None:
+        v = min(poly.valuation(num), k)
+        if v:
+            num, den = num[v:], den[v:]
+    else:
+        g = poly.primitive_gcd(num, den)
+        if len(g) > 1:
+            num = poly.divmod_exact(num, g)[0]
+            den = poly.divmod_exact(den, g)[0]
+    c = math.gcd(*num, *den)
+    if den[-1] < 0:
+        c = -c
+    if c != 1:
+        num = tuple(v // c for v in num)
+        den = tuple(v // c for v in den)
+    return num, den
+
+
+_set = object.__setattr__
+
+
+def _store(f: RationalFn, num: Coeffs, den: Coeffs) -> None:
+    _set(f, "int_num", num)
+    _set(f, "int_den", den)
+
+
+def _pair(num: Coeffs, den: Coeffs) -> RationalFn:
+    """The RationalFn whose canonical pair is (num, den), taken as given."""
     f = object.__new__(RationalFn)
-    f._normalise(num, den)
+    _store(f, num, den)
     return f
 
 
-_ZERO = RationalFn(poly.ZERO)
+def _fn(num: Coeffs, den: Coeffs) -> RationalFn:
+    """num/den through the normaliser: trimmed int tuples, den nonzero."""
+    if not num:
+        return _ZERO
+    return _pair(*_normal(num, den))
+
+
+_ZERO = _pair(poly.ZERO, poly.ONE)
+_ONE = _pair(poly.ONE, poly.ONE)
 
 
 def _format_int_poly(coeffs) -> str:
@@ -417,7 +473,7 @@ def _parse_int_poly(text: str) -> Coeffs:
     s = _strip_outer_parens(text)
     if not s:
         raise ParseError("empty polynomial")
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, int] = {}
     pos = 0
     first = True
     while pos < len(s):
@@ -432,17 +488,18 @@ def _parse_int_poly(text: str) -> Coeffs:
         exp = m.group("exp1") or m.group("exp2")
         if coeff is None and var is None:
             raise ParseError(f"empty term in {text!r}")
-        c = Fraction(int(coeff)) if coeff is not None else Fraction(1)
-        if sign == "-":
-            c = -c
-        e = 0
-        if var is not None:
-            e = int(exp) if exp is not None else 1
-        coeffs[e] = coeffs.get(e, Fraction(0)) + c
+        try:
+            c = int(coeff) if coeff is not None else 1
+            e = 0 if var is None else int(exp) if exp is not None else 1
+        except ValueError:  # past int()'s limit on the digits of a string
+            raise ParseError("a number has too many digits") from None
+        if e > MAX_DEGREE:
+            raise ParseError(f"degree {e} exceeds the limit {MAX_DEGREE}")
+        coeffs[e] = coeffs.get(e, 0) + (-c if sign == "-" else c)
         pos = m.end()
         first = False
     top = max(coeffs) if coeffs else 0
-    return poly.trim(tuple(coeffs.get(i, Fraction(0)) for i in range(top + 1)))
+    return poly.trim(tuple(coeffs.get(i, 0) for i in range(top + 1)))
 
 
 # -- supremum bound on a half-line ------------------------------------
@@ -532,13 +589,9 @@ class SymMatrix:
         rows = tuple(tuple(_as_fn(e) for e in row) for row in entries)
         if not rows or not rows[0]:
             raise ValueError("SymMatrix needs at least one row and column")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
+        if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows in SymMatrix")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "_float_table", None)
+        _fill(self, rows)
 
     def __setattr__(self, *a):
         raise AttributeError("SymMatrix is immutable")
@@ -551,21 +604,18 @@ class SymMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> "SymMatrix":
         cols = rows if cols is None else cols
-        z = RationalFn.const(0)
-        return cls([[z] * cols for _ in range(rows)])
+        return _matrix(((_ZERO,) * cols,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "SymMatrix":
-        one = RationalFn.const(1)
-        z = RationalFn.const(0)
-        return cls([[one if i == j else z for j in range(n)] for i in range(n)])
+        return cls.diagonal((_ONE,) * n)
 
     @classmethod
     def diagonal(cls, values) -> "SymMatrix":
         vals = [_as_fn(v) for v in values]
-        z = RationalFn.const(0)
-        return cls(
-            [[vals[i] if i == j else z for j in range(len(vals))] for i in range(len(vals))]
+        n = len(vals)
+        return _matrix(
+            tuple(tuple(vals[i] if i == j else _ZERO for j in range(n)) for i in range(n))
         )
 
     # -- structure -----------------------------------------------------
@@ -576,7 +626,7 @@ class SymMatrix:
     def with_entry(self, i: int, j: int, value) -> "SymMatrix":
         rows = [list(r) for r in self.entries]
         rows[i][j] = _as_fn(value)
-        return SymMatrix(rows)
+        return _matrix(tuple(map(tuple, rows)))
 
     @property
     def is_zero(self) -> bool:
@@ -591,12 +641,11 @@ class SymMatrix:
         return hash(self.entries)
 
     def off_diagonal_part(self) -> "SymMatrix":
-        z = RationalFn.const(0)
-        return SymMatrix(
-            [
-                [z if i == j else self.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
+        return _matrix(
+            tuple(
+                tuple(_ZERO if i == j else e for j, e in enumerate(row))
+                for i, row in enumerate(self.entries)
+            )
         )
 
     # -- arithmetic ----------------------------------------------------
@@ -605,48 +654,45 @@ class SymMatrix:
         if not isinstance(other, SymMatrix):
             return NotImplemented
         self._match(other)
-        return SymMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
+        return _matrix(
+            tuple(
+                tuple(a + b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
-            ]
+            )
         )
 
     def __sub__(self, other):
         if not isinstance(other, SymMatrix):
             return NotImplemented
         self._match(other)
-        return SymMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
+        return _matrix(
+            tuple(
+                tuple(a - b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
-            ]
+            )
         )
 
     def __neg__(self):
-        return SymMatrix([[-e for e in row] for row in self.entries])
+        return _matrix(tuple(tuple(-e for e in row) for row in self.entries))
 
     def __mul__(self, other):
         if isinstance(other, SymMatrix):
             if self.cols != other.rows:
                 raise ValueError("inner dimension mismatch")
             cols = list(zip(*other.entries))
-            return SymMatrix(
-                [
-                    [_dot(row, col) for col in cols]
-                    for row in self.entries
-                ]
+            return _matrix(
+                tuple(tuple(_dot(row, col) for col in cols) for row in self.entries)
             )
         f = _as_fn_or_none(other)
         if f is None:
             return NotImplemented
-        return SymMatrix([[e * f for e in row] for row in self.entries])
+        return _matrix(tuple(tuple(e * f for e in row) for row in self.entries))
 
     def __rmul__(self, other):
         f = _as_fn_or_none(other)
         if f is None:
             return NotImplemented
-        return SymMatrix([[f * e for e in row] for row in self.entries])
+        return _matrix(tuple(tuple(f * e for e in row) for row in self.entries))
 
     def _match(self, other: "SymMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -655,7 +701,9 @@ class SymMatrix:
     # -- calculus, orders, evaluation ---------------------------------
 
     def derivative(self) -> "SymMatrix":
-        return SymMatrix([[e.differentiate() for e in row] for row in self.entries])
+        return _matrix(
+            tuple(tuple(e.differentiate() for e in row) for row in self.entries)
+        )
 
     def max_leading_order(self) -> int | None:
         best: int | None = None
@@ -717,14 +765,14 @@ class SymMatrix:
         n = self.rows
         if n == 1:
             return self.entries[0][0]
-        total = RationalFn.const(0)
+        total = _ZERO
         sign = 1
         for j in range(n):
-            minor = SymMatrix(
-                [
-                    [self.entries[i][k] for k in range(n) if k != j]
+            minor = _matrix(
+                tuple(
+                    tuple(self.entries[i][k] for k in range(n) if k != j)
                     for i in range(1, n)
-                ]
+                )
             )
             total = total + RationalFn.const(sign) * self.entries[0][j] * minor.det()
             sign = -sign
@@ -738,20 +786,20 @@ class SymMatrix:
         if d.is_zero:
             raise ZeroDivisionError("matrix is singular as a rational-function matrix")
         if n == 1:
-            return SymMatrix([[RationalFn.const(1) / d]])
+            return _matrix(((_ONE / d,),))
         cof = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                minor = SymMatrix(
-                    [
-                        [self.entries[r][c] for c in range(n) if c != j]
+                minor = _matrix(
+                    tuple(
+                        tuple(self.entries[r][c] for c in range(n) if c != j)
                         for r in range(n) if r != i
-                    ]
+                    )
                 )
                 s = -1 if (i + j) % 2 else 1
                 cof[i][j] = RationalFn.const(s) * minor.det()
         # adjugate is the transposed cofactor matrix
-        return SymMatrix([[cof[j][i] / d for j in range(n)] for i in range(n)])
+        return _matrix(tuple(tuple(cof[j][i] / d for j in range(n)) for i in range(n)))
 
 
 def _as_fn(v) -> RationalFn:
@@ -771,8 +819,22 @@ def _as_fn_or_none(v):
         return None
 
 
+def _fill(m: SymMatrix, rows: tuple[tuple[RationalFn, ...], ...]) -> None:
+    _set(m, "rows", len(rows))
+    _set(m, "cols", len(rows[0]))
+    _set(m, "entries", rows)
+    _set(m, "_float_table", None)
+
+
+def _matrix(rows: tuple[tuple[RationalFn, ...], ...]) -> SymMatrix:
+    """The SymMatrix of ready RationalFn rows: nonempty tuples of one length."""
+    m = object.__new__(SymMatrix)
+    _fill(m, rows)
+    return m
+
+
 def _dot(row, col) -> RationalFn:
-    acc = RationalFn.const(0)
+    acc = _ZERO
     for a, b in zip(row, col):
         if not (a.is_zero or b.is_zero):
             acc = acc + a * b

@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .symexpr import ParseError, RationalFn, SymMatrix
+from .symexpr import MAX_DEGREE, ParseError, RationalFn, SymMatrix
 
 STANDARD = "standard"
 INVERSE_X = "inverse_x"
@@ -427,6 +427,8 @@ def _monomial(v, where: str) -> Monomial:
         raise InvariantViolation(
             f"exponent of {where} must be an integer for the symbolic engine"
         )
+    if abs(exp) > MAX_DEGREE:
+        raise InvariantViolation(f"exponent of {where} exceeds the limit {MAX_DEGREE}")
     if coeff == 0:
         raise InvariantViolation(f"coefficient of {where} must be nonzero")
     return Monomial(coeff, int(exp))

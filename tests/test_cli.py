@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +98,31 @@ def test_transform_output_is_deterministic(capsys):
         return [line for line in out.splitlines() if "timestamp" not in line]
 
     assert snapshot() == snapshot()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("transform_hypergeom.json", ("transform", "--builtin", "hypergeom")),
+        (
+            "solve_hypergeom_k3_target0.json",
+            ("solve", "--builtin", "hypergeom", "-k", "3", "--target", "0"),
+        ),
+    ],
+)
+def test_json_report_matches_golden_file(capsys, name, argv):
+    # the golden files are these reports with the timestamp line removed;
+    # they pin every printed figure, total_error_bound, norm_at_X, P_norms
+    # and eta_bound included, byte for byte
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    body = "".join(line for line in lines if not line.startswith('  "timestamp": '))
+    assert len(lines) - body.count("\n") == 1
+    assert body == (GOLDEN / name).read_text()
 
 
 def test_transform_with_lower_accuracy(capsys):
@@ -193,6 +219,40 @@ def test_malformed_json_rejected(capsys, tmp_path):
     path.write_text("{ not json")
     code, _, err = run_cli(capsys, "transform", "--problem", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{", b'{"n": 1' + b"0" * 5000 + b"}"],
+    ids=["not-utf8", "int-past-digit-limit"],
+)
+def test_undecodable_problem_file_rejected(capsys, tmp_path, content):
+    path = tmp_path / "problem.json"
+    path.write_bytes(content)
+    code, _, err = run_cli(capsys, "transform", "--problem", str(path))
+    assert code == 2
+    assert err.startswith("cannot read problem: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("E1", "(1)/(x^200000)", "E1: degree 200000 exceeds the limit 1000"),
+        ("E1", "x^999999999 - x^999999999", "E1: degree 999999999 exceeds the limit 1000"),
+        ("lambda", {"coeff": "1", "exp": 10**9}, "exponent of lambda exceeds the limit 1000"),
+    ],
+)
+def test_degree_past_limit_rejected(capsys, tmp_path, field, value, message):
+    doc = fixture_document()
+    if field == "E1":
+        doc["E1"][0][1] = value
+    else:
+        doc[field] = value
+    code, out, err = run_cli(capsys, "transform", "--problem", write_problem(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert err == f"invalid input: {message}\n"
 
 
 def test_ragged_matrix_rejected(capsys, tmp_path):
@@ -603,6 +663,79 @@ def test_fuzzed_flags_keep_the_exit_code_contract(capsys):
         if command == "solve":
             argv += ["-k", k, *target, *rtol, *atol]
         code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in {0, 1, 2, 3, 4}
+        if code:
+            assert err.count("\n") <= 1, err
+        if fmt == "json" and out:
+            json.loads(out, parse_constant=_strict_json_constant)
+
+    check()
+
+
+# the locations a mutation may drop or overwrite, as paths into the
+# serialised built-in problem
+DOCUMENT_PATHS = [
+    *[(key,) for key in fixture_document()],
+    ("rho", "exp"), ("lambda", "exp"), ("lambda", "coeff"),
+    ("phi1", 0), ("phi1", 2), ("E1", 0, 1), ("E1", 2, 2),
+    ("ladder", 0, "j"), ("ladder", 0, "matrix"), ("ladder", 0, "matrix", 1, 0),
+    ("ladder", 1, "matrix", 2, 2), ("back_transform", 2, 0),
+]
+
+WRONG_TYPES = [None, True, 1.5, -1, 0, "abc", "1/0", [], {}, [[]], [["0"]]]
+
+HUGE_EXPONENTS = [
+    "x^1001", "(1)/(x^100000)", "x^99999999999", "(1)/(x^1000)", "x^1000",
+    "(1)/(x^" + "9" * 5000 + ")", 10**12, -(10**12), 1000,
+]
+
+# denominators that vanish at X = 10 or beyond it: at x = 12, at X itself,
+# near x = 14.1, and a double root at x = 11
+POLES_FROM_X = [
+    "(1)/(x^12 - 12*x^11)", "(1)/(x^12 - 10*x^11)", "(1)/(x^2 - 200)",
+    "(1)/(x^11 - 22*x^10 + 121*x^9)",
+]
+
+
+def test_fuzzed_problem_documents_keep_the_exit_code_contract(capsys, tmp_path):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    DROP = object()
+
+    def mutate(doc, path, value):
+        *head, last = path
+        try:
+            for key in head:
+                doc = doc[key]
+            if value is DROP:
+                del doc[last]
+            else:
+                doc[last] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed or retyped the location
+
+    mutation = st.tuples(
+        st.sampled_from(DOCUMENT_PATHS),
+        st.sampled_from([DROP, *WRONG_TYPES, *HUGE_EXPONENTS, *POLES_FROM_X]),
+    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        mutations=st.lists(mutation, min_size=1, max_size=3),
+        command=st.sampled_from([
+            ("transform",), ("solve", "-k", "3"), ("solve", "-k", "3", "--target", "0"),
+        ]),
+        fmt=st.sampled_from(["text", "json"]),
+    )
+    def check(mutations, command, fmt):
+        doc = fixture_document()
+        for path, value in mutations:
+            mutate(doc, path, value)
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        code = main([*command, "--problem", str(path), "--format", fmt])
         out, err = capsys.readouterr()
         assert code in {0, 1, 2, 3, 4}
         if code:

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import copy
+import math
 import pickle
 import struct
 from fractions import Fraction
 
 import pytest
 
-from levode import poly
+from levode import poly, symexpr
 from levode.symexpr import (
     BoundNotCertified,
     ParseError,
@@ -61,13 +62,18 @@ def test_reduction_cancels_common_factors():
 
 def test_kernel_matches_sympy_cancel():
     """Differential oracle: every result is sympy's cancelled quotient, with
-    a monic denominator and Fraction coefficients, whatever route made it."""
+    a monic denominator and Fraction coefficients, whatever route made it;
+    it is stored as the jointly primitive integer multiple of that quotient
+    with a positive leading denominator coefficient, and printed as such."""
     pytest.importorskip("hypothesis")
     sympy = pytest.importorskip("sympy")
     from hypothesis import assume, given, settings, strategies as st
 
     x = sympy.Symbol("x")
-    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    near_2_70 = st.integers(2**70 - 3, 2**70 + 3)
+    coeff = st.one_of(
+        st.fractions(min_value=-9, max_value=9, max_denominator=5), near_2_70
+    )
     nonzero = coeff.filter(bool)
     denominators = st.one_of(
         st.just([1]),
@@ -76,6 +82,9 @@ def test_kernel_matches_sympy_cancel():
         st.integers(1, 3).map(lambda k: [0] * k + [1, 1]),  # x^k (x + 1)
         st.just([-1, 0, 0, 1]),  # x^3 - 1
         st.just([-7, 0, 3]),  # 3x^2 - 7
+        st.just([1, 5, 6]),  # 6x^2 + 5x + 1 = (2x + 1)(3x + 1)
+        st.just([2**70 - 1, 2**70]),  # 2^70 x + 2^70 - 1
+        st.builds(lambda c: [-c, 0, c + 2], near_2_70),  # (c + 2)x^2 - c
     )
     operand = st.one_of(
         st.just(RationalFn.const(0)),
@@ -99,6 +108,12 @@ def test_kernel_matches_sympy_cancel():
     def check(f, expr):
         assert (f.num, f.den) == monic_form(expr)
         assert all(type(c) is Fraction for c in f.num + f.den)
+        n, d = f.int_num, f.int_den
+        assert all(type(c) is int for c in n + d)
+        assert math.gcd(*n, *d) == 1 and d[-1] > 0
+        assert list(n + d) == poly._primitive_ints(f.num + f.den)
+        body = symexpr._format_int_poly(n)
+        assert f.to_string() == (body if d == (1,) else f"({body})/({symexpr._format_int_poly(d)})")
 
     def same(f, g):
         assert f == g
@@ -548,6 +563,14 @@ def test_poly_gcd_matches_known_factorizations():
     assert poly.gcd(p, q) == poly.make([-1, 1])
     assert poly.gcd(p, poly.ZERO) == poly.monic(p)
     assert poly.gcd(poly.x_power(7), poly.x_power(4)) == poly.x_power(4)
+    # the same kernel on int tuples stays in Z[x] and never divides to a float
+    pi, qi = poly.mul((-2, 2), (2, 0, 1)), poly.mul((3, -3), (5, 1))
+    assert poly.primitive_gcd(pi, qi) == (-1, 1)
+    assert poly.primitive_gcd(poly.shift((4, 6), 3), (0, 0, 10, 15)) == (0, 0, 2, 3)
+    assert poly.divmod_exact(pi, (-1, 1)) == ((4, 0, 2), ())
+    assert all(type(c) is int for c in poly.divmod_exact(pi, (-1, 1))[0])
+    assert poly.divmod_exact((1, 0, 1), (0, 2)) == ((0, F(1, 2)), (1,))
+    assert poly.monic((3, 6)) == (F(1, 2), 1)
 
 
 def test_poly_root_counting():
@@ -610,3 +633,9 @@ def test_poly_magnitude_range_brackets_values():
         for i in range(11):
             assert low <= abs(poly.eval_at(p, u + w * i / 10)) <= high
     assert poly.magnitude_range(p, F(3), F(0)) == (F(477), F(477))
+    ints = (-720, 0, 0, 9)
+    for u, w in [(F(10), F(1)), (F(4), F(1, 8)), (F(7, 3), F(0))]:
+        got = poly.magnitude_range(ints, u, w)
+        assert got == poly.magnitude_range(p, u, w)
+        assert all(type(v) is Fraction for v in got)
+    assert poly.fujiwara_bound(ints) == poly.fujiwara_bound(p)
