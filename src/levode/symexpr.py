@@ -7,12 +7,18 @@ values have equal pairs, so equality, hashing and the canonical string
 work on ints alone; ``num`` and ``den`` view the pair as Fractions over a
 monic denominator, built on access.  Almost every denominator the
 reduction meets is c*x**k: such a quotient is reduced by slicing off the
-common power of x, with no polynomial gcd, two of them add by shifting
-and scaling numerators, and a zero operand short-circuits.  Other
-denominators are divided by the primitive integer gcd; every polynomial
-operation is ``poly``'s, the one kernel for int and Fraction tuples.
-``SymMatrix`` is a dense matrix of them with non-commutative products.  On
-top of the arithmetic the module provides
+common power of x, with no polynomial gcd, and differentiates as
+(x*p' - k*p)/(c*x**(k+1)).  ``rational_sum`` adds any number of terms:
+those over c*x**k are lifted to lcm(c)*x**max(k), their numerators added
+in one list and the sum normalised once; ``+`` and ``-`` are its two-term
+case, and a zero operand short-circuits.  Other denominators are divided
+by the primitive integer gcd; every polynomial operation is ``poly``'s,
+the one kernel for int and Fraction tuples.  ``SymMatrix`` is a dense
+matrix of them with non-commutative products, each entry of a product
+one such sum of unreduced products; ``SymMatrix.sum`` adds many matrices
+entry by entry, and ``SymMatrix.commutator`` forms D*P - P*D for a
+diagonal D as (d_i - d_j)*P_ij.  On top of the arithmetic the module
+provides
 
 * differentiation and the leading power at infinity,
 * Laurent expansion at infinity with an exact rational tail,
@@ -149,26 +155,9 @@ class RationalFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n1, n2 = self.int_num, o.int_num
-        if not n2:
+        if not o.int_num:
             return self
-        if not n1:
-            return o
-        d1, d2 = self.int_den, o.int_den
-        k1, k2 = _x_exponent(d1), _x_exponent(d2)
-        if k1 is not None and k2 is not None:  # c1*x**k1 and c2*x**k2
-            k = max(k1, k2)
-            n1, d1 = poly.shift(n1, k - k1), poly.shift(d1, k - k1)
-            n2, d2 = poly.shift(n2, k - k2), poly.shift(d2, k - k2)
-        if len(d1) == len(d2):
-            # denominators equal up to a constant factor (equal ones too):
-            # lift both to their least common multiple
-            g = math.gcd(d1[-1], d2[-1])
-            a1, a2 = d2[-1] // g, d1[-1] // g
-            den = poly.scale(d1, a1)
-            if den == poly.scale(d2, a2):
-                return _fn(poly.add(poly.scale(n1, a1), poly.scale(n2, a2)), den)
-        return _fn(poly.add(poly.mul(n1, d2), poly.mul(n2, d1)), poly.mul(d1, d2))
+        return rational_sum((self, o))
 
     __radd__ = __add__
 
@@ -179,7 +168,9 @@ class RationalFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        if not o.int_num:
+            return self
+        return rational_sum((self,), (o,))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -233,6 +224,11 @@ class RationalFn:
 
     def differentiate(self) -> "RationalFn":
         n, d = self.int_num, self.int_den
+        k = _x_exponent(d)
+        if k is not None:  # (p/(c*x**k))' = (x*p' - k*p)/(c*x**(k+1))
+            return _fn(
+                poly.trim([(i - k) * c for i, c in enumerate(n)]), poly.shift(d, 1)
+            )
         return _fn(
             poly.sub(poly.mul(poly.derivative(n), d), poly.mul(n, poly.derivative(d))),
             poly.mul(d, d),
@@ -407,6 +403,65 @@ def _fn(num: Coeffs, den: Coeffs) -> RationalFn:
 
 _ZERO = _pair(poly.ZERO, poly.ONE)
 _ONE = _pair(poly.ONE, poly.ONE)
+
+
+def rational_sum(plus, minus=()) -> RationalFn:
+    """The sum of the RationalFns ``plus`` less those of ``minus``,
+    normalised once.
+
+    Terms over a denominator c*x**k are lifted to lcm(c)*x**max(k) and
+    their numerators added in one list; ``RationalFn.__add__`` and
+    ``__sub__`` are the cases of two terms.
+    """
+    pairs = [(f.int_num, f.int_den) for f in plus if f.int_num]
+    pairs += [(poly.neg(f.int_num), f.int_den) for f in minus if f.int_num]
+    return _pair(*pairs[0]) if len(pairs) == 1 else _sum(pairs)
+
+
+def _sum(pairs) -> RationalFn:
+    """The sum of num/den over int-tuple pairs with nonzero num and den,
+    not necessarily reduced.
+
+    Every term whose denominator is c*x**k joins one lifted sum over
+    lcm(c)*x**max(k); each other term is then added to the running total
+    over the least common multiple of denominators equal up to a constant
+    factor, else over the product of the denominators.
+    """
+    if len(pairs) < 2:
+        return _fn(*pairs[0]) if pairs else _ZERO
+    lifted, other = [], []
+    for num, den in pairs:
+        k = _x_exponent(den)
+        if k is None:
+            other.append((num, den))
+        else:
+            lifted.append((num, den[-1], k))
+    total = _ZERO
+    if lifted:
+        top = max(k for _, _, k in lifted)
+        lcm = math.lcm(*(c for _, c, _ in lifted))
+        acc = [0] * max(len(num) + top - k for num, _, k in lifted)
+        for num, c, k in lifted:
+            a, s = lcm // c, top - k
+            for i, v in enumerate(num):
+                acc[s + i] += a * v
+        total = _fn(poly.trim(acc), poly.shift((lcm,), top))
+    for n2, d2 in other:
+        n1, d1 = total.int_num, total.int_den
+        if not n1:
+            total = _fn(n2, d2)
+            continue
+        if len(d1) == len(d2):
+            # denominators equal up to a constant factor (equal ones too):
+            # lift both to their least common multiple
+            g = math.gcd(d1[-1], d2[-1])
+            a1, a2 = d2[-1] // g, d1[-1] // g
+            den = poly.scale(d1, a1)
+            if den == poly.scale(d2, a2):
+                total = _fn(poly.add(poly.scale(n1, a1), poly.scale(n2, a2)), den)
+                continue
+        total = _fn(poly.add(poly.mul(n1, d2), poly.mul(n2, d1)), poly.mul(d1, d2))
+    return total
 
 
 def _format_int_poly(coeffs) -> str:
@@ -653,27 +708,47 @@ class SymMatrix:
     def __add__(self, other):
         if not isinstance(other, SymMatrix):
             return NotImplemented
-        self._match(other)
-        return _matrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        return SymMatrix.sum((self, other))
 
     def __sub__(self, other):
         if not isinstance(other, SymMatrix):
             return NotImplemented
-        self._match(other)
-        return _matrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        return SymMatrix.sum((self,), (other,))
 
     def __neg__(self):
         return _matrix(tuple(tuple(-e for e in row) for row in self.entries))
+
+    @staticmethod
+    def sum(plus, minus=()) -> "SymMatrix":
+        """The matrices ``plus`` less the matrices ``minus``, at least one
+        matrix in all, of one shape: each entry is one ``rational_sum``."""
+        plus, minus = list(plus), list(minus)
+        mats = plus + minus
+        for m in mats[1:]:
+            mats[0]._match(m)
+        k = len(plus)
+        return _matrix(
+            tuple(
+                tuple(rational_sum(col[:k], col[k:]) for col in zip(*rows))
+                for rows in zip(*(m.entries for m in mats))
+            )
+        )
+
+    def commutator(self, diag) -> "SymMatrix":
+        """D*self - self*D for D = diagonal(diag): entry (i, j) is
+        (d_i - d_j) * self_ij, with no product of full matrices."""
+        d = [_as_fn(v) for v in diag]
+        if not self.rows == self.cols == len(d):
+            raise ValueError("shape mismatch")
+        return _matrix(
+            tuple(
+                tuple(
+                    _ZERO if i == j or not e.int_num else (d[i] - d[j]) * e
+                    for j, e in enumerate(row)
+                )
+                for i, row in enumerate(self.entries)
+            )
+        )
 
     def __mul__(self, other):
         if isinstance(other, SymMatrix):
@@ -834,8 +909,9 @@ def _matrix(rows: tuple[tuple[RationalFn, ...], ...]) -> SymMatrix:
 
 
 def _dot(row, col) -> RationalFn:
-    acc = _ZERO
-    for a, b in zip(row, col):
-        if not (a.is_zero or b.is_zero):
-            acc = acc + a * b
-    return acc
+    """The sum of the products a*b, each left unreduced for one normalisation."""
+    return _sum([
+        (poly.mul(a.int_num, b.int_num), poly.mul(a.int_den, b.int_den))
+        for a, b in zip(row, col)
+        if a.int_num and b.int_num
+    ])

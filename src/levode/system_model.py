@@ -27,6 +27,14 @@ from .symexpr import MAX_DEGREE, ParseError, RationalFn, SymMatrix
 STANDARD = "standard"
 INVERSE_X = "inverse_x"
 
+# The largest accuracy index M a problem may ask for.  The reduction makes
+# M - 1 iterations, and the degrees of its matrices and of the residual the
+# error bounds work on grow with each one.  On the built-in problem with a
+# zero E1 (one CPU of a 2-vCPU Xeon host), `levode solve -k 3` takes 0.6 s
+# at M = 16, 0.9 s at M = 18 and 7 s at M = 19, nearly all of it in the
+# Sturm chains of sup_bound; `levode transform` ran past 30 s at M = 100.
+MAX_M = 16
+
 
 class SchemaError(ValueError):
     """The problem document is missing a field or has an ill-typed one."""
@@ -180,6 +188,8 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
         raise InvariantViolation(f"large-block size N={N} must satisfy 0 <= N < n={n}")
     if spec.M < 2:
         raise InvariantViolation(f"accuracy index M={spec.M} must be at least 2")
+    if spec.M > MAX_M:
+        raise InvariantViolation(f"accuracy index M={spec.M} exceeds the limit {MAX_M}")
     if spec.a <= 0:
         raise InvariantViolation("order scale a must be positive")
     if spec.L < 1:

@@ -179,7 +179,9 @@ def compute_P(state: IterationState, spec: ProblemSpec) -> PSplit:
     return psplit
 
 
-def _phi_split(state: IterationState, spec: ProblemSpec) -> tuple[SymMatrix, SymMatrix]:
+def _phi_split(
+    state: IterationState, spec: ProblemSpec
+) -> tuple[tuple[RationalFn, ...], tuple[RationalFn, ...]]:
     """Diagonal deviation from the leading scale, split large/small."""
     zero = RationalFn.const(0)
     lambda0 = spec.lambda0_diagonal()
@@ -189,7 +191,7 @@ def _phi_split(state: IterationState, spec: ProblemSpec) -> tuple[SymMatrix, Sym
         phi = state.diag[i] - lambda0[i]
         large.append(phi if spec.is_large(i) else zero)
         small.append(phi if not spec.is_large(i) else zero)
-    return SymMatrix.diagonal(tuple(large)), SymMatrix.diagonal(tuple(small))
+    return tuple(large), tuple(small)
 
 
 @functools.lru_cache(maxsize=128)
@@ -215,13 +217,13 @@ def commutator_terms(
             elif j_large and not i_large:
                 cross[i][j] = lam_inv * (d[i] / d[j]) * v
     cross_m = SymMatrix(tuple(map(tuple, cross)))
-    dg_large, dg_small = _phi_split(state, spec)
+    phi_large, phi_small = _phi_split(state, spec)
     qt, q = psplit.scaled, psplit.plain
     terms = CommutatorTerms(
         cross=cross_m,
-        large_with_scaled=dg_large * qt - qt * dg_large,
-        small_with_scaled=dg_small * qt - qt * dg_small,
-        small_with_plain=dg_small * q - q * dg_small,
+        large_with_scaled=qt.commutator(phi_large),
+        small_with_scaled=qt.commutator(phi_small),
+        small_with_plain=q.commutator(phi_small),
     )
     defect = elimination_defect(state, psplit, terms, spec)
     if not defect.is_zero:
@@ -245,24 +247,19 @@ def elimination_defect(
     the x * Qtilde' compensation and the uneliminated at-accuracy tails
     are excluded from V1.
     """
-    v1 = _first_rung(state.ladder, spec.n)
     _, leftover = _p_and_leftover(state, spec)
-    v_eff = v1 - leftover
-    lam_m = SymMatrix.diagonal(state.diag)
-    P = psplit.combined
-    defect = (
-        v_eff
-        + lam_m * P
-        - P * lam_m
-        - terms.cross
-        - terms.large_with_scaled
-        - terms.small_with_scaled
-        - terms.small_with_plain
-    )
+    plus = [_first_rung(state.ladder, spec.n), psplit.combined.commutator(state.diag)]
+    minus = [
+        leftover,
+        terms.cross,
+        terms.large_with_scaled,
+        terms.small_with_scaled,
+        terms.small_with_plain,
+    ]
     if spec.mode == INVERSE_X:
         rho_inv = RationalFn.const(1) / spec.rho_fn
-        defect = defect - rho_inv * psplit.plain.derivative()
-    return defect
+        minus.append(rho_inv * psplit.plain.derivative())
+    return SymMatrix.sum(plus, minus)
 
 
 def _first_order_products(
@@ -312,9 +309,11 @@ def _iterate(
     terms = commutator_terms(state, psplit, spec)
     P = psplit.combined
 
-    pool = state.committed.exact + leftover
-    truncation = SymMatrix.zeros(n)
-    buckets: dict[int, SymMatrix] = {}
+    # each sum is collected as its (plus, minus) terms, (-P)^r * base going
+    # to minus for odd r, and formed once below
+    pool: tuple[list[SymMatrix], list[SymMatrix]] = ([state.committed.exact, leftover], [])
+    truncation: tuple[list[SymMatrix], list[SymMatrix]] = ([], [])
+    bucket_terms: dict[int, tuple[list[SymMatrix], list[SymMatrix]]] = {}
     nu_choices: list[tuple[str, int]] = []
 
     for label, base in _first_order_products(state, psplit, terms, spec):
@@ -333,10 +332,8 @@ def _iterate(
         nu_choices.append((label, nu))
         remainder = nxt
         if not remainder.is_zero:
-            signed = remainder if (nu + 1) % 2 == 0 else -remainder
-            truncation = truncation + signed
+            truncation[(nu + 1) % 2].append(remainder)
         for r, mat in enumerate(powers):
-            signed = mat if r % 2 == 0 else -mat
             lo = Fraction(mat.max_leading_order())
             k = math.floor(-lo / a) - m
             if k < 1:
@@ -344,11 +341,10 @@ def _iterate(
                     f"term {label} P^{r} at iteration {m} has leading order "
                     f"x^{lo}, slower than O(x^-{(m + 1) * a})"
                 )
-            if k < M - m:
-                buckets[k] = buckets.get(k, SymMatrix.zeros(n)) + signed
-            else:
-                pool = pool + signed
+            target = bucket_terms.setdefault(k, ([], [])) if k < M - m else pool
+            target[r % 2].append(mat)
 
+    buckets = {k: SymMatrix.sum(*parts) for k, parts in bucket_terms.items()}
     s_next = buckets.get(1, SymMatrix.zeros(n))
     new_diag = tuple(
         state.diag[i] + s_next.entry(i, i) for i in range(n)
@@ -369,8 +365,10 @@ def _iterate(
             )
 
     truncations = state.committed.truncations
-    if not truncation.is_zero:
-        truncations = truncations + ((m + 1, truncation),)
+    if any(truncation):
+        W = SymMatrix.sum(*truncation)
+        if not W.is_zero:
+            truncations = truncations + ((m + 1, W),)
     record = IterationRecord(
         m=m,
         psplit=psplit,
@@ -387,7 +385,7 @@ def _iterate(
         m=m + 1,
         diag=new_diag,
         ladder=tuple(new_ladder),
-        committed=CommittedError(pool, truncations),
+        committed=CommittedError(SymMatrix.sum(*pool), truncations),
         history=state.history + (psplit,),
     )
     return new_state, record
@@ -415,12 +413,14 @@ def run(spec: ProblemSpec) -> FinalState:
         records.append(record)
         dominant.append(record.s_next)
 
-    residual = spec.E1 + state.committed.exact
+    truncations = state.committed.truncations
+    residual = SymMatrix.sum(
+        [spec.E1, state.committed.exact, *(W for _, W in truncations)]
+    )
     entries: list[LedgerEntry] = []
     if not spec.E1.is_zero:
         entries.append(LedgerEntry(stage=1, matrix=spec.E1, via_iteration=None))
-    for stage, W in state.committed.truncations:
-        residual = residual + W
+    for stage, W in truncations:
         entries.append(LedgerEntry(stage=stage, matrix=W, via_iteration=stage - 1))
     ledger = ErrorLedger(
         entries=tuple(entries),

@@ -20,6 +20,7 @@ from levode.cli import main
 from levode.symexpr import BoundNotCertified
 from levode.transform_engine import DivisionByZeroDenominator, OrderRegression
 from levode.system_model import (
+    MAX_M,
     STANDARD,
     Monomial,
     ProblemSpec,
@@ -690,12 +691,35 @@ HUGE_EXPONENTS = [
     "(1)/(x^" + "9" * 5000 + ")", 10**12, -(10**12), 1000,
 ]
 
+# an accuracy index past the limit on a zero E1, which would otherwise be
+# valid and make the reduction and its bounds run for minutes
+LARGE_M_ZERO_E1 = [
+    [(("M",), M), (("E1",), [["0"] * 3 for _ in range(3)])]
+    for M in (MAX_M + 1, 100, 10**6)
+]
+
 # denominators that vanish at X = 10 or beyond it: at x = 12, at X itself,
 # near x = 14.1, and a double root at x = 11
 POLES_FROM_X = [
     "(1)/(x^12 - 12*x^11)", "(1)/(x^12 - 10*x^11)", "(1)/(x^2 - 200)",
     "(1)/(x^11 - 22*x^10 + 121*x^9)",
 ]
+
+
+def test_accuracy_index_past_the_limit_exits_2(capsys, tmp_path):
+    doc = fixture_document()
+    doc["M"] = MAX_M + 1
+    doc["E1"] = [["0"] * 3 for _ in range(3)]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    for argv in (
+        ["transform", "--problem", str(path)],
+        ["transform", "--builtin", "hypergeom", "-M", str(MAX_M + 1)],
+    ):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("invalid input:") and err.count("\n") == 1, err
+        assert f"exceeds the limit {MAX_M}" in err
 
 
 def test_fuzzed_problem_documents_keep_the_exit_code_contract(capsys, tmp_path):
@@ -716,9 +740,13 @@ def test_fuzzed_problem_documents_keep_the_exit_code_contract(capsys, tmp_path):
         except (KeyError, IndexError, TypeError):
             pass  # an earlier mutation removed or retyped the location
 
-    mutation = st.tuples(
-        st.sampled_from(DOCUMENT_PATHS),
-        st.sampled_from([DROP, *WRONG_TYPES, *HUGE_EXPONENTS, *POLES_FROM_X]),
+    # each mutation is a list of (path, value) edits made together
+    mutation = st.one_of(
+        st.tuples(
+            st.sampled_from(DOCUMENT_PATHS),
+            st.sampled_from([DROP, *WRONG_TYPES, *HUGE_EXPONENTS, *POLES_FROM_X]),
+        ).map(lambda edit: [edit]),
+        st.sampled_from(LARGE_M_ZERO_E1),
     )
 
     @settings(max_examples=25, deadline=None)
@@ -731,8 +759,9 @@ def test_fuzzed_problem_documents_keep_the_exit_code_contract(capsys, tmp_path):
     )
     def check(mutations, command, fmt):
         doc = fixture_document()
-        for path, value in mutations:
-            mutate(doc, path, value)
+        for edits in mutations:
+            for path, value in edits:
+                mutate(doc, path, value)
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(doc))
         code = main([*command, "--problem", str(path), "--format", fmt])

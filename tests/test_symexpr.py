@@ -60,6 +60,36 @@ def test_reduction_cancels_common_factors():
     assert top / bot == fn("x - 1")
 
 
+def _to_sympy(f):
+    import sympy
+
+    x = sympy.Symbol("x")
+    num = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(f.num))
+    den = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(f.den))
+    return num / den
+
+
+def _monic_form(expr):
+    """sympy's cancelled quotient as Fraction tuples over a monic denominator."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    num, den = sympy.fraction(sympy.cancel(expr))
+    num, den = sympy.Poly(num, x), sympy.Poly(den, x)
+    lc = den.LC()
+    return tuple(
+        poly.trim(F(int(q.p), int(q.q)) for q in (c / lc for c in reversed(p.all_coeffs())))
+        for p in (num, den)
+    )
+
+
+def _same(f, g):
+    assert f == g
+    assert hash(f) == hash(g)
+    assert (f.int_num, f.int_den) == (g.int_num, g.int_den)
+    assert f.to_string() == g.to_string()
+
+
 def test_kernel_matches_sympy_cancel():
     """Differential oracle: every result is sympy's cancelled quotient, with
     a monic denominator and Fraction coefficients, whatever route made it;
@@ -91,22 +121,8 @@ def test_kernel_matches_sympy_cancel():
         st.builds(RationalFn, st.lists(coeff, max_size=5), denominators),
     )
 
-    def to_sympy(f):
-        num = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(f.num))
-        den = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(f.den))
-        return num / den
-
-    def monic_form(expr):
-        num, den = sympy.fraction(sympy.cancel(expr))
-        num, den = sympy.Poly(num, x), sympy.Poly(den, x)
-        lc = den.LC()
-        return tuple(
-            poly.trim(F(int(q.p), int(q.q)) for q in (c / lc for c in reversed(p.all_coeffs())))
-            for p in (num, den)
-        )
-
     def check(f, expr):
-        assert (f.num, f.den) == monic_form(expr)
+        assert (f.num, f.den) == _monic_form(expr)
         assert all(type(c) is Fraction for c in f.num + f.den)
         n, d = f.int_num, f.int_den
         assert all(type(c) is int for c in n + d)
@@ -115,25 +131,20 @@ def test_kernel_matches_sympy_cancel():
         body = symexpr._format_int_poly(n)
         assert f.to_string() == (body if d == (1,) else f"({body})/({symexpr._format_int_poly(d)})")
 
-    def same(f, g):
-        assert f == g
-        assert hash(f) == hash(g)
-        assert f.to_string() == g.to_string()
-
     @settings(max_examples=150, deadline=None)
     @given(a=operand, b=operand, k=st.integers(-3, 3), scale=nonzero, lift=st.integers(0, 3))
     def run(a, b, k, scale, lift):
-        ea, eb = to_sympy(a), to_sympy(b)
+        ea, eb = _to_sympy(a), _to_sympy(b)
         check(a + b, ea + eb)
         check(a - b, ea - eb)
         check(a * b, ea * eb)
         check(-a, -ea)
         check(a.differentiate(), sympy.diff(ea, x))
-        same(a + b, b + a)
-        same(a * b, b * a)
+        _same(a + b, b + a)
+        _same(a * b, b * a)
         if not b.is_zero:
             check(a / b, ea / eb)
-            same(a * b / b, a)
+            _same(a * b / b, a)
         if not (a.is_zero and k < 0):
             check(a**k, ea**k)
         stop = F(k, 2)
@@ -145,8 +156,74 @@ def test_kernel_matches_sympy_cancel():
         # lands on the same representation as the arithmetic
         r = a * b + a
         lifted = [poly.shift(tuple(scale * c for c in p), lift) for p in (r.num, r.den)]
-        same(RationalFn(*lifted), r)
-        same(RationalFn([int(c) if c.denominator == 1 else c for c in r.num], r.den), r)
+        _same(RationalFn(*lifted), r)
+        _same(RationalFn([int(c) if c.denominator == 1 else c for c in r.num], r.den), r)
+
+    run()
+
+
+def test_rational_sum_equals_left_fold_of_binary_add():
+    """The n-ary sum, with or without subtracted terms, is the value the
+    binary operators reach one term at a time, down to the int pair; and
+    it is sympy's cancelled sum."""
+    pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    from hypothesis import given, settings, strategies as st
+
+    near_2_70 = st.integers(2**70 - 3, 2**70 + 3)
+    coeff = st.one_of(st.integers(-9, 9), near_2_70, near_2_70.map(lambda c: -c))
+    nonzero = coeff.filter(bool)
+    denominators = st.one_of(
+        st.integers(0, 5).map(lambda k: [0] * k + [1]),  # x^k
+        st.builds(lambda k, c: [0] * k + [c], st.integers(0, 5), nonzero),  # c*x^k
+        st.integers(1, 3).map(lambda k: [0] * k + [1, 1]),  # x^k (x + 1)
+        st.just([-7, 0, 3]),  # 3x^2 - 7
+    )
+    operand = st.one_of(
+        st.just(RationalFn.const(0)),
+        st.builds(RationalFn, st.lists(coeff, max_size=4), denominators),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(plus=st.lists(operand, max_size=8), minus=st.lists(operand, max_size=3))
+    def run(plus, minus):
+        fold = RationalFn.const(0)
+        for f in plus:
+            fold = fold + f
+        _same(symexpr.rational_sum(plus), fold)
+        for f in minus:
+            fold = fold - f
+        total = symexpr.rational_sum(plus, minus)
+        _same(total, fold)
+        expr = sum(map(_to_sympy, plus), sympy.Integer(0))
+        expr -= sum(map(_to_sympy, minus), sympy.Integer(0))
+        assert (total.num, total.den) == _monic_form(expr)
+
+    run()
+
+
+def test_derivative_of_x_power_denominator_matches_quotient_rule():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    near_2_70 = st.integers(2**70 - 3, 2**70 + 3)
+    coeff = st.one_of(st.integers(-9, 9), near_2_70)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        num=st.lists(coeff, max_size=6),
+        c=st.one_of(st.integers(1, 9), near_2_70),
+        k=st.integers(0, 6),
+    )
+    def run(num, c, k):
+        f = RationalFn(num, [0] * k + [c])
+        n, d = f.int_num, f.int_den
+        # the general rule (n'd - nd')/d^2, normalised
+        quotient_rule = symexpr._fn(
+            poly.sub(poly.mul(poly.derivative(n), d), poly.mul(n, poly.derivative(d))),
+            poly.mul(d, d),
+        )
+        _same(f.differentiate(), quotient_rule)
 
     run()
 
@@ -418,6 +495,36 @@ def test_matrix_ring_operations():
     assert prod.entry(1, 0) == fn("1")
     assert a + b - b == a
     assert (a * RationalFn.const(2)).entry(0, 0) == fn("2*x")
+
+
+def test_matrix_commutator_matches_products():
+    import random
+
+    rng = random.Random(7)
+    pool = [
+        "0", "1", "-3", "x", "(1)/(x^2)", "(5)/(3*x^4)", "(x^2 + 1)/(x - 2)",
+        "(3*x)/(x^2 + x + 1)", "(x - 7)/(x^3)", "(2)/(x^2 - 3)",
+    ]
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        P = SymMatrix([[fn(rng.choice(pool)) for _ in range(n)] for _ in range(n)])
+        d = [fn(rng.choice(pool)) for _ in range(n)]
+        D = SymMatrix.diagonal(d)
+        assert P.commutator(d) == D * P - P * D
+    with pytest.raises(ValueError):
+        SymMatrix.zeros(2).commutator([fn("1")] * 3)
+
+
+def test_matrix_sum_of_many_matches_binary_operators():
+    a = SymMatrix(((fn("x"), fn("(1)/(x)")), (fn("0"), fn("(x)/(x + 1)"))))
+    b = SymMatrix(((fn("(2)/(x^3)"), fn("1")), (fn("(1)/(x^2 - 3)"), fn("0"))))
+    c = SymMatrix.identity(2)
+    assert SymMatrix.sum([a, b, c]) == a + b + c
+    assert SymMatrix.sum([a], [b, c]) == a - b - c
+    assert SymMatrix.sum([], [a]) == -a
+    assert SymMatrix.sum([a, a], [a, a]).is_zero
+    with pytest.raises(ValueError):
+        SymMatrix.sum([a, SymMatrix.zeros(3)])
 
 
 def test_matrix_derivative_is_entrywise():

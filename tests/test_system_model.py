@@ -132,6 +132,16 @@ def test_M_and_X_bounds(fixture_spec):
         validate(replace(fixture_spec, X=F(0)))
 
 
+def test_accuracy_index_above_the_limit_rejected(fixture_spec):
+    from levode.system_model import MAX_M
+
+    zero_e1 = replace(fixture_spec, E1=SymMatrix.zeros(fixture_spec.n))
+    assert validate(replace(zero_e1, M=MAX_M)).M == MAX_M
+    for M in (MAX_M + 1, 10**9):
+        with pytest.raises(InvariantViolation, match="exceeds the limit"):
+            validate(replace(zero_e1, M=M))
+
+
 def test_with_X_returns_new_spec(fixture_spec):
     moved = fixture_spec.with_X(F(20))
     assert moved.X == 20

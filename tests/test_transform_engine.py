@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -17,7 +18,12 @@ from levode import (
     run,
 )
 from levode.sampling import random_problem
-from levode.transform_engine import IterationState, CommittedError, _iterate
+from levode.transform_engine import (
+    CommittedError,
+    EliminationIdentityViolated,
+    IterationState,
+    _iterate,
+)
 
 F = Fraction
 
@@ -71,6 +77,22 @@ def test_elimination_identity_on_fixture(fixture_spec):
     psplit = compute_P(state, fixture_spec)
     terms = commutator_terms(state, psplit, fixture_spec)
     assert elimination_defect(state, psplit, terms, fixture_spec).is_zero
+
+
+@pytest.mark.parametrize(
+    "part, i, j", [("scaled", 1, 0), ("scaled", 0, 2), ("plain", 1, 2), ("plain", 2, 1)]
+)
+def test_elimination_defect_detects_a_wrong_P(fixture_spec, part, i, j):
+    state = initial_state(fixture_spec)
+    psplit = compute_P(state, fixture_spec)
+    terms = commutator_terms(state, psplit, fixture_spec)
+    mat = getattr(psplit, part)
+    wrong = dataclasses.replace(
+        psplit, **{part: mat.with_entry(i, j, mat.entry(i, j) + RationalFn.x_power(-20))}
+    )
+    assert not elimination_defect(state, wrong, terms, fixture_spec).is_zero
+    with pytest.raises(EliminationIdentityViolated):
+        commutator_terms(state, wrong, fixture_spec)
 
 
 def test_first_iteration_output(fixture_spec):
