@@ -1,9 +1,11 @@
 """Numeric continuation of the original system Y' = A(x) Y.
 
 The coefficient matrix stays symbolic up to this boundary: its entries are
-rounded to floats once per matrix (``SymMatrix.eval_float``), which fills
-the constant entries once and runs Horner only on the entries that vary
-with x at every integrator stage.  Continuation targets
+rounded to floats once per matrix (``SymMatrix.float_table``).  Each
+``integrate`` call fills one float array with the constant entries once;
+every right-hand-side evaluation calls ``SymMatrix.eval_float`` once, which
+runs Horner only on the entries that vary with x, writes just those into
+the array and forms the product with ``ndarray.dot``.  Continuation targets
 are regular points, and a ``LinearSystem`` screens its domain for poles by
 an exact root count when it is built, before any numerics start.
 
@@ -110,11 +112,16 @@ def integrate(
         rtol = MIN_RTOL
 
     A = system.A
-    M = np.empty((A.rows, A.cols))  # refilled on every call
+    rows, varying = A.float_table()
+    M = np.array(rows)
+    flat = M.reshape(-1)  # a view: each call writes the varying entries
+    places = [(i * A.cols + j, i, j) for i, j, *_ in varying]
 
     def rhs(x, y, out=None):
-        M[...] = A.eval_float(x)
-        return np.matmul(M, y, out=out)
+        values = A.eval_float(x)
+        for k, i, j in places:
+            flat[k] = values[i][j]
+        return M.dot(y, out=out)
 
     with np.errstate(all="ignore"):
         y, steps = _dormand_prince(
@@ -157,23 +164,23 @@ _ERROR_EXPONENT = -1 / 5  # the embedded error estimate is of order 4
 _FLOAT_MAX = sys.float_info.max
 
 
-def _rms(v):
-    """``np.linalg.norm(v) / sqrt(n)`` by the norm's own formula.  The
-    result stays a numpy float: dividing by it when it is zero gives inf
-    or nan, as in scipy, where a Python float raises ZeroDivisionError."""
-    import numpy as np
-
-    return np.sqrt(v.dot(v)) / v.size ** 0.5
+def _rms(v) -> float:
+    """``np.linalg.norm(v) / sqrt(n)`` by the norm's own formula, the
+    square root of ``v.dot(v)``, as a Python float (``math.sqrt`` and
+    ``np.sqrt`` both round the root correctly)."""
+    return math.sqrt(v.dot(v)) / v.size ** 0.5
 
 
 def _initial_step(fun, t0, y0, f0, t_end, direction, rtol, atol, max_step):
     """First step size by Hairer, Norsett & Wanner, Sec. II.4."""
     import numpy as np
 
+    # the norms are numpy floats: dividing by one that is zero gives inf or
+    # nan, as in scipy, where a Python float raises ZeroDivisionError
     interval_length = abs(t_end - t0)
     scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    d0 = np.float64(_rms(y0 / scale))
+    d1 = np.float64(_rms(f0 / scale))
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
@@ -181,7 +188,7 @@ def _initial_step(fun, t0, y0, f0, t_end, direction, rtol, atol, max_step):
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * direction * f0
     f1 = fun(t0 + h0 * direction, y1)
-    d2 = _rms((f1 - f0) / scale) / h0
+    d2 = np.float64(_rms((f1 - f0) / scale)) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -193,12 +200,14 @@ def _dormand_prince(fun, t0, t_end, y0, rtol, atol, max_step, dense):
     """y(t_end) by adaptive Dormand-Prince 5(4) steps, and with ``dense``
     the accepted steps as (t_old, t, y_old, Q) for ``_dense_values``.
 
-    ``fun(t, y, out)`` writes the derivative into ``out``.  The stage sums
-    stay ``np.dot`` calls: summed in Python floats they differ from
+    ``fun(t, y, out)`` writes the derivative into ``out``.  The stage,
+    fifth-order and error sums are ``ndarray.dot`` calls, the BLAS product
+    scipy's ``np.dot`` makes: summed in Python floats they differ from
     scipy's in the last bit, and the trajectory with them.  The stages go
     into one preallocated array and the updates run in place, each in
     scipy's order of float operations: y + dot*h is formed as dot, times
-    h, plus y, which IEEE commutativity makes the same result.
+    h, plus y, which IEEE commutativity makes the same result.  The
+    per-step scalars (error norm, overflow check) are Python floats.
     """
     import numpy as np
 
@@ -234,11 +243,11 @@ def _dormand_prince(fun, t0, t_end, y0, rtol, atol, max_step, dense):
             h = t_new - t
             h_abs = abs(h)
             for c, KT_s, a, k in stages:
-                d = np.dot(KT_s, a)
+                d = KT_s.dot(a)
                 d *= h
                 d += y
                 fun(t + c * h, d, k)
-            y_new = np.dot(KT_B, B)
+            y_new = KT_B.dot(B)
             y_new *= h
             y_new += y
             fun(t + h, y_new, K[6])
@@ -246,10 +255,10 @@ def _dormand_prince(fun, t0, t_end, y0, rtol, atol, max_step, dense):
             np.maximum(ay, ay_new, out=scale)
             scale *= rtol
             scale += atol
-            err = np.dot(KT, E)
+            err = KT.dot(E)
             err *= h
             err /= scale
-            error_norm = float(_rms(err))
+            error_norm = _rms(err)
             if error_norm < 1:
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
@@ -265,9 +274,10 @@ def _dormand_prince(fun, t0, t_end, y0, rtol, atol, max_step, dense):
         # value up to where rounding gives inf, and from there only steps
         # too short to move it avoid overflow, so the loop would crawl on
         # for ~1e14 steps; a non-finite state never becomes finite again
-        # (the maximum of a state holding nan is nan).
-        if not np.maximum.reduce(ay_new) < _FLOAT_MAX:
-            raise SolutionOverflow(f"Y({t_new!r}) is outside the float range")
+        # (nan < _FLOAT_MAX is false, as inf < _FLOAT_MAX is).
+        for v in ay_new.tolist():
+            if not v < _FLOAT_MAX:
+                raise SolutionOverflow(f"Y({t_new!r}) is outside the float range")
         if dense:
             steps.append((t, t_new, y, KT.dot(P)))
         t, y = t_new, y_new

@@ -635,9 +635,7 @@ def sup_bound(f: RationalFn, X, *, rel_slack=Fraction(1, 20)) -> Fraction:
 class SymMatrix:
     """Dense matrix of RationalFn entries with exact non-commutative products."""
 
-    # _float_table: (rows, varying), built by the first eval_float: the rows
-    # with every constant entry's value in place, and (i, j, num, den) for
-    # each entry that varies with x
+    # _float_table: what float_table returns, kept from its first call
     __slots__ = ("rows", "cols", "entries", "_float_table")
 
     def __init__(self, entries):
@@ -798,14 +796,13 @@ class SymMatrix:
         x = Fraction(x)
         return [[e.eval_exact(x) for e in row] for row in self.entries]
 
-    def eval_float(self, x: float) -> list[list[float]]:
-        """Entries at x as fresh rows, each equal to its
-        ``RationalFn.eval_float(x)``.
-
-        The first call rounds the coefficients to floats and builds the rows
-        of constant entries once; every call copies those rows and runs
-        Horner only on the entries that vary with x.
-        """
+    def float_table(self):
+        """The form ``eval_float`` evaluates, built on the first call: the
+        rows with every constant entry's float in place (0.0 where an entry
+        varies with x), and ``(i, j, num, den)`` for each entry that varies,
+        its numerator and denominator as ``RationalFn.float_table`` gives
+        them.  The rows are the lists ``eval_float`` copies on each call:
+        read them, never change them."""
         table = self._float_table
         if table is None:
             rows, varying = [], []
@@ -814,11 +811,18 @@ class SymMatrix:
                 for j, v in enumerate(values):
                     if type(v) is not float:
                         varying.append((i, j, *v))
-                        values[j] = 0.0  # overwritten on every call
+                        values[j] = 0.0
                 rows.append(values)
-            table = rows, tuple(varying)
+            table = tuple(rows), tuple(varying)
             object.__setattr__(self, "_float_table", table)
-        rows, varying = table
+        return table
+
+    def eval_float(self, x: float) -> list[list[float]]:
+        """Entries at x as fresh rows, each equal to its
+        ``RationalFn.eval_float(x)``: the constant rows of ``float_table``
+        copied, with Horner run only on the entries that vary with x.
+        """
+        rows, varying = self._float_table or self.float_table()
         out = [row.copy() for row in rows]
         ratio = poly.horner_ratio
         for i, j, num, den in varying:

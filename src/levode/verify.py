@@ -250,16 +250,19 @@ def _check_total_error(ctx, factor):
 
 
 def _check_eta_soundness(ctx, tol):
-    from scipy.integrate import quad
+    import mpmath  # loaded only when this check runs
 
     R = ctx.final_state.residual
     rho = ctx.spec.rho_fn
 
-    def norm_at(t: float) -> float:
+    def norm_at(t) -> float:
+        t = float(t)
         rows = R.eval_float(t)
         return abs(rho.eval_float(t)) * max(abs(v) for row in rows for v in row)
 
-    value, err = quad(norm_at, float(ctx.spec.X), math.inf, limit=200)
+    # tanh-sinh quadrature over [X, inf), with its own error estimate
+    value, err = mpmath.quad(norm_at, [float(ctx.spec.X), mpmath.inf], error=True)
+    value, err = float(value), float(err)
     ok = math.isfinite(ctx.eta) and ctx.eta >= value - err
     return (
         f"eta={ctx.eta!r} quadrature={value!r}",

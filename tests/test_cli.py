@@ -819,7 +819,7 @@ def test_transform_leaves_mpmath_unloaded():
 
 
 def test_solve_with_continuation_leaves_scipy_unloaded():
-    # the integrator is levode's own, so only verify's quadrature needs scipy
+    # the integrator is levode's own
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, levode.cli; code = levode.cli.main(['solve', '--builtin', "
@@ -832,3 +832,18 @@ def test_solve_with_continuation_leaves_scipy_unloaded():
     assert proc.returncode == 0
     assert proc.stderr.split() == ["0", "False"]
     assert "Y(0) = [1.8777858808658072, " in proc.stdout
+
+
+def test_verify_leaves_scipy_unloaded():
+    # verify's quadrature is mpmath's; scipy is only a test oracle
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, levode.cli; code = levode.cli.main(['verify']); "
+         "print(code, 'scipy' in sys.modules, file=sys.stderr)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.split() == ["0", "False"]
+    assert "16/16 checks passed" in proc.stdout

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import ast
 import csv
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -338,3 +342,89 @@ def test_failures_match_scipy(tmp_path, rows, x_from, x_to, y0):
     ref = _assert_same_run(A, Fraction(x_from), Fraction(x_to), (y0,) * len(rows),
                            1e-6, 1e-8, None, tmp_path / "fail.csv")
     assert not ref.success
+
+
+LARGE_SEED = 58
+LARGE_CASES_PER_SIZE = 2
+
+
+def test_larger_systems_match_scipy_bit_for_bit(tmp_path):
+    # the constant entries are written once and the product is one
+    # ndarray.dot: beyond 3x3 both must still give scipy's trajectory
+    rng = random.Random(LARGE_SEED)
+    for n in range(5, 9):
+        for case in range(LARGE_CASES_PER_SIZE):
+            A = SymMatrix([[_rational_entry(rng) for _ in range(n)] for _ in range(n)])
+            assert 0 < len(A.float_table()[1]) < n * n
+            a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            b = a + Fraction(rng.randint(1, 4), rng.randint(2, 4))
+            x_from, x_to = (a, b) if rng.random() < 0.5 else (b, a)
+            y0 = tuple(rng.uniform(-2, 2) for _ in range(n))
+            rtol = rng.choice((1e-4, 1e-7, 1e-10))
+            _assert_same_run(A, x_from, x_to, y0, rtol, rtol / 100, None,
+                             tmp_path / f"n{n}-{case}.csv")
+
+
+@pytest.mark.parametrize(
+    "rows,varying",
+    [
+        ([["-1/2", "1", "0", "0", "0"], ["0", "-1/3", "2", "0", "0"],
+          ["0", "0", "0", "1", "0"], ["-1", "0", "0", "0", "1"],
+          ["1/5", "0", "-3", "0", "-1"]], 0),
+        ([["0", "1", "0"], ["0", "0", "1"], ["-1", "(1)/(x^2 + 1)", "0"]], 1),
+    ],
+    ids=["all-constant", "one-varying"],
+)
+def test_split_extremes_match_scipy_bit_for_bit(tmp_path, rows, varying):
+    A = SymMatrix(rows)
+    assert len(A.float_table()[1]) == varying
+    y0 = tuple(1.0 / (i + 1) for i in range(len(rows)))
+    for x_from, x_to in ((0, Fraction(7, 2)), (Fraction(3), Fraction(-1, 2))):
+        for rtol in (1e-5, 1e-10):
+            _assert_same_run(A, x_from, x_to, y0, rtol, rtol / 100, None,
+                             tmp_path / "run.csv")
+
+
+# Three calls that share a matrix or a process: the companion matrix over
+# two domains and a second matrix between them
+SHARED_CALLS = {
+    "companion-short": ("companion", 10, 5, (10.0, 1.0, 0.5)),
+    "rational": ("rational", 1, 6, (1.0, -1.0, 2.0)),
+    "companion-long": ("companion", 10, 0, Y3_AT_10),
+}
+SHARED_MATRICES = {
+    "companion": hypergeometric_companion,
+    "rational": lambda: SymMatrix([["0", "1", "0"], ["(1)/(x^2 + 1)", "0", "x"],
+                                   ["-1", "0", "(-1)/(x)"]]),
+}
+
+
+def _counted_call(name, matrices):
+    """The value and the RHS count of one SHARED_CALLS entry."""
+    matrix, x_from, x_to, y0 = SHARED_CALLS[name]
+    A = CountingMatrix(matrices[matrix])
+    system = linear_system(A, min(x_from, x_to), max(x_from, x_to))
+    y = integrate(system, y0, x_from, x_to, rtol=1e-10, atol=1e-12)
+    return y, A.calls
+
+
+def test_integrations_share_no_state():
+    # each call alone in a fresh interpreter, then all of them alternating
+    # twice on the same matrix objects in this one
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import test_ode_connector as t; "
+        "print(repr(t._counted_call(sys.argv[2], "
+        "{k: f() for k, f in t.SHARED_MATRICES.items()})))"
+    )
+    alone = {}
+    for name in SHARED_CALLS:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, os.path.dirname(__file__), name],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        alone[name] = ast.literal_eval(proc.stdout)
+    matrices = {k: f() for k, f in SHARED_MATRICES.items()}
+    for _ in range(2):
+        for name in SHARED_CALLS:
+            assert _counted_call(name, matrices) == alone[name], name
