@@ -26,27 +26,12 @@ from .error_ledger import (
     eta_bound,
     total_error_bound,
 )
-from .fixtures import BUILTINS
-from .levinson_solver import (
-    MissingBackTransform,
-    SolutionOverflow,
-    check_dichotomy,
-    derive_original_system,
-    is_safely_continuable,
-    solution_bundle,
-)
-from .ode_connector import (
-    METHOD_INFO,
-    MIN_RTOL,
-    PoleInInterval,
-    StepSizeUnderflow,
-    integrate,
-    linear_system,
-)
+from .fixtures import BUILTINS, CHECK_GROUPS
 from .symexpr import BoundNotCertified
 from .system_model import (
     INVERSE_X,
     InvariantViolation,
+    MissingBackTransform,
     ModeError,
     ProblemSpec,
     SchemaError,
@@ -62,7 +47,9 @@ from .transform_engine import (
     OrderRegression,
     run,
 )
-from .verify import GROUPS, run_checks
+
+# solve imports the solver and the integrator, verify its check suite:
+# transform loads neither
 
 SCHEMA_VERSION = 1
 
@@ -131,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--dense-csv", metavar="PATH", help="write dense output CSV")
 
     verify = sub.add_parser("verify", help="run the built-in check suite")
-    verify.add_argument("--only", choices=GROUPS, help="run a single check group")
+    verify.add_argument("--only", choices=CHECK_GROUPS, help="run a single check group")
     verify.add_argument(
         "--tolerance",
         action="append",
@@ -337,6 +324,14 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .levinson_solver import (
+        check_dichotomy,
+        derive_original_system,
+        is_safely_continuable,
+        solution_bundle,
+    )
+    from .ode_connector import METHOD_INFO, MIN_RTOL, integrate, linear_system
+
     for flag, value in (("--rtol", args.rtol), ("--atol", args.atol)):
         if not 0 < value < math.inf:
             raise InvariantViolation(
@@ -487,6 +482,8 @@ def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_checks
+
     overrides = _parse_tolerances(args.tolerance)
     try:
         rows = run_checks(only=args.only, tolerance_overrides=overrides)
@@ -516,6 +513,16 @@ def _cmd_verify(args) -> int:
         )
         _emit(args, "\n".join(lines))
     return EXIT_OK if all_pass else EXIT_FAILURE
+
+
+def _solve_failures() -> tuple[type[Exception], ...]:
+    """The computation failures only solve raises.  An except clause
+    evaluates this only while an exception is handled, so no command that
+    succeeds loads these modules for it."""
+    from .levinson_solver import SolutionOverflow
+    from .ode_connector import PoleInInterval, StepSizeUnderflow
+
+    return PoleInInterval, SolutionOverflow, StepSizeUnderflow
 
 
 def main(argv=None) -> int:
@@ -548,9 +555,7 @@ def main(argv=None) -> int:
         EliminationIdentityViolated,
         ExpansionCapExceeded,
         OrderRegression,
-        PoleInInterval,
-        SolutionOverflow,
-        StepSizeUnderflow,
+        *_solve_failures(),
     ) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_FAILURE

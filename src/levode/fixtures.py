@@ -104,3 +104,8 @@ def hypergeometric_companion() -> SymMatrix:
 
 
 BUILTINS = {"hypergeom": builtin_hypergeometric}
+
+# the groups of the check suite over the built-in problem (``levode verify
+# --only``), kept here so that the command line can offer them without
+# loading the suite
+CHECK_GROUPS = ("symbolic", "asymptotic", "error", "continuation")

@@ -17,26 +17,35 @@ root isolation.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from . import poly
 from .error_ledger import integral_tail_bound
 from .symexpr import RationalFn, SymMatrix
-from .system_model import ProblemSpec
+from .system_model import MissingBackTransform, ProblemSpec
 
-# mpmath is imported inside the functions that use it, so commands that
-# never evaluate a solution, such as transform, skip its load time
-if TYPE_CHECKING:
-    import mpmath
-
-_DPS = 40
+_PREC = 40
 
 
-class MissingBackTransform(ValueError):
-    """The problem carries no back-transformation matrix T(x)."""
+def _context(prec: int) -> decimal.Context:
+    """A decimal context of ``prec`` digits, independent of the thread's."""
+    return decimal.Context(
+        prec=prec,
+        rounding=decimal.ROUND_HALF_EVEN,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
+    )
+
+
+# ln and exp of solution values run here, never in the thread's context
+_CTX = _context(_PREC)
+# mpmath.nstr(value, 8) rounds its ninth digit half up
+_CTX8 = decimal.Context(prec=8, rounding=decimal.ROUND_HALF_UP, Emax=decimal.MAX_EMAX)
 
 
 class SolutionOverflow(ArithmeticError):
@@ -44,23 +53,21 @@ class SolutionOverflow(ArithmeticError):
     float range."""
 
 
-def _finite_float(value, what: str) -> float:
-    out = float(value)
-    if not math.isfinite(out):
-        import mpmath
-
-        raise SolutionOverflow(
-            f"{what} = {mpmath.nstr(value, 8)} is outside the float range"
-        )
-    return out
+def _decimal(q: Fraction, ctx: decimal.Context = _CTX) -> Decimal:
+    return ctx.divide(q.numerator, q.denominator)
 
 
-def _to_mpf(value) -> mpmath.mpf:
-    import mpmath
+def _scientific(value: Decimal, shift: int = 0) -> str:
+    """value * 10**shift to 8 significant digits, written as mpmath.nstr
+    writes a number beyond the float range: ``1.6427925e+1154``."""
+    sign, digits, exponent = _CTX8.plus(value).as_tuple()
+    text = "".join(map(str, digits)).rstrip("0")
+    exponent += len(digits) - 1 + shift
+    return f"{'-' if sign else ''}{text[0]}.{text[1:] or '0'}e{exponent:+d}"
 
-    if isinstance(value, Fraction):
-        return mpmath.mpf(value.numerator) / value.denominator
-    return mpmath.mpf(value)
+
+def _overflow(what: str, text: str) -> SolutionOverflow:
+    return SolutionOverflow(f"{what} = {text} is outside the float range")
 
 
 @dataclass(frozen=True)
@@ -72,17 +79,39 @@ class ExponentData:
     log_coefficient: Fraction
     tail_budget: Fraction
 
-    def antiderivative_at(self, x) -> mpmath.mpf:
-        import mpmath
+    def antiderivative_at(self, x, ctx: decimal.Context = _CTX) -> Decimal:
+        """G_k(x) in ``ctx``: the power terms summed exactly and rounded
+        once, plus the logarithmic term."""
+        x = Fraction(x)
+        powers = sum(
+            (Fraction(c, e + 1) * x ** (e + 1) for c, e in self.laurent_terms),
+            Fraction(0),
+        )
+        total = _decimal(powers, ctx)
+        if self.log_coefficient:
+            log_term = ctx.multiply(
+                _decimal(self.log_coefficient, ctx), ctx.ln(_decimal(x, ctx))
+            )
+            total = ctx.add(total, log_term)
+        return total
 
-        with mpmath.workdps(_DPS):
-            xm = _to_mpf(x)
-            total = mpmath.mpf(0)
-            if self.log_coefficient:
-                total += _to_mpf(self.log_coefficient) * mpmath.log(xm)
-            for c, e in self.laurent_terms:
-                total += _to_mpf(Fraction(c, e + 1)) * xm ** (e + 1)
-            return total
+    def exp_at(self, x, what: str) -> float:
+        """exp(G_k(x)) rounded to a float; SolutionOverflow beyond the
+        float range, naming the value as ``what``."""
+        g = self.antiderivative_at(x)
+        try:
+            out = float(_CTX.exp(g))
+        except decimal.Overflow:  # beyond even decimal's exponent range
+            out = math.inf
+        if out < math.inf:
+            return out
+        # exp(G) = m * 10**e, with G to 40 digits after its integer part
+        ctx = _context(_PREC + g.adjusted() + 1)
+        g = self.antiderivative_at(x, ctx)
+        ln10 = ctx.ln(10)
+        e = int(ctx.divide_int(g, ln10))
+        m = ctx.exp(ctx.subtract(g, ctx.multiply(e, ln10)))
+        raise _overflow(what, _scientific(m, e))
 
 
 @dataclass(frozen=True)
@@ -182,18 +211,13 @@ def asymptotic_value(
 def _value_from(
     data: ExponentData, spec: ProblemSpec, x_eval
 ) -> tuple[tuple[float, ...], float]:
-    import mpmath
-
-    with mpmath.workdps(_DPS):
-        value = mpmath.exp(data.antiderivative_at(x_eval))
-        C = mpmath.exp(data.antiderivative_at(spec.X))
     vec = [0.0] * spec.n
-    vec[data.k - 1] = _finite_float(value, f"Z_{data.k}({x_eval})")
-    return tuple(vec), _finite_float(C, f"C = exp(G_{data.k}({spec.X}))")
+    vec[data.k - 1] = data.exp_at(x_eval, f"Z_{data.k}({x_eval})")
+    return tuple(vec), data.exp_at(spec.X, f"C = exp(G_{data.k}({spec.X}))")
 
 
 def back_transform(Z_value, P_history, spec: ProblemSpec, x_eval) -> tuple[float, ...]:
-    """T(x) * product of (I + P_m) * Z, evaluated exactly then rounded."""
+    """T(x) * product of (I + P_m) * Z, evaluated exactly then rounded once."""
     if spec.back_transform is None:
         raise MissingBackTransform(
             "the problem defines no back-transformation matrix T(x)"
@@ -208,17 +232,17 @@ def back_transform(Z_value, P_history, spec: ProblemSpec, x_eval) -> tuple[float
             [sum(product[i][t] * factor[t][j] for t in range(n)) for j in range(n)]
             for i in range(n)
         ]
-    import mpmath
-
-    with mpmath.workdps(_DPS):
-        out = []
-        for i in range(n):
-            acc = mpmath.mpf(0)
-            for j in range(n):
-                z = Z_value[j]
-                if z:
-                    acc += _to_mpf(product[i][j]) * _to_mpf(z)
-            out.append(_finite_float(acc, f"Y_{i + 1}({x_eval})"))
+    out = []
+    for i in range(n):
+        total = sum(
+            (product[i][j] * Fraction(z) for j, z in enumerate(Z_value) if z),
+            Fraction(0),
+        )
+        try:
+            out.append(float(total))
+        except OverflowError:
+            what = f"Y_{i + 1}({x_eval})"
+            raise _overflow(what, _scientific(_decimal(total))) from None
     return tuple(out)
 
 

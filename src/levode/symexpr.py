@@ -752,9 +752,19 @@ class SymMatrix:
         if isinstance(other, SymMatrix):
             if self.cols != other.rows:
                 raise ValueError("inner dimension mismatch")
-            cols = list(zip(*other.entries))
+            # each column as its nonzero (k, b) once; a zero row gives zeros
+            cols = [
+                [(k, b) for k, b in enumerate(col) if b.int_num]
+                for col in zip(*other.entries)
+            ]
+            zero_row = (_ZERO,) * other.cols
             return _matrix(
-                tuple(tuple(_dot(row, col) for col in cols) for row in self.entries)
+                tuple(
+                    tuple(_dot(row, col) for col in cols)
+                    if any(a.int_num for a in row)
+                    else zero_row
+                    for row in self.entries
+                )
             )
         f = _as_fn_or_none(other)
         if f is None:
@@ -913,9 +923,11 @@ def _matrix(rows: tuple[tuple[RationalFn, ...], ...]) -> SymMatrix:
 
 
 def _dot(row, col) -> RationalFn:
-    """The sum of the products a*b, each left unreduced for one normalisation."""
-    return _sum([
+    """The sum of the products row[k]*b over the nonzero entries (k, b) of a
+    column, each left unreduced for one normalisation."""
+    pairs = [
         (poly.mul(a.int_num, b.int_num), poly.mul(a.int_den, b.int_den))
-        for a, b in zip(row, col)
-        if a.int_num and b.int_num
-    ])
+        for k, b in col
+        if (a := row[k]).int_num
+    ]
+    return _sum(pairs) if pairs else _ZERO

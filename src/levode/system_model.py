@@ -48,6 +48,10 @@ class ModeError(ValueError):
     """An operation was invoked in the wrong mode."""
 
 
+class MissingBackTransform(ValueError):
+    """The problem carries no back-transformation matrix T(x)."""
+
+
 @dataclass(frozen=True)
 class Monomial:
     """c * x**e with an exact rational c != 0 and integer e."""

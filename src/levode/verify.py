@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .error_ledger import eta_bound, total_error_bound
-from .fixtures import builtin_hypergeometric, hypergeometric_companion
+from .fixtures import CHECK_GROUPS, builtin_hypergeometric, hypergeometric_companion
 from .levinson_solver import check_dichotomy, solution_bundle
 from .ode_connector import integrate, linear_system
 from .symexpr import RationalFn, SymMatrix
@@ -30,8 +30,6 @@ from .transform_engine import (
     iterate,
     run,
 )
-
-GROUPS = ("symbolic", "asymptotic", "error", "continuation")
 
 S1_EXPECTED = [
     ["(-3)/(x^3)", "0", "0"],
@@ -334,8 +332,8 @@ def run_checks(
     only: str | None = None,
     tolerance_overrides: dict[str, float] | None = None,
 ) -> list[CheckRow]:
-    if only is not None and only not in GROUPS:
-        raise ValueError(f"unknown check group {only!r}; choose from {GROUPS}")
+    if only is not None and only not in CHECK_GROUPS:
+        raise ValueError(f"unknown check group {only!r}; choose from {CHECK_GROUPS}")
     overrides = tolerance_overrides or {}
     unknown = set(overrides) - {name for name, _, _ in _CHECKS}
     if unknown:

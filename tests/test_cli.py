@@ -802,38 +802,6 @@ def test_cli_import_leaves_numerics_unloaded():
     assert proc.stdout.split() == ["False", "False"]
 
 
-def test_transform_leaves_mpmath_unloaded():
-    # only evaluating a solution needs multiprecision
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, levode.cli; code = levode.cli.main(['transform', '--builtin', "
-         "'hypergeom', '--format', 'json']); "
-         "print(code, 'mpmath' in sys.modules, file=sys.stderr)"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0
-    assert proc.stderr.split() == ["0", "False"]
-    assert json.loads(proc.stdout)["command"] == "transform"
-
-
-def test_solve_with_continuation_leaves_scipy_unloaded():
-    # the integrator is levode's own
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, levode.cli; code = levode.cli.main(['solve', '--builtin', "
-         "'hypergeom', '-k', '3', '--target', '0']); "
-         "print(code, 'scipy' in sys.modules, file=sys.stderr)"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0
-    assert proc.stderr.split() == ["0", "False"]
-    assert "Y(0) = [1.8777858808658072, " in proc.stdout
-
-
 def test_verify_leaves_scipy_unloaded():
     # verify's quadrature is mpmath's; scipy is only a test oracle
     proc = subprocess.run(
@@ -847,3 +815,68 @@ def test_verify_leaves_scipy_unloaded():
     assert proc.returncode == 0
     assert proc.stderr.split() == ["0", "False"]
     assert "16/16 checks passed" in proc.stdout
+
+
+def _modules_loaded_by(argv: list[str], names: list[str]) -> tuple[int, list[str], str]:
+    """Exit code, the ``names`` in sys.modules after ``main(argv)`` in a
+    fresh interpreter, and stdout."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, levode.cli; code = levode.cli.main(sys.argv[2:]); "
+         "names = sys.argv[1].split(','); "
+         "print(code, *[n for n in names if n in sys.modules], file=sys.stderr)",
+         ",".join(names), *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    code, *loaded = proc.stderr.split()
+    return int(code), loaded, proc.stdout
+
+
+def test_transform_loads_only_the_reduction():
+    code, loaded, out = _modules_loaded_by(
+        ["transform", "--builtin", "hypergeom", "--format", "json"],
+        ["levode.levinson_solver", "levode.ode_connector", "levode.verify",
+         "numpy", "mpmath"],
+    )
+    assert (code, loaded) == (0, [])
+    assert json.loads(out)["command"] == "transform"
+
+
+def test_solve_leaves_mpmath_scipy_and_verify_unloaded():
+    # the integrator is levode's own, and solution values need no mpmath
+    code, loaded, out = _modules_loaded_by(
+        ["solve", "--builtin", "hypergeom", "-k", "3", "--target", "0"],
+        ["levode.verify", "mpmath", "scipy", "levode.levinson_solver", "numpy"],
+    )
+    # the solver and numpy do load: the check above is not vacuous
+    assert (code, loaded) == (0, ["levode.levinson_solver", "numpy"])
+    assert "Y(0) = [1.8777858808658072, " in out
+
+
+def test_package_exports_resolve():
+    import levode
+
+    assert set(levode.__all__) == {
+        "ContractionFailure", "DivergentIntegral", "ErrorLedger", "INVERSE_X",
+        "InvariantViolation", "LedgerEntry", "LinearSystem",
+        "MissingBackTransform", "ModeError", "Monomial", "OrderRegression",
+        "PoleInInterval", "RationalFn", "STANDARD", "SchemaError",
+        "StepSizeUnderflow", "SymMatrix", "asymptotic_value", "back_transform",
+        "builtin_hypergeometric", "check_dichotomy", "commutator_terms",
+        "compute_P", "derive_original_system", "elimination_defect",
+        "eta_bound", "exponent_data", "initial_state", "integrate",
+        "is_safely_continuable", "iterate", "linear_system", "load_problem",
+        "matrix_norm_bound", "run", "serialize_problem", "solution_bundle",
+        "total_error_bound", "validate", "validate_resonance",
+    }
+    for name in levode.__all__:
+        value = getattr(levode, name)
+        assert getattr(value, "__name__", name) == name
+    namespace: dict = {}
+    exec("from levode import *", namespace)
+    assert set(levode.__all__) <= set(namespace)
+    assert set(levode.__all__) <= set(dir(levode))
+    with pytest.raises(AttributeError):
+        levode.no_such_name

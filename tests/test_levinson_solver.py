@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -19,8 +22,11 @@ from levode import (
     solution_bundle,
 )
 from levode.fixtures import hypergeometric_companion
+from levode.levinson_solver import SolutionOverflow
 from levode.ode_connector import integrate, linear_system
+from levode.sampling import random_problem
 from levode.system_model import INVERSE_X, Monomial, ProblemSpec, validate
+from levode.transform_engine import run
 
 
 def fn(s: str) -> RationalFn:
@@ -227,3 +233,102 @@ def test_reduction_commutes_with_integration(fixture_spec, fixture_final):
     expected = z_at(10)
     for got, want in zip(arrived, expected):
         assert got == pytest.approx(want, abs=1e-8)
+
+
+# -- differential: the decimal evaluation against 40-digit mpmath -------
+
+def _mpf(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _oracle_float(value):
+    """A 40-digit mpmath value as a float, or as mpmath.nstr(value, 8)
+    when it is beyond the float range."""
+    out = float(value)
+    return out if math.isfinite(out) else mpmath.nstr(value, 8)
+
+
+def _oracle_exp(data, x):
+    """exp(G_k(x)), each operation rounded to 40 digits by mpmath."""
+    with mpmath.workdps(40):
+        xm = _mpf(Fraction(x))
+        total = mpmath.mpf(0)
+        if data.log_coefficient:
+            total += _mpf(data.log_coefficient) * mpmath.log(xm)
+        for c, e in data.laurent_terms:
+            total += _mpf(Fraction(c, e + 1)) * xm ** (e + 1)
+        return _oracle_float(mpmath.exp(total))
+
+
+def _oracle_back_transform(Z, history, spec, x):
+    """T(x) * product of (I + P_m), exact, times Z in 40-digit mpmath."""
+    n = spec.n
+    product = spec.back_transform.eval_exact(x)
+    for psplit in history:
+        factor = (SymMatrix.identity(n) + psplit.combined).eval_exact(x)
+        product = [
+            [sum(product[i][t] * factor[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+    out = []
+    with mpmath.workdps(40):
+        for row in product:
+            acc = mpmath.mpf(0)
+            for p, z in zip(row, Z):
+                if z:
+                    acc += _mpf(p) * mpmath.mpf(z)
+            out.append(acc)
+    return [_oracle_float(v) for v in out]
+
+
+def _or_overflow_text(fn, *args):
+    """fn(*args), or the value named by the SolutionOverflow it raises."""
+    try:
+        return fn(*args)
+    except SolutionOverflow as exc:
+        return re.fullmatch(r".* = (\S+) is outside the float range", str(exc))[1]
+
+
+def _check_against_oracle(spec, fs, points):
+    n = spec.n
+    for k in range(1, n + 1):
+        data = exponent_data(k, fs.diag, spec)
+        for x in (spec.X, *points):
+            assert _or_overflow_text(data.exp_at, x, "Z") == _oracle_exp(data, x)
+    # solution vectors, and vectors large enough to overflow on the way back
+    rng = random.Random(n)
+    vectors = [
+        tuple(rng.choice((0.0, rng.uniform(-1, 1) * 10 ** rng.randint(-300, 308)))
+              for _ in range(n))
+        for _ in range(8)
+    ]
+    vectors += [(1.7e308,) * n, tuple((-1) ** i * 1.7e308 for i in range(n))]
+    for k in range(1, n + 1):
+        try:
+            vectors.append(asymptotic_value(k, fs.diag, spec, spec.X)[0])
+        except SolutionOverflow:
+            pass
+    if spec.back_transform is None:
+        spec = dataclasses.replace(spec, back_transform=SymMatrix.identity(n))
+    for x in (spec.X, *points):
+        for Z in vectors:
+            got = _or_overflow_text(back_transform, Z, fs.history, spec, x)
+            want = _oracle_back_transform(Z, fs.history, spec, Fraction(x))
+            if isinstance(got, str):  # the first component past the float range
+                assert got == next(v for v in want if isinstance(v, str))
+            else:
+                assert list(got) == want
+
+
+@pytest.mark.parametrize("X", [Fraction(10), Fraction(20), Fraction(11),
+                               Fraction(27, 2), Fraction(100), Fraction(1000)])
+def test_solution_values_match_mpmath_builtin(X, fixture_spec, fixture_final):
+    spec = validate(fixture_spec.with_X(X))
+    _check_against_oracle(spec, fixture_final, (X + Fraction(1, 3), 2 * X, Fraction(25, 2)))
+
+
+def test_solution_values_match_mpmath_random_problems():
+    rng = random.Random(2024)
+    problems = [random_problem(rng) for _ in range(200)]
+    for spec in problems[::10]:
+        _check_against_oracle(spec, run(spec), (spec.X + 1, Fraction(7, 3) * spec.X))

@@ -515,6 +515,40 @@ def test_matrix_commutator_matches_products():
         SymMatrix.zeros(2).commutator([fn("1")] * 3)
 
 
+def test_sparse_matrix_products_match_dense_reference():
+    import random
+
+    rng = random.Random(12)
+    # mostly zeros; the rest over x^k and over other denominators
+    pool = ["0"] * 8 + [
+        "1", "-3", "x", "(1)/(x^2)", "(5)/(3*x^4)", "(x - 7)/(x^3)",
+        "(x^2 + 1)/(x - 2)", "(3*x)/(x^2 + x + 1)", "(2)/(x^2 - 3)",
+    ]
+
+    def random_matrix(rows, cols):
+        m = [[fn(rng.choice(pool)) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.5:
+            m[rng.randrange(rows)] = [fn("0")] * cols
+        if rng.random() < 0.5:
+            j = rng.randrange(cols)
+            for row in m:
+                row[j] = fn("0")
+        return SymMatrix(m)
+
+    for _ in range(60):
+        n, k, m = (rng.randint(1, 5) for _ in range(3))
+        a, b = random_matrix(n, k), random_matrix(k, m)
+        dense = [
+            [
+                sum((a.entry(i, t) * b.entry(t, j) for t in range(k)), RationalFn.const(0))
+                for j in range(m)
+            ]
+            for i in range(n)
+        ]
+        assert (a * b).to_strings() == SymMatrix(dense).to_strings()
+    assert (SymMatrix.zeros(2, 3) * SymMatrix.identity(3)).is_zero
+
+
 def test_matrix_sum_of_many_matches_binary_operators():
     a = SymMatrix(((fn("x"), fn("(1)/(x)")), (fn("0"), fn("(x)/(x + 1)"))))
     b = SymMatrix(((fn("(2)/(x^3)"), fn("1")), (fn("(1)/(x^2 - 3)"), fn("0"))))
