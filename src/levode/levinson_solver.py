@@ -171,7 +171,7 @@ def check_dichotomy(spec: ProblemSpec, diag: tuple[RationalFn, ...]) -> Dichotom
                 sign_constant = False
             else:
                 changes = poly.count_roots_above(
-                    poly.odd_multiplicity_part(F.num), X
+                    poly.odd_multiplicity_part(F.int_num), X
                 )
                 sign_constant = changes == 0
             results.append(PairResult(j, k, sign_constant, divergent))

@@ -95,11 +95,6 @@ def integrate(
             f"[{lo}, {hi}] leaves the system domain [{system.domain[0]}, {system.domain[1]}]"
         )
     y0 = np.asarray(y0, dtype=float)
-    t0, t_end = float(x_from), float(x_to)
-    if t0 == t_end:
-        if dense_path is not None:
-            _write_dense(dense_path, [t0], [tuple(y0)])
-        return tuple(float(v) for v in y0)
     if y0.ndim != 1 or not np.isfinite(y0).all():
         raise ValueError("the initial value must be a finite vector")
     max_step = math.inf if max_step is None else max_step
@@ -110,6 +105,11 @@ def integrate(
     if rtol < MIN_RTOL:
         warnings.warn(f"rtol {rtol!r} is below 100 machine epsilons; using {MIN_RTOL!r}")
         rtol = MIN_RTOL
+    t0, t_end = float(x_from), float(x_to)
+    if t0 == t_end:
+        if dense_path is not None:
+            _write_dense(dense_path, [t0], [tuple(y0)])
+        return tuple(float(v) for v in y0)
 
     A = system.A
     rows, varying = A.float_table()

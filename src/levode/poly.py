@@ -1,19 +1,19 @@
 """Dense univariate polynomial arithmetic over the integers and the rationals.
 
 A polynomial is an immutable tuple of coefficients indexed by power, with
-no trailing zeros; the zero polynomial is the empty tuple.  Coefficients
-are ints or ``Fraction``s, and one kernel serves both: the ring operations
-(``add``, ``neg``, ``sub``, ``scale``, ``mul``, ``shift``, ``derivative``)
-keep a tuple of ints in Z[x], ``divmod_exact`` does too whenever the
-divisor divides, and no operation ever rounds to a float.  ``RationalFn``
-keeps its numerator and denominator as such integer tuples.  All
-operations are exact.  Besides ring arithmetic this module provides the
-pieces of real-root machinery the rest of the package relies on: Sturm
-chains for counting roots on half-open intervals and for isolating each
-root in an interval of its own, the Fujiwara bound that confines every
-root to a disc, Yun's squarefree decomposition for sign-change analysis,
-and magnitude bounds on an interval from the Taylor coefficients at its
-left end.
+no trailing zeros; the zero polynomial is the empty tuple.  It is an
+integer kernel: the ring operations (``add``, ``neg``, ``sub``, ``scale``,
+``mul``, ``shift``, ``derivative``) keep a tuple of ints in Z[x],
+``divmod_exact`` does too whenever the divisor divides, ``gcd`` and Yun's
+``squarefree_decomposition`` return primitive ints (exact by Gauss's
+lemma), and one integer Horner rule evaluates at a rational point.
+``Fraction``s appear only where values enter or leave: ``make``, points,
+interval ends and bounds.  Besides ring arithmetic this module provides
+the real-root machinery the rest of the package relies on: Sturm chains
+for counting roots on half-open intervals and for isolating each root in
+an interval of its own, the Fujiwara bound that confines every root to a
+disc, and magnitude bounds on an interval from the Taylor coefficients at
+its left end.
 """
 
 from __future__ import annotations
@@ -134,13 +134,6 @@ def divmod_exact(p: Coeffs, q: Coeffs) -> tuple[Coeffs, Coeffs]:
     return trim(quo), trim(rem)
 
 
-def monic(p: Coeffs) -> Coeffs:
-    if not p:
-        return ZERO
-    lc = leading(p)
-    return p if lc == 1 else tuple(Fraction(c, lc) for c in p)
-
-
 def valuation(p: Coeffs) -> int:
     """Index of the lowest nonzero coefficient (0 for the zero polynomial)."""
     for i, c in enumerate(p):
@@ -179,13 +172,18 @@ def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
     return r
 
 
-def primitive_gcd(p: Coeffs, q: Coeffs) -> Coeffs:
-    """Greatest common divisor of nonzero ``p`` and ``q`` as primitive ints
-    with a positive leading coefficient, via a primitive remainder sequence.
+def gcd(p: Coeffs, q: Coeffs) -> Coeffs:
+    """Greatest common divisor as primitive ints with a positive leading
+    coefficient, via a primitive remainder sequence; with a zero operand it
+    is the other one made so, its power of x kept.
 
     Working over the integers with content removal after every step avoids
     the coefficient blowup of naive Euclid over the rationals.
     """
+    if not p:
+        p, q = q, p
+    if not p:
+        return ZERO
     vp, vq = valuation(p), valuation(q)
     a = _primitive_ints(p[vp:])
     b = _primitive_ints(q[vq:])
@@ -195,33 +193,33 @@ def primitive_gcd(p: Coeffs, q: Coeffs) -> Coeffs:
         a, b = b, _primitive(_pseudo_rem(a, b))
     if a[-1] < 0:
         a = [-c for c in a]
-    return shift(tuple(a), min(vp, vq))
-
-
-def gcd(p: Coeffs, q: Coeffs) -> Coeffs:
-    """Monic greatest common divisor, with Fraction coefficients."""
-    if not p:
-        return monic(q)
-    if not q:
-        return monic(p)
-    g = primitive_gcd(p, q)
-    return tuple(Fraction(c, g[-1]) for c in g)
+    return shift(tuple(a), min(vp, vq) if q else vp)
 
 
 def derivative(p: Coeffs) -> Coeffs:
     return trim(tuple(p[i] * i for i in range(1, len(p))))
 
 
-def eval_at(p: Coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _homogeneous_value(p: Coeffs | list[int], num: int, den: int) -> int:
+    """den**deg * p(num/den): the integer sum of c_i * num**i * den**(deg - i)."""
+    acc = 0
+    scale = 1
     for c in reversed(p):
-        acc = acc * x + c
+        acc = acc * num + c * scale
+        scale *= den
     return acc
 
 
-def float_coeffs(p: Coeffs) -> tuple[float, ...]:
-    """The coefficients of ``p`` rounded to floats, highest power first."""
-    return tuple(float(c) for c in reversed(p))
+def eval_at(p: Coeffs, x: Fraction) -> Fraction:
+    """p(x), from the Horner sum over x's numerator and denominator divided once."""
+    b = x.denominator
+    return Fraction(_homogeneous_value(p, x.numerator, b), b ** max(len(p) - 1, 0))
+
+
+def float_coeffs(p: Coeffs, lc: int) -> tuple[float, ...]:
+    """The coefficients of ``p`` over ``lc`` as floats, highest power first;
+    int true division rounds c / lc correctly, as float(Fraction(c, lc))."""
+    return tuple(c / lc for c in reversed(p))
 
 
 def horner_ratio(num: tuple[float, ...], den: tuple[float, ...] | None, x: float) -> float:
@@ -293,25 +291,27 @@ def fujiwara_bound(p: Coeffs) -> Fraction:
 def squarefree_decomposition(p: Coeffs) -> list[Coeffs]:
     """Yun decomposition: returns [a1, a2, ...] with p ~ prod a_i**i.
 
-    Factors are monic; constant factors are dropped.  Characteristic zero
-    only, which is all we have.
+    Factors are primitive ints with positive leading coefficients, and
+    every quotient is exact in Z[x] by Gauss's lemma; constant factors are
+    dropped.  Characteristic zero only, which is all we have.
     """
     if degree(p) < 1:
         return []
+    p = gcd(p, ZERO)
     g = gcd(p, derivative(p))
     if degree(g) == 0:
-        return [monic(p)]
+        return [p]
     out: list[Coeffs] = []
     w = divmod_exact(p, g)[0]
     y = divmod_exact(derivative(p), g)[0]
     z = sub(y, derivative(w))
     while not is_zero(z):
         h = gcd(w, z)
-        out.append(monic(h))
+        out.append(h)
         w = divmod_exact(w, h)[0]
         y = divmod_exact(z, h)[0]
         z = sub(y, derivative(w))
-    out.append(monic(w))
+    out.append(w)
     return out
 
 
@@ -341,24 +341,13 @@ def _sturm_chain(p: Coeffs) -> list[list[int]]:
     while len(chain[-1]) > 1:
         r = _pseudo_rem(chain[-2], chain[-1])
         if not r:
-            g = make(chain[-1])
-            return [_primitive_ints(divmod_exact(make(q), g)[0]) for q in chain]
+            return [_primitive_ints(divmod_exact(q, chain[-1])[0]) for q in chain]
         chain.append(_primitive([-v for v in r]))
     return chain
 
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
-
-
-def _homogeneous_value(p: list[int], num: int, den: int) -> int:
-    """den**deg * p(num/den): the integer sum of c_i * num**i * den**(deg - i)."""
-    acc = 0
-    scale = 1
-    for c in reversed(p):
-        acc = acc * num + c * scale
-        scale *= den
-    return acc
 
 
 def _variations(signs) -> int:

@@ -4,17 +4,18 @@
 stored as one pair of int tuples (N, D): coprime as polynomials, with no
 integer content common to all their coefficients, and lc(D) > 0.  Equal
 values have equal pairs, so equality, hashing and the canonical string
-work on ints alone; ``num`` and ``den`` view the pair as Fractions over a
-monic denominator, built on access.  Almost every denominator the
-reduction meets is c*x**k: such a quotient is reduced by slicing off the
-common power of x, with no polynomial gcd, and differentiates as
+work on ints alone, as does every reader in the package; ``num`` and
+``den`` are monic-Fraction views, built on access, for readers outside
+it.  Almost every denominator the reduction meets is c*x**k: such a
+quotient is reduced by slicing off the common power of x, with no
+polynomial gcd, and differentiates as
 (x*p' - k*p)/(c*x**(k+1)).  ``rational_sum`` adds any number of terms:
 those over c*x**k are lifted to lcm(c)*x**max(k), their numerators added
 in one list and the sum normalised once; ``+`` and ``-`` are its two-term
 case, and a zero operand short-circuits.  Other denominators are divided
-by the primitive integer gcd; every polynomial operation is ``poly``'s,
-the one kernel for int and Fraction tuples.  ``SymMatrix`` is a dense
-matrix of them with non-commutative products, each entry of a product
+by the primitive integer gcd; every polynomial operation is that of
+``poly``, the integer kernel.  ``SymMatrix`` is a dense matrix of them
+with non-commutative products, each entry of a product
 one such sum of unreduced products; ``SymMatrix.sum`` adds many matrices
 entry by entry, and ``SymMatrix.commutator`` forms D*P - P*D for a
 diagonal D as (d_i - d_j)*P_ij.  On top of the arithmetic the module
@@ -69,7 +70,7 @@ class RationalFn:
     Stored as the canonical pair ``(int_num, int_den)``: trimmed int tuples,
     coprime as polynomials, with no common integer content and a positive
     leading denominator coefficient.  ``num`` and ``den`` view it as
-    Fractions over a monic denominator, built on access.
+    Fractions over a monic denominator, for readers outside the package.
     """
 
     __slots__ = ("int_num", "int_den")
@@ -285,14 +286,15 @@ class RationalFn:
         """The form ``eval_float`` evaluates.  A constant is its float value,
         which is its Horner value at every finite x (0.0*x + c == c); any
         other function is its numerator and denominator as
-        ``poly.float_coeffs``, the denominator None when it is 1: the
-        arguments of ``poly.horner_ratio``."""
-        num = self.num
-        if len(self.int_den) == 1:
+        ``poly.float_coeffs`` over lc(D), the denominator None when it is
+        constant: the arguments of ``poly.horner_ratio``."""
+        num, den = self.int_num, self.int_den
+        lc = den[-1]
+        if len(den) == 1:
             if len(num) <= 1:
-                return float(num[0]) if num else 0.0
-            return poly.float_coeffs(num), None
-        return poly.float_coeffs(num), poly.float_coeffs(self.den)
+                return num[0] / lc if num else 0.0
+            return poly.float_coeffs(num, lc), None
+        return poly.float_coeffs(num, lc), poly.float_coeffs(den, lc)
 
     def eval_float(self, x: float) -> float:
         table = self.float_table()
@@ -366,7 +368,7 @@ def _normal(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
         if v:
             num, den = num[v:], den[v:]
     else:
-        g = poly.primitive_gcd(num, den)
+        g = poly.gcd(num, den)
         if len(g) > 1:
             num = poly.divmod_exact(num, g)[0]
             den = poly.divmod_exact(den, g)[0]
@@ -588,7 +590,7 @@ def sup_bound(f: RationalFn, X, *, rel_slack=Fraction(1, 20)) -> Fraction:
     if lo > 0:
         raise UnboundedAtInfinity(f"leading power {lo} > 0 on [{X}, inf)")
     X = Fraction(X)
-    n, d = f.num, f.den
+    n, d = f.int_num, f.int_den
     if f.has_pole_in(X):
         raise PoleInDomain(f"denominator vanishes on [{X}, inf)")
 

@@ -36,6 +36,7 @@ from levode import (
     run,
     total_error_bound,
 )
+from levode.error_ledger import ContractionFailure, DivergentIntegral, bound_ledger
 from levode.fixtures import builtin_hypergeometric, hypergeometric_companion
 from levode.sampling import random_problem
 from levode.system_model import INVERSE_X, Monomial, ProblemSpec, validate
@@ -158,6 +159,43 @@ def test_random_sweep_canonical_forms_are_pinned():
             strings += [s for row in m.to_strings() for s in row]
         digests.append(digest(strings))
     assert digest(digests) == SWEEP_DIGEST
+
+
+CERTIFY_DIGEST = "5a3b1856bca132ac816918b991707045582f045aae1fa5c1a28ca7e2aa6403a4"
+
+
+def test_random_sweep_bounds_and_screens_are_pinned():
+    # per problem: the exact ledger norms (or the class and message of the
+    # exception bound_ledger raises), eta_bound's float (or the same for
+    # its exception) and every dichotomy pair; then sha256 of the
+    # per-problem digests in stream order
+    def digest(strings):
+        return hashlib.sha256("\n".join(strings).encode()).hexdigest()
+
+    def failure(exc):
+        return f"{type(exc).__name__}: {exc}"
+
+    rng = random.Random(2024)
+    digests = []
+    for _ in range(200):
+        spec = random_problem(rng)
+        fs = run(spec)
+        try:
+            norms = bound_ledger(fs.ledger)
+            strings = [str(v) for v in norms.entries] + ["|"]
+            strings += [str(v) for v in norms.p_matrices]
+        except (ContractionFailure, DivergentIntegral) as exc:
+            strings = [failure(exc)]
+        try:
+            strings.append(repr(eta_bound(fs.residual, spec)))
+        except (ContractionFailure, DivergentIntegral) as exc:
+            strings.append(failure(exc))
+        strings += [
+            f"{p.j} {p.k} {p.sign_constant} {p.integral_divergent}"
+            for p in check_dichotomy(spec, fs.diag).pairs
+        ]
+        digests.append(digest(strings))
+    assert digest(digests) == CERTIFY_DIGEST
 
 
 def test_exact_solution_checks(fixture_spec):

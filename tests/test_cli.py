@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import importlib
 import json
+import re
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -778,9 +781,23 @@ def test_fuzzed_problem_documents_keep_the_exit_code_contract(capsys, tmp_path):
 # -- console entry point ------------------------------------------------
 
 def test_installed_script_runs():
+    # the installed console script when there is one; otherwise the
+    # [project.scripts] target it would call must import and be callable,
+    # and its module runs as a script
+    script = shutil.which("levode")
+    if script is None:
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        entry = re.search(
+            r'^\[project\.scripts\][^\[]*?^levode\s*=\s*"([\w.]+):(\w+)"', pyproject, re.M
+        )
+        assert entry, "pyproject.toml declares no levode console script"
+        module, name = entry.groups()
+        assert callable(getattr(importlib.import_module(module), name))
+        command = [sys.executable, "-m", module]
+    else:
+        command = [script]
     proc = subprocess.run(
-        [sys.executable, "-m", "levode.cli", "transform", "--builtin",
-         "hypergeom", "--format", "json"],
+        [*command, "transform", "--builtin", "hypergeom", "--format", "json"],
         capture_output=True,
         text=True,
         timeout=120,

@@ -43,6 +43,23 @@ def test_equal_endpoints_return_input():
     assert y == (3.0, 4.0)
 
 
+@pytest.mark.parametrize("x_to", [2.0, 3.0], ids=["equal-endpoints", "interval"])
+@pytest.mark.parametrize(
+    "y0, options",
+    [
+        ((math.nan, 4.0), {}),
+        ([[3.0, 4.0]], {}),
+        ((3.0, 4.0), {"atol": -1.0}),
+        ((3.0, 4.0), {"max_step": 0.0}),
+    ],
+    ids=["nan", "2-d", "atol", "max_step"],
+)
+def test_invalid_input_rejected_for_every_target(x_to, y0, options):
+    system = linear_system(const_matrix([[0, 1], [-1, 0]]), Fraction(0), Fraction(5))
+    with pytest.raises(ValueError):
+        integrate(system, y0, 2.0, x_to, **{"rtol": 1e-10, "atol": 1e-12, **options})
+
+
 def test_polynomial_solution_is_propagated_exactly():
     # y = x solves the underlying third-order equation, so Y = (x, 1, 0)
     # should ride through the companion system untouched

@@ -701,17 +701,45 @@ def test_matrix_max_leading_order():
 def test_poly_gcd_matches_known_factorizations():
     p = poly.mul(poly.make([-1, 1]), poly.make([2, 0, 1]))
     q = poly.mul(poly.make([-1, 1]), poly.make([5, 1]))
-    assert poly.gcd(p, q) == poly.make([-1, 1])
-    assert poly.gcd(p, poly.ZERO) == poly.monic(p)
+    assert poly.gcd(p, q) == (-1, 1)
     assert poly.gcd(poly.x_power(7), poly.x_power(4)) == poly.x_power(4)
-    # the same kernel on int tuples stays in Z[x] and never divides to a float
+    # on int tuples the gcd and exact quotients stay in Z[x], never a float
     pi, qi = poly.mul((-2, 2), (2, 0, 1)), poly.mul((3, -3), (5, 1))
-    assert poly.primitive_gcd(pi, qi) == (-1, 1)
-    assert poly.primitive_gcd(poly.shift((4, 6), 3), (0, 0, 10, 15)) == (0, 0, 2, 3)
+    assert poly.gcd(pi, qi) == (-1, 1)
+    assert poly.gcd(poly.shift((4, 6), 3), (0, 0, 10, 15)) == (0, 0, 2, 3)
     assert poly.divmod_exact(pi, (-1, 1)) == ((4, 0, 2), ())
     assert all(type(c) is int for c in poly.divmod_exact(pi, (-1, 1))[0])
     assert poly.divmod_exact((1, 0, 1), (0, 2)) == ((0, F(1, 2)), (1,))
-    assert poly.monic((3, 6)) == (F(1, 2), 1)
+
+
+def test_poly_gcd_with_a_zero_operand_is_the_other_made_primitive():
+    cases = [
+        (poly.x_power(7), poly.ZERO, poly.x_power(7)),
+        (poly.ZERO, (0, 0, 6, -4), (0, 0, -3, 2)),
+        (poly.shift((6, 9), 3), poly.ZERO, (0, 0, 0, 2, 3)),
+        (poly.ZERO, poly.make([0, F(1, 2), F(3, 4)]), (0, 2, 3)),
+        (poly.ZERO, (-5,), (1,)),
+    ]
+    for p, q, want in cases:
+        got = poly.gcd(p, q)
+        assert got == want
+        assert all(type(c) is int for c in got)
+    assert poly.gcd(poly.ZERO, poly.ZERO) == poly.ZERO
+
+
+def test_poly_squarefree_decomposition_stays_in_integers():
+    # (x-1)^2 (x-3)^3 (2x+1), with content -6 and as Fractions
+    p = poly.mul(poly.mul((-1, 1), (-1, 1)), (1, 2))
+    for _ in range(3):
+        p = poly.mul(p, (-3, 1))
+    want = [(1, 2), (-1, 1), (-3, 1)]
+    for q in (p, poly.scale(p, -6), poly.make(F(c, 7) for c in p)):
+        factors = poly.squarefree_decomposition(q)
+        assert factors == want
+        assert all(type(c) is int for f in factors for c in f)
+    part = poly.odd_multiplicity_part(p)
+    assert part == poly.mul((1, 2), (-3, 1))
+    assert all(type(c) is int for c in part)
 
 
 def test_poly_root_counting():
