@@ -5,7 +5,8 @@ perturbation below a prescribed power of x by repeated exact
 transformations (``transform_engine``), bound everything that was set
 aside (``error_ledger``), evaluate asymptotic solutions at a finite
 point with a certified deviation (``levinson_solver``), and continue
-them numerically to a regular target (``ode_connector``).
+them numerically to a regular target (``ode_connector``).  Every
+exception they raise derives from one failure category of ``errors``.
 
 The names below load their submodule on first use (PEP 562), so a
 command imports only the stages it runs.
@@ -27,6 +28,12 @@ _SUBMODULE = {
             "eta_bound",
             "matrix_norm_bound",
             "total_error_bound",
+        ),
+        "errors": (
+            "ComputationFailed",
+            "InvalidInput",
+            "LevodeError",
+            "MissingBackTransform",
         ),
         "fixtures": ("builtin_hypergeometric",),
         "levinson_solver": (
@@ -50,7 +57,6 @@ _SUBMODULE = {
             "INVERSE_X",
             "STANDARD",
             "InvariantViolation",
-            "MissingBackTransform",
             "ModeError",
             "Monomial",
             "SchemaError",

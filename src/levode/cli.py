@@ -3,9 +3,12 @@
 Exit codes: 0 success; 1 verification failure, refused continuation, or a
 failed computation (an uncertified or divergent bound, a reduction step
 that breaks down, a bound or solution value beyond the float range);
-2 invalid input (schema, invariant, file, flags); 3 resonance in the small
-diagonal block; 4 dichotomy failure.  JSON reports never contain Infinity
-or NaN.
+2 invalid input (schema, invariant, file, flags) or an output that cannot
+be written; 3 resonance in the small diagonal block; 4 dichotomy failure.
+Every failure but the last kind is a ``LevodeError``: ``main`` prints its
+category's prefix and message as one line on stderr (a resonance, one
+line per hit) and returns its category's exit code (``levode.errors``).
+JSON reports never contain Infinity or NaN.
 """
 
 from __future__ import annotations
@@ -18,53 +21,37 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from .error_ledger import (
-    BoundOverflow,
-    ContractionFailure,
-    DivergentIntegral,
-    bound_ledger,
-    eta_bound,
-    total_error_bound,
+from .error_ledger import bound_ledger, eta_bound, total_error_bound
+from .errors import (
+    ContinuationRefused,
+    DichotomyFailure,
+    InvalidInput,
+    LevodeError,
+    Resonance,
 )
 from .fixtures import BUILTINS, CHECK_GROUPS
-from .symexpr import BoundNotCertified
 from .system_model import (
     INVERSE_X,
-    InvariantViolation,
-    MissingBackTransform,
-    ModeError,
     ProblemSpec,
-    SchemaError,
     load_problem,
     validate,
     validate_resonance,
 )
-from .transform_engine import (
-    DivisionByZeroDenominator,
-    EliminationIdentityViolated,
-    ExpansionCapExceeded,
-    FinalState,
-    OrderRegression,
-    run,
-)
+from .transform_engine import FinalState, run
 
 # solve imports the solver and the integrator, verify its check suite:
 # transform loads neither
 
 SCHEMA_VERSION = 1
 
-EXIT_OK = 0
-EXIT_FAILURE = 1
-EXIT_INVALID = 2
-EXIT_RESONANCE = 3
-EXIT_DICHOTOMY = 4
 
-
-class ProblemUnreadable(ValueError):
+class ProblemUnreadable(InvalidInput):
     """The problem file could not be opened or is not JSON."""
 
+    prefix = "cannot read problem: "
 
-class UsageError(ValueError):
+
+class UsageError(InvalidInput):
     """The command line does not parse."""
 
 
@@ -158,7 +145,7 @@ def _load_spec(args) -> ProblemSpec:
         spec = load_problem(doc)
     if args.M_override is not None:
         if args.M_override < 2:
-            raise InvariantViolation("M override must be at least 2")
+            raise InvalidInput("M override must be at least 2")
         folded = spec.E1
         kept = []
         for j, mat in spec.ladder:
@@ -180,7 +167,7 @@ def _rational_flag(value: str, flag: str) -> Fraction:
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
-        raise InvariantViolation(
+        raise InvalidInput(
             f"{flag} must be a rational number, got {value!r}"
         ) from None
 
@@ -189,17 +176,18 @@ def _float_range(value: Fraction, what: str) -> None:
     try:
         float(value)
     except OverflowError:
-        raise InvariantViolation(f"{what} is beyond the float range") from None
+        raise InvalidInput(f"{what} is beyond the float range") from None
 
 
-def _check_resonance(spec: ProblemSpec) -> list[str]:
+def _check_resonance(spec: ProblemSpec) -> None:
     if spec.mode != INVERSE_X:
-        return []
-    report = validate_resonance(spec)
-    return [
-        f"resonance at iteration {h.m}: d_{h.j} - d_{h.i} = {h.m * spec.a}"
-        for h in report.hits
-    ]
+        return
+    hits = validate_resonance(spec).hits
+    if hits:
+        raise Resonance("\n".join(
+            f"resonance at iteration {h.m}: d_{h.j} - d_{h.i} = {h.m * spec.a}"
+            for h in hits
+        ))
 
 
 def _timestamp() -> str:
@@ -310,17 +298,14 @@ def _transform_text(report: dict) -> str:
 
 def _cmd_transform(args) -> int:
     spec = _load_spec(args)
-    hits = _check_resonance(spec)
-    if hits:
-        print("\n".join(hits), file=sys.stderr)
-        return EXIT_RESONANCE
+    _check_resonance(spec)
     fs = run(spec)
     report = _transform_report(spec, fs, args)
     if args.format == "json":
         _emit(args, json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
     else:
         _emit(args, _transform_text(report))
-    return EXIT_OK
+    return 0
 
 
 def _cmd_solve(args) -> int:
@@ -334,26 +319,23 @@ def _cmd_solve(args) -> int:
 
     for flag, value in (("--rtol", args.rtol), ("--atol", args.atol)):
         if not 0 < value < math.inf:
-            raise InvariantViolation(
+            raise InvalidInput(
                 f"{flag} must be a positive finite number, got {value!r}"
             )
     if args.rtol < MIN_RTOL:
         # integrate would warn and run at MIN_RTOL, and the report would
         # name a tolerance the run never used
-        raise InvariantViolation(
+        raise InvalidInput(
             f"--rtol must be at least {MIN_RTOL!r} (100 machine epsilons), got {args.rtol!r}"
         )
     spec = _load_spec(args)
-    hits = _check_resonance(spec)
-    if hits:
-        print("\n".join(hits), file=sys.stderr)
-        return EXIT_RESONANCE
+    _check_resonance(spec)
     if not 1 <= args.k <= spec.n:
-        raise InvariantViolation(f"k must be in 1..{spec.n}, got {args.k}")
+        raise InvalidInput(f"k must be in 1..{spec.n}, got {args.k}")
     target = None if args.target is None else _rational_flag(args.target, "--target")
     if target is not None:
         if spec.back_transform is None:
-            raise MissingBackTransform(
+            raise InvalidInput(
                 "continuation needs the original system, so the problem must "
                 "define a back-transformation matrix T(x)"
             )
@@ -366,12 +348,10 @@ def _cmd_solve(args) -> int:
             f"({p.j},{p.k})" for p in dichotomy.pairs
             if (p.j == args.k or p.k == args.k) and not p.ok
         ]
-        print(
+        raise DichotomyFailure(
             f"dichotomy fails for pairs {', '.join(bad)}; the deviation bound "
-            "for this solution is not certified",
-            file=sys.stderr,
+            "for this solution is not certified"
         )
-        return EXIT_DICHOTOMY
 
     bundle = solution_bundle(args.k, fs, eta_bound(fs.residual, spec))
     data = bundle.exponent
@@ -403,13 +383,11 @@ def _cmd_solve(args) -> int:
                 for c, e in data.laurent_terms
                 if e >= 0 and c > 0
             ]
-            print(
+            raise ContinuationRefused(
                 f"solution k={args.k} grows exponentially toward infinity "
                 f"(exponent term {', '.join(growing)}); continuing it backward "
-                "from X would amplify the uncertified dominant part, refusing",
-                file=sys.stderr,
+                "from X would amplify the uncertified dominant part, refusing"
             )
-            return EXIT_FAILURE
         A = derive_original_system(spec)
         system = linear_system(A, min(target, spec.X), max(target, spec.X))
         y_target = integrate(
@@ -433,7 +411,7 @@ def _cmd_solve(args) -> int:
         _emit(args, json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
     else:
         _emit(args, _solve_text(report))
-    return EXIT_OK
+    return 0
 
 
 def _solve_text(report: dict) -> str:
@@ -466,7 +444,7 @@ def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
     for pair in pairs:
         name, sep, value = pair.partition("=")
         if not sep or not name:
-            raise InvariantViolation(
+            raise InvalidInput(
                 f"tolerance override must be NAME=VALUE, got {pair!r}"
             )
         try:
@@ -474,7 +452,7 @@ def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
         except ValueError:
             tol = math.nan
         if not math.isfinite(tol):
-            raise InvariantViolation(
+            raise InvalidInput(
                 f"tolerance value for {name!r} is not a finite number: {value!r}"
             )
         out[name] = tol
@@ -485,11 +463,7 @@ def _cmd_verify(args) -> int:
     from .verify import run_checks
 
     overrides = _parse_tolerances(args.tolerance)
-    try:
-        rows = run_checks(only=args.only, tolerance_overrides=overrides)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVALID
+    rows = run_checks(only=args.only, tolerance_overrides=overrides)
     all_pass = all(r.passed for r in rows)
     if args.format == "json":
         report = {
@@ -512,17 +486,7 @@ def _cmd_verify(args) -> int:
             f"{sum(r.passed for r in rows)}/{len(rows)} checks passed"
         )
         _emit(args, "\n".join(lines))
-    return EXIT_OK if all_pass else EXIT_FAILURE
-
-
-def _solve_failures() -> tuple[type[Exception], ...]:
-    """The computation failures only solve raises.  An except clause
-    evaluates this only while an exception is handled, so no command that
-    succeeds loads these modules for it."""
-    from .levinson_solver import SolutionOverflow
-    from .ode_connector import PoleInInterval, StepSizeUnderflow
-
-    return PoleInInterval, SolutionOverflow, StepSizeUnderflow
+    return 0 if all_pass else 1
 
 
 def main(argv=None) -> int:
@@ -535,30 +499,12 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return _cmd_solve(args)
         return _cmd_verify(args)
-    except (
-        SchemaError, InvariantViolation, ModeError, MissingBackTransform, UsageError
-    ) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ProblemUnreadable as exc:
-        print(f"cannot read problem: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    except LevodeError as exc:
+        print(f"{exc.prefix}{exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (
-        BoundNotCertified,
-        BoundOverflow,
-        ContractionFailure,
-        DivergentIntegral,
-        DivisionByZeroDenominator,
-        EliminationIdentityViolated,
-        ExpansionCapExceeded,
-        OrderRegression,
-        *_solve_failures(),
-    ) as exc:
-        print(f"computation failed: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return InvalidInput.exit_code
 
 
 if __name__ == "__main__":

@@ -25,18 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import ComputationFailed
 from .symexpr import RationalFn, SymMatrix, sup_bound
 
 
-class ContractionFailure(ValueError):
+class ContractionFailure(ComputationFailed, ValueError):
     """A norm that the bound needs below 1/n is too large; X is too small."""
 
 
-class DivergentIntegral(ValueError):
+class DivergentIntegral(ComputationFailed, ValueError):
     """The error integral over [X, infinity) does not converge."""
 
 
-class BoundOverflow(OverflowError):
+class BoundOverflow(ComputationFailed, OverflowError):
     """An exact bound, or a figure in a message, lies beyond the float range."""
 
 

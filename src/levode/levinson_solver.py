@@ -25,8 +25,9 @@ from fractions import Fraction
 
 from . import poly
 from .error_ledger import integral_tail_bound
+from .errors import MissingBackTransform, SolutionOverflow
 from .symexpr import RationalFn, SymMatrix
-from .system_model import MissingBackTransform, ProblemSpec
+from .system_model import ProblemSpec
 
 _PREC = 40
 
@@ -46,11 +47,6 @@ def _context(prec: int) -> decimal.Context:
 _CTX = _context(_PREC)
 # mpmath.nstr(value, 8) rounds its ninth digit half up
 _CTX8 = decimal.Context(prec=8, rounding=decimal.ROUND_HALF_UP, Emax=decimal.MAX_EMAX)
-
-
-class SolutionOverflow(ArithmeticError):
-    """A solution value, at the evaluation point or continued, exceeds the
-    float range."""
 
 
 def _decimal(q: Fraction, ctx: decimal.Context = _CTX) -> Decimal:

@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .levinson_solver import SolutionOverflow
+from .errors import ComputationFailed, SolutionOverflow
 from .symexpr import SymMatrix
 
 METHOD_INFO = {"method": "RK45", "order": 5}
@@ -37,11 +37,11 @@ MIN_RTOL = 100 * sys.float_info.epsilon
 _DENSE_POINTS = 201
 
 
-class PoleInInterval(ValueError):
+class PoleInInterval(ComputationFailed, ValueError):
     """A coefficient entry has a pole inside the integration interval."""
 
 
-class StepSizeUnderflow(RuntimeError):
+class StepSizeUnderflow(ComputationFailed, RuntimeError):
     """The adaptive integrator failed to meet the tolerance."""
 
 

@@ -39,6 +39,7 @@ import re
 from fractions import Fraction
 
 from . import poly
+from .errors import ComputationFailed, InvalidInput
 from .poly import Coeffs
 
 
@@ -48,19 +49,19 @@ from .poly import Coeffs
 MAX_DEGREE = 1000
 
 
-class ParseError(ValueError):
+class ParseError(InvalidInput):
     """A string did not match the rational-function grammar."""
 
 
-class PoleInDomain(ValueError):
+class PoleInDomain(ComputationFailed, ValueError):
     """The function has a pole on the half-line being bounded."""
 
 
-class UnboundedAtInfinity(ValueError):
+class UnboundedAtInfinity(ComputationFailed, ValueError):
     """The function grows at infinity, so no finite sup exists."""
 
 
-class BoundNotCertified(RuntimeError):
+class BoundNotCertified(ComputationFailed, RuntimeError):
     """sup_bound could not bring its bound within rel_slack of an attained value."""
 
 
@@ -848,49 +849,41 @@ class SymMatrix:
         body = "; ".join(", ".join(e.to_string() for e in row) for row in self.entries)
         return f"SymMatrix[{body}]"
 
-    # -- inverse via adjugate (small sizes only) -----------------------
-
-    def det(self) -> RationalFn:
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 1:
-            return self.entries[0][0]
-        total = _ZERO
-        sign = 1
-        for j in range(n):
-            minor = _matrix(
-                tuple(
-                    tuple(self.entries[i][k] for k in range(n) if k != j)
-                    for i in range(1, n)
-                )
-            )
-            total = total + RationalFn.const(sign) * self.entries[0][j] * minor.det()
-            sign = -sign
-        return total
+    # -- inverse -------------------------------------------------------
 
     def inverse(self) -> "SymMatrix":
+        """Gauss-Jordan elimination on [self | I], skipping zero entries."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        d = self.det()
-        if d.is_zero:
-            raise ZeroDivisionError("matrix is singular as a rational-function matrix")
-        if n == 1:
-            return _matrix(((_ONE / d,),))
-        cof = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = _matrix(
-                    tuple(
-                        tuple(self.entries[r][c] for c in range(n) if c != j)
-                        for r in range(n) if r != i
+        rows = [
+            list(row) + [_ONE if j == i else _ZERO for j in range(n)]
+            for i, row in enumerate(self.entries)
+        ]
+        for c in range(n):
+            p = next((r for r in range(c, n) if rows[r][c].int_num), None)
+            if p is None:
+                raise ZeroDivisionError("matrix is singular as a rational-function matrix")
+            pivot = rows[p]
+            rows[c], rows[p] = pivot, rows[c]
+            nonzero = [j for j in range(c + 1, 2 * n) if pivot[j].int_num]
+            d = pivot[c]
+            for j in nonzero:
+                pivot[j] = pivot[j] / d
+            # each row less f times the pivot row, every entry normalised once;
+            # column c is never read again
+            for row in rows:
+                f = row[c]
+                if row is pivot or not f.int_num:
+                    continue
+                for j in nonzero:
+                    e, q = row[j], pivot[j]
+                    term = (
+                        poly.neg(poly.mul(f.int_num, q.int_num)),
+                        poly.mul(f.int_den, q.int_den),
                     )
-                )
-                s = -1 if (i + j) % 2 else 1
-                cof[i][j] = RationalFn.const(s) * minor.det()
-        # adjugate is the transposed cofactor matrix
-        return _matrix(tuple(tuple(cof[j][i] / d for j in range(n)) for i in range(n)))
+                    row[j] = _sum([(e.int_num, e.int_den), term] if e.int_num else [term])
+        return _matrix(tuple(tuple(row[n:]) for row in rows))
 
 
 def _as_fn(v) -> RationalFn:

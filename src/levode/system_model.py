@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .errors import InvalidInput
 from .symexpr import MAX_DEGREE, ParseError, RationalFn, SymMatrix
 
 STANDARD = "standard"
@@ -36,20 +37,16 @@ INVERSE_X = "inverse_x"
 MAX_M = 16
 
 
-class SchemaError(ValueError):
+class SchemaError(InvalidInput):
     """The problem document is missing a field or has an ill-typed one."""
 
 
-class InvariantViolation(ValueError):
+class InvariantViolation(InvalidInput):
     """The problem document is well-formed but breaks a structural rule."""
 
 
-class ModeError(ValueError):
+class ModeError(InvalidInput):
     """An operation was invoked in the wrong mode."""
-
-
-class MissingBackTransform(ValueError):
-    """The problem carries no back-transformation matrix T(x)."""
 
 
 @dataclass(frozen=True)

@@ -18,25 +18,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .error_ledger import ErrorLedger, LedgerEntry
+from .errors import ComputationFailed
 from .symexpr import RationalFn, SymMatrix
 from .system_model import INVERSE_X, ProblemSpec
 
 _EXPANSION_CAP = 64
 
 
-class DivisionByZeroDenominator(ZeroDivisionError):
+class DivisionByZeroDenominator(ComputationFailed, ZeroDivisionError):
     """A resonant exponent makes an elimination denominator vanish."""
 
 
-class EliminationIdentityViolated(RuntimeError):
+class EliminationIdentityViolated(ComputationFailed, RuntimeError):
     """The exact re-check of the elimination identity left a nonzero defect."""
 
 
-class ExpansionCapExceeded(RuntimeError):
+class ExpansionCapExceeded(ComputationFailed, RuntimeError):
     """A re-expansion of (I + P)^-1 kept more than _EXPANSION_CAP powers."""
 
 
-class OrderRegression(RuntimeError):
+class OrderRegression(ComputationFailed, RuntimeError):
     """A re-expansion term decays slower than the iteration promises."""
 
 

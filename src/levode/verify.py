@@ -17,8 +17,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .error_ledger import eta_bound, total_error_bound
+from .errors import InvalidInput
 from .fixtures import CHECK_GROUPS, builtin_hypergeometric, hypergeometric_companion
-from .levinson_solver import check_dichotomy, solution_bundle
+from .levinson_solver import check_dichotomy, derive_original_system, solution_bundle
 from .ode_connector import integrate, linear_system
 from .symexpr import RationalFn, SymMatrix
 from .system_model import INVERSE_X, Monomial, ProblemSpec
@@ -102,7 +103,9 @@ class FixtureContext:
 
     @cached_property
     def companion_system(self):
-        return linear_system(hypergeometric_companion(), 0, 10)
+        """Y' = A(x) Y on [0, 10], A derived from the fixture as
+        ``levode solve --target`` derives it."""
+        return linear_system(derive_original_system(self.spec), 0, 10)
 
     @cached_property
     def y_at_0(self) -> tuple[float, ...]:
@@ -333,11 +336,11 @@ def run_checks(
     tolerance_overrides: dict[str, float] | None = None,
 ) -> list[CheckRow]:
     if only is not None and only not in CHECK_GROUPS:
-        raise ValueError(f"unknown check group {only!r}; choose from {CHECK_GROUPS}")
+        raise InvalidInput(f"unknown check group {only!r}; choose from {CHECK_GROUPS}")
     overrides = tolerance_overrides or {}
     unknown = set(overrides) - {name for name, _, _ in _CHECKS}
     if unknown:
-        raise ValueError(f"tolerance override for unknown check: {sorted(unknown)}")
+        raise InvalidInput(f"tolerance override for unknown check: {sorted(unknown)}")
     ctx = FixtureContext()
     rows: list[CheckRow] = []
     for name, group, fn in _CHECKS:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -18,9 +19,10 @@ from levode import (
     solution_bundle,
     total_error_bound,
 )
-from levode import cli, transform_engine
+from levode import cli, errors, transform_engine
 from levode.cli import main
-from levode.symexpr import BoundNotCertified
+from levode.ode_connector import PoleInInterval
+from levode.symexpr import BoundNotCertified, PoleInDomain, UnboundedAtInfinity
 from levode.transform_engine import DivisionByZeroDenominator, OrderRegression
 from levode.system_model import (
     MAX_M,
@@ -519,8 +521,12 @@ def test_solve_overflowing_value_exits_1(capsys):
         (cli, "run", DivisionByZeroDenominator("elimination denominator vanishes")),
         (cli, "run", OrderRegression("term decays slower than promised")),
         (error_ledger, "sup_bound", BoundNotCertified("cannot certify the bound")),
+        (error_ledger, "sup_bound", PoleInDomain("denominator vanishes on [10, inf)")),
+        (error_ledger, "sup_bound", UnboundedAtInfinity("leading power 1 > 0 on [10, inf)")),
+        (cli, "run", PoleInInterval("entry (1,1) has a pole at 0 in [0, 10]")),
     ],
-    ids=["division-by-zero", "order-regression", "bound-not-certified"],
+    ids=["division-by-zero", "order-regression", "bound-not-certified",
+         "pole-in-domain", "unbounded-at-infinity", "pole-in-interval"],
 )
 def test_computation_failure_exits_1(capsys, monkeypatch, module, name, error):
     def fail(*args, **kwargs):
@@ -591,6 +597,36 @@ def test_bound_beyond_float_range_exits_1(capsys, monkeypatch, stubs, argv, what
     assert err == f"computation failed: {what} exceeds the float range\n"
 
 
+CATEGORIES = (
+    errors.InvalidInput,
+    errors.ComputationFailed,
+    errors.Resonance,
+    errors.DichotomyFailure,
+    errors.ContinuationRefused,
+)
+
+
+def test_every_exception_class_has_exactly_one_category():
+    # main maps a failure to its exit code by its category alone
+    import levode
+
+    seen = []
+    for info in pkgutil.iter_modules(levode.__path__):
+        module = importlib.import_module(f"levode.{info.name}")
+        for obj in vars(module).values():
+            if (
+                isinstance(obj, type)
+                and issubclass(obj, BaseException)
+                and obj.__module__ == module.__name__
+                and obj is not errors.LevodeError
+            ):
+                seen.append(obj.__name__)
+                assert sum(issubclass(obj, c) for c in CATEGORIES) == 1, obj
+    # the walk is not vacuous: each module's own classes are found
+    assert {"ParseError", "SchemaError", "BoundOverflow", "PoleInInterval",
+            "OrderRegression", "SolutionOverflow", "UsageError"} <= set(seen)
+
+
 # -- verify -------------------------------------------------------------
 
 def test_verify_symbolic_group_passes(capsys):
@@ -614,10 +650,12 @@ def test_verify_fails_under_impossible_tolerance(capsys):
 
 
 def test_verify_rejects_unknown_tolerance_name(capsys):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "verify", "--only", "symbolic", "--tolerance", "nope=1"
     )
     assert code == 2
+    assert out == ""
+    assert err == "invalid input: tolerance override for unknown check: ['nope']\n"
 
 
 def test_verify_rejects_malformed_tolerance(capsys):
@@ -872,12 +910,27 @@ def test_solve_leaves_mpmath_scipy_and_verify_unloaded():
     assert "Y(0) = [1.8777858808658072, " in out
 
 
+def test_integrator_import_leaves_the_solver_unloaded():
+    # SolutionOverflow comes from levode.errors, not from the solver
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, levode.ode_connector; "
+         "print('levode.errors' in sys.modules, 'levode.levinson_solver' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.split() == ["True", "False"]
+
+
 def test_package_exports_resolve():
     import levode
 
     assert set(levode.__all__) == {
-        "ContractionFailure", "DivergentIntegral", "ErrorLedger", "INVERSE_X",
-        "InvariantViolation", "LedgerEntry", "LinearSystem",
+        "ComputationFailed", "ContractionFailure", "DivergentIntegral",
+        "ErrorLedger", "INVERSE_X", "InvalidInput", "InvariantViolation",
+        "LedgerEntry", "LevodeError", "LinearSystem",
         "MissingBackTransform", "ModeError", "Monomial", "OrderRegression",
         "PoleInInterval", "RationalFn", "STANDARD", "SchemaError",
         "StepSizeUnderflow", "SymMatrix", "asymptotic_value", "back_transform",

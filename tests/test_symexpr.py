@@ -570,14 +570,30 @@ def test_matrix_derivative_is_entrywise():
     assert d.entry(1, 1) == fn("(1)/(x^2 + 2*x + 1)")
 
 
-def test_matrix_inverse_and_det():
+def test_matrix_inverse():
     a = SymMatrix(((fn("x"), fn("1")), (fn("1"), fn("x"))))
-    assert a.det() == fn("x^2 - 1")
+    assert a.inverse().entry(0, 0) == fn("(x)/(x^2 - 1)")
     prod = a * a.inverse()
     assert prod == SymMatrix.identity(2)
     singular = SymMatrix(((fn("x"), fn("x")), (fn("x"), fn("x"))))
     with pytest.raises(ZeroDivisionError):
         singular.inverse()
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_matrix_inverse_of_random_matrix(n):
+    import random
+
+    rng = random.Random(20 + n)
+    pool = ["0"] * 3 + [
+        "1", "-3", "x", "(1)/(x^2)", "(5)/(3*x^4)", "(x^2 + 1)/(x - 2)",
+        "(3*x)/(x^2 + x + 1)", "(x - 7)/(x^3)", "(2)/(x^2 - 3)",
+    ]
+    rows = [[fn(rng.choice(pool)) for _ in range(n)] for _ in range(n)]
+    rows[0][0] = fn("0")  # the first pivot needs a row swap
+    m = SymMatrix(rows)
+    inv = m.inverse()
+    assert m * inv == inv * m == SymMatrix.identity(n)
 
 
 def test_matrix_diagonal_split():
