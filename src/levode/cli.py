@@ -455,6 +455,10 @@ def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
             raise InvalidInput(
                 f"tolerance value for {name!r} is not a finite number: {value!r}"
             )
+        if tol < 0:
+            raise InvalidInput(
+                f"tolerance value for {name!r} is negative: {value!r}"
+            )
         out[name] = tol
     return out
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvalidInput
 from .symexpr import MAX_DEGREE, ParseError, RationalFn, SymMatrix
@@ -63,6 +64,11 @@ class Monomial:
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """A validated problem.  The derived constants (rho_fn, lam_fn, their
+    inverses and Lambda_0) are computed on first use and kept on the
+    instance.  They are not fields: equality, hash and repr see only the
+    problem itself, and a spec built by ``replace`` computes its own."""
+
     n: int
     N: int
     d_large: tuple[Fraction, ...]
@@ -95,25 +101,37 @@ class ProblemSpec:
     def accuracy_exponent(self) -> Fraction:
         return -self.M * self.a
 
-    @property
+    @cached_property
     def rho_fn(self) -> RationalFn:
         return self.rho.fn
 
-    @property
+    @cached_property
     def lam_fn(self) -> RationalFn:
         return self.lam.fn
+
+    @cached_property
+    def rho_inv(self) -> RationalFn:
+        return RationalFn.const(1) / self.rho_fn
+
+    @cached_property
+    def lam_inv(self) -> RationalFn:
+        return RationalFn.const(1) / self.lam_fn
 
     @property
     def phi1(self) -> tuple[RationalFn, ...]:
         return self.phi1_large + self.phi1_small
 
-    def lambda0_diagonal(self) -> tuple[RationalFn, ...]:
+    @cached_property
+    def _lambda0(self) -> tuple[RationalFn, ...]:
         lam = self.lam_fn
         out = []
         for i, di in enumerate(self.d):
             base = RationalFn.const(di)
             out.append(lam * base if self.is_large(i) else base)
         return tuple(out)
+
+    def lambda0_diagonal(self) -> tuple[RationalFn, ...]:
+        return self._lambda0
 
     def lambda1_diagonal(self) -> tuple[RationalFn, ...]:
         return tuple(

@@ -8,6 +8,13 @@ rung of the next iteration, order at or beyond accuracy goes to an exact
 pool, and the geometric-series truncation goes to the error ledger.  The
 engine is fully symbolic; nothing is approximated until a bound or a
 value is requested.
+
+``run()`` computes P, the commutator terms and the elimination defect of
+each step once, through uncached functions, and raises
+``EliminationIdentityViolated`` from that defect.  ``compute_P``,
+``commutator_terms`` and ``elimination_defect`` are the same code behind
+``lru_cache``s keyed by whole states and specs; they exist for re-checks
+made outside ``run()``, which never fills them.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ class PSplit:
     plain: SymMatrix
     m: int
 
-    @property
+    @functools.cached_property
     def combined(self) -> SymMatrix:
         return self.scaled + self.plain
 
@@ -122,8 +129,7 @@ def initial_state(spec: ProblemSpec) -> IterationState:
     )
 
 
-@functools.lru_cache(maxsize=128)
-def _p_and_leftover(
+def _solve_P(
     state: IterationState, spec: ProblemSpec
 ) -> tuple[PSplit, SymMatrix]:
     """Solve the commutator equation entrywise; return P and pooled tails.
@@ -175,6 +181,9 @@ def _p_and_leftover(
     )
 
 
+_p_and_leftover = functools.lru_cache(maxsize=128)(_solve_P)
+
+
 def compute_P(state: IterationState, spec: ProblemSpec) -> PSplit:
     psplit, _ = _p_and_leftover(state, spec)
     return psplit
@@ -195,14 +204,13 @@ def _phi_split(
     return tuple(large), tuple(small)
 
 
-@functools.lru_cache(maxsize=128)
-def commutator_terms(
+def _commutator_terms(
     state: IterationState, psplit: PSplit, spec: ProblemSpec
 ) -> CommutatorTerms:
     n = spec.n
     v1 = _first_rung(state.ladder, n)
     zero = RationalFn.const(0)
-    lam_inv = RationalFn.const(1) / spec.lam_fn
+    lam_inv = spec.lam_inv
     d = spec.d
     cross = [[zero] * n for _ in range(n)]
     for i in range(n):
@@ -220,25 +228,29 @@ def commutator_terms(
     cross_m = SymMatrix(tuple(map(tuple, cross)))
     phi_large, phi_small = _phi_split(state, spec)
     qt, q = psplit.scaled, psplit.plain
-    terms = CommutatorTerms(
+    return CommutatorTerms(
         cross=cross_m,
         large_with_scaled=qt.commutator(phi_large),
         small_with_scaled=qt.commutator(phi_small),
         small_with_plain=q.commutator(phi_small),
     )
-    defect = elimination_defect(state, psplit, terms, spec)
-    if not defect.is_zero:
-        raise EliminationIdentityViolated(
-            f"elimination identity violated at iteration {state.m}: "
-            f"defect leading order {defect.max_leading_order()}"
-        )
-    return terms
 
 
 @functools.lru_cache(maxsize=128)
-def elimination_defect(
+def commutator_terms(
+    state: IterationState, psplit: PSplit, spec: ProblemSpec
+) -> CommutatorTerms:
+    """The first-order products of P; raises EliminationIdentityViolated
+    when the elimination defect they leave is not zero."""
+    terms = _commutator_terms(state, psplit, spec)
+    _check_identity(state.m, elimination_defect(state, psplit, terms, spec))
+    return terms
+
+
+def _elimination_defect(
     state: IterationState,
     psplit: PSplit,
+    leftover: SymMatrix,
     terms: CommutatorTerms,
     spec: ProblemSpec,
 ) -> SymMatrix:
@@ -248,7 +260,6 @@ def elimination_defect(
     the x * Qtilde' compensation and the uneliminated at-accuracy tails
     are excluded from V1.
     """
-    _, leftover = _p_and_leftover(state, spec)
     plus = [_first_rung(state.ladder, spec.n), psplit.combined.commutator(state.diag)]
     minus = [
         leftover,
@@ -258,9 +269,29 @@ def elimination_defect(
         terms.small_with_plain,
     ]
     if spec.mode == INVERSE_X:
-        rho_inv = RationalFn.const(1) / spec.rho_fn
-        minus.append(rho_inv * psplit.plain.derivative())
+        minus.append(spec.rho_inv * psplit.plain.derivative())
     return SymMatrix.sum(plus, minus)
+
+
+@functools.lru_cache(maxsize=128)
+def elimination_defect(
+    state: IterationState,
+    psplit: PSplit,
+    terms: CommutatorTerms,
+    spec: ProblemSpec,
+) -> SymMatrix:
+    """The elimination defect of P, with the at-accuracy tails solved
+    afresh from the state."""
+    _, leftover = _p_and_leftover(state, spec)
+    return _elimination_defect(state, psplit, leftover, terms, spec)
+
+
+def _check_identity(m: int, defect: SymMatrix) -> None:
+    if not defect.is_zero:
+        raise EliminationIdentityViolated(
+            f"elimination identity violated at iteration {m}: "
+            f"defect leading order {defect.max_leading_order()}"
+        )
 
 
 def _first_order_products(
@@ -272,7 +303,7 @@ def _first_order_products(
     """Everything the conjugated system contains beyond the new dominant
     scale, before re-expansion in powers of P.  Deterministic label order.
     """
-    rho_inv = RationalFn.const(1) / spec.rho_fn
+    rho_inv = spec.rho_inv
     out: list[tuple[str, SymMatrix]] = [
         ("Qtilde_deriv", -(rho_inv * psplit.scaled.derivative())),
     ]
@@ -306,8 +337,9 @@ def _iterate(
     m, M, n, a = state.m, spec.M, spec.n, spec.a
     if m > M - 1:
         raise ValueError(f"reduction already complete after iteration {M - 1}")
-    psplit, leftover = _p_and_leftover(state, spec)
-    terms = commutator_terms(state, psplit, spec)
+    psplit, leftover = _solve_P(state, spec)
+    terms = _commutator_terms(state, psplit, spec)
+    _check_identity(m, _elimination_defect(state, psplit, leftover, terms, spec))
     P = psplit.combined
 
     # each sum is collected as its (plus, minus) terms, (-P)^r * base going

@@ -386,6 +386,19 @@ def test_non_finite_verify_tolerance_rejected(capsys):
     )
 
 
+@pytest.mark.parametrize("name", ["y_at_10", "total_error"])
+def test_negative_verify_tolerance_rejected(capsys, name):
+    code, out, err = run_cli(
+        capsys, "verify", "--only", "error", "--tolerance", f"{name}=-1",
+        "--format", "json",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"invalid input: tolerance value for {name!r} is negative: '-1'\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -540,14 +553,13 @@ def test_computation_failure_exits_1(capsys, monkeypatch, module, name, error):
 
 
 def test_elimination_identity_violation_exits_1(capsys, monkeypatch):
-    # a nonzero defect stands in for a broken elimination step; the
-    # cleared cache would otherwise serve commutator terms checked before
+    # a nonzero defect stands in for a broken elimination step; it replaces
+    # the defect run() computes itself, not the cached entry points
     monkeypatch.setattr(
         transform_engine,
-        "elimination_defect",
+        "_elimination_defect",
         lambda *args: SymMatrix([[RationalFn.x_power(-7)]]),
     )
-    transform_engine.commutator_terms.cache_clear()
     code, out, err = run_cli(capsys, "transform", "--builtin", "hypergeom")
     assert code == 1
     assert out == ""

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import pickle
+from copy import deepcopy
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -147,6 +150,34 @@ def test_with_X_returns_new_spec(fixture_spec):
     assert moved.X == 20
     assert fixture_spec.X == 10
     assert validate(moved) is moved
+
+
+def _derived(spec):
+    return (spec.rho_fn, spec.lam_fn, spec.rho_inv, spec.lam_inv, spec.lambda0_diagonal())
+
+
+def test_read_constants_leave_a_spec_unchanged():
+    read = builtin_hypergeometric()
+    constants = _derived(read)
+    fresh = builtin_hypergeometric()
+    assert read == fresh
+    assert hash(read) == hash(fresh)
+    assert repr(read) == repr(fresh)
+    for copy in (pickle.loads(pickle.dumps(read)), deepcopy(read)):
+        assert copy == fresh
+        assert _derived(copy) == constants
+
+
+def test_new_specs_compute_their_constants_afresh():
+    spec = builtin_hypergeometric()
+    _derived(spec)
+    # nothing derived is carried over to a spec built from this one
+    assert set(vars(spec.with_X(20))) == {f.name for f in fields(spec)}
+    lam = Monomial(F(2), 5)
+    other = replace(spec, lam=lam)
+    assert other.lam_fn == lam.fn
+    assert other.lam_inv == RationalFn.const(1) / lam.fn
+    assert [f.to_string() for f in other.lambda0_diagonal()] == ["2*x^5", "1", "-1"]
 
 
 # -- structure helpers --------------------------------------------------

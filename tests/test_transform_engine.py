@@ -17,12 +17,16 @@ from levode import (
     iterate,
     run,
 )
+from levode import transform_engine
+from levode.fixtures import builtin_hypergeometric
 from levode.sampling import random_problem
 from levode.transform_engine import (
     CommittedError,
     EliminationIdentityViolated,
     IterationState,
     _iterate,
+    _p_and_leftover,
+    _solve_P,
 )
 
 F = Fraction
@@ -93,6 +97,42 @@ def test_elimination_defect_detects_a_wrong_P(fixture_spec, part, i, j):
     assert not elimination_defect(state, wrong, terms, fixture_spec).is_zero
     with pytest.raises(EliminationIdentityViolated):
         commutator_terms(state, wrong, fixture_spec)
+
+
+@pytest.mark.parametrize(
+    "part, i, j", [("scaled", 1, 0), ("scaled", 0, 2), ("plain", 1, 2), ("plain", 2, 1)]
+)
+def test_run_detects_a_wrong_P(monkeypatch, part, i, j):
+    # run() re-checks the identity from the P it solved for itself
+    def solve_wrong(state, spec):
+        psplit, leftover = _solve_P(state, spec)
+        mat = getattr(psplit, part)
+        wrong = mat.with_entry(i, j, mat.entry(i, j) + RationalFn.x_power(-20))
+        return dataclasses.replace(psplit, **{part: wrong}), leftover
+
+    monkeypatch.setattr(transform_engine, "_solve_P", solve_wrong)
+    with pytest.raises(EliminationIdentityViolated, match="at iteration 1:"):
+        run(builtin_hypergeometric())
+
+
+def test_run_leaves_the_caches_empty():
+    cached = (_p_and_leftover, commutator_terms, elimination_defect)
+    for fn_ in cached:
+        fn_.cache_clear()
+    rng = random.Random(2024)
+    for spec in [builtin_hypergeometric()] + [random_problem(rng) for _ in range(5)]:
+        run(spec)
+    assert [fn_.cache_info().currsize for fn_ in cached] == [0, 0, 0]
+
+
+def test_read_combined_keeps_a_psplit_equal(fixture_spec):
+    state = initial_state(fixture_spec)
+    read, _ = _solve_P(state, fixture_spec)
+    fresh, _ = _solve_P(state, fixture_spec)
+    assert read.combined == read.scaled + read.plain
+    assert read == fresh
+    assert hash(read) == hash(fresh)
+    assert repr(read) == repr(fresh)
 
 
 def test_first_iteration_output(fixture_spec):
