@@ -91,6 +91,11 @@ def scale(p: Coeffs, c) -> Coeffs:
 def mul(p: Coeffs, q: Coeffs) -> Coeffs:
     if not p or not q:
         return ZERO
+    if len(p) == 1 or len(q) == 1:
+        # one coefficient a: the loop below would write a*b where b is
+        # nonzero and leave the int 0 elsewhere
+        a, q = (p[0], q) if len(p) == 1 else (q[0], p)
+        return tuple([a * b if b else 0 for b in q])
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:

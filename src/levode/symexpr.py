@@ -6,17 +6,24 @@ integer content common to all their coefficients, and lc(D) > 0.  Equal
 values have equal pairs, so equality, hashing and the canonical string
 work on ints alone, as does every reader in the package; ``num`` and
 ``den`` are monic-Fraction views, built on access, for readers outside
-it.  Almost every denominator the reduction meets is c*x**k: such a
-quotient is reduced by slicing off the common power of x, with no
-polynomial gcd, and differentiates as
-(x*p' - k*p)/(c*x**(k+1)).  ``rational_sum`` adds any number of terms:
-those over c*x**k are lifted to lcm(c)*x**max(k), their numerators added
-in one list and the sum normalised once; ``+`` and ``-`` are its two-term
-case, and a zero operand short-circuits.  Other denominators are divided
-by the primitive integer gcd; every polynomial operation is that of
-``poly``, the integer kernel.  ``SymMatrix`` is a dense matrix of them
-with non-commutative products, each entry of a product
-one such sum of unreduced products; ``SymMatrix.sum`` adds many matrices
+it.
+
+Almost every denominator the reduction meets is c*x**k, and those terms
+take the Laurent lane: a term is carried as the triple (numerator, c, k)
+and ``_laurent`` turns acc/(c*x**k) into its canonical pair, slicing off
+the common power of x and dividing by gcd(c, content) with no polynomial
+gcd.  Products of two such terms (``*`` and matrix products) form
+(n_a*n_b, c_a*c_b, k_a + k_b), a derivative is (x*p' - k*p)/(c*x**(k+1)),
+and ``rational_sum`` lifts any number of them to lcm(c)*x**max(k) and
+adds their numerators in one list.  No x-power tuple is multiplied or
+shifted on the way, and every such result passes ``_laurent``.  ``+``
+and ``-`` are the two-term case of ``rational_sum``, and a zero operand
+short-circuits.  Other denominators are divided by the primitive integer
+gcd; every polynomial operation is that of ``poly``, the integer kernel.
+
+``SymMatrix`` is a dense matrix of them with non-commutative products,
+each entry of a product one such sum of unreduced products, read off
+each row and column's lanes once; ``SymMatrix.sum`` adds many matrices
 entry by entry, and ``SymMatrix.commutator`` forms D*P - P*D for a
 diagonal D as (d_i - d_j)*P_ij.  On top of the arithmetic the module
 provides
@@ -81,7 +88,9 @@ class RationalFn:
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         ints = tuple(poly._primitive_ints(num + den))
-        _store(self, *_normal(ints[: len(num)], ints[len(num):]))
+        num, den = _normal(ints[: len(num)], ints[len(num):])
+        _set(self, "int_num", num)
+        _set(self, "int_den", den)
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("RationalFn is immutable")
@@ -186,9 +195,11 @@ class RationalFn:
             return NotImplemented
         if not (self.int_num and o.int_num):
             return _ZERO
-        return _fn(
-            poly.mul(self.int_num, o.int_num), poly.mul(self.int_den, o.int_den)
-        )
+        a, b = self.int_den, o.int_den
+        ka = _x_exponent(a)
+        if ka is not None and (kb := _x_exponent(b)) is not None:
+            return _pair(*_laurent(poly.mul(self.int_num, o.int_num), a[-1] * b[-1], ka + kb))
+        return _fn(poly.mul(self.int_num, o.int_num), poly.mul(a, b))
 
     __rmul__ = __mul__
 
@@ -228,9 +239,7 @@ class RationalFn:
         n, d = self.int_num, self.int_den
         k = _x_exponent(d)
         if k is not None:  # (p/(c*x**k))' = (x*p' - k*p)/(c*x**(k+1))
-            return _fn(
-                poly.trim([(i - k) * c for i, c in enumerate(n)]), poly.shift(d, 1)
-            )
+            return _pair(*_laurent([(i - k) * c for i, c in enumerate(n)], d[-1], k + 1))
         return _fn(
             poly.sub(poly.mul(poly.derivative(n), d), poly.mul(n, poly.derivative(d))),
             poly.mul(d, d),
@@ -267,7 +276,7 @@ class RationalFn:
         g = self
         while not g.is_zero:
             e = g.leading_order()
-            if Fraction(e) <= stop_exponent:
+            if e <= stop_exponent:
                 break
             c = g.leading_coefficient()
             terms.append((c, e))
@@ -348,31 +357,55 @@ def _coeffs(v) -> Coeffs:
 
 
 def _x_exponent(den: Coeffs) -> int | None:
-    """k when ``den`` is c*x**k, else None."""
+    """k when the trimmed ``den`` is c*x**k, else None."""
     k = len(den) - 1
-    return None if any(den[:k]) else k
+    return k if den.count(0) == k else None
+
+
+def _laurent(acc, c: int, k: int) -> tuple[Coeffs, Coeffs]:
+    """The canonical pair of acc/(c*x**k), for an int sequence ``acc``
+    (trailing zeros allowed), a nonzero int c and k >= 0.
+
+    Such a denominator shares at most x**min(valuation(acc), k) with the
+    numerator, which is cancelled by slicing, and the common integer
+    content is gcd(c, content(acc)); dividing by it, negated when c < 0,
+    leaves lc(den) > 0.  No x-power tuple is built before the result's.
+    """
+    n = len(acc)
+    while n and not acc[n - 1]:
+        n -= 1
+    if not n:
+        return poly.ZERO, poly.ONE
+    v = 0
+    while v < k and not acc[v]:
+        v += 1
+    num = acc[v:n]
+    g = math.gcd(c, *num)
+    if c < 0:
+        g = -g
+    if g != 1:
+        num = [a // g for a in num]
+        c //= g
+    return tuple(num), (0,) * (k - v) + (c,)
 
 
 def _normal(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
     """The canonical pair of num/den, for trimmed int tuples, den nonzero.
 
-    A denominator c*x**k shares at most x**min(valuation(num), k) with the
-    numerator, which is cancelled by slicing; any other denominator is
-    divided, with its numerator, by their primitive gcd.  Then the common
-    integer content is divided out and the sign makes lc(den) positive.
+    A denominator c*x**k is the Laurent lane's (``_laurent``); any other
+    is divided, with its numerator, by their primitive gcd.  Then the
+    common integer content is divided out and the sign makes lc(den)
+    positive.
     """
     if not num:
         return poly.ZERO, poly.ONE
     k = _x_exponent(den)
     if k is not None:
-        v = min(poly.valuation(num), k)
-        if v:
-            num, den = num[v:], den[v:]
-    else:
-        g = poly.gcd(num, den)
-        if len(g) > 1:
-            num = poly.divmod_exact(num, g)[0]
-            den = poly.divmod_exact(den, g)[0]
+        return _laurent(num, den[-1], k)
+    g = poly.gcd(num, den)
+    if len(g) > 1:
+        num = poly.divmod_exact(num, g)[0]
+        den = poly.divmod_exact(den, g)[0]
     c = math.gcd(*num, *den)
     if den[-1] < 0:
         c = -c
@@ -385,15 +418,11 @@ def _normal(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
 _set = object.__setattr__
 
 
-def _store(f: RationalFn, num: Coeffs, den: Coeffs) -> None:
-    _set(f, "int_num", num)
-    _set(f, "int_den", den)
-
-
 def _pair(num: Coeffs, den: Coeffs) -> RationalFn:
     """The RationalFn whose canonical pair is (num, den), taken as given."""
     f = object.__new__(RationalFn)
-    _store(f, num, den)
+    _set(f, "int_num", num)
+    _set(f, "int_den", den)
     return f
 
 
@@ -414,25 +443,37 @@ def rational_sum(plus, minus=()) -> RationalFn:
 
     Terms over a denominator c*x**k are lifted to lcm(c)*x**max(k) and
     their numerators added in one list; ``RationalFn.__add__`` and
-    ``__sub__`` are the cases of two terms.
+    ``__sub__`` are the cases of two terms.  With fewer than two nonzero
+    terms there is nothing to add.
     """
-    pairs = [(f.int_num, f.int_den) for f in plus if f.int_num]
-    pairs += [(poly.neg(f.int_num), f.int_den) for f in minus if f.int_num]
-    return _pair(*pairs[0]) if len(pairs) == 1 else _sum(pairs)
+    plus = [f for f in plus if f.int_num]
+    minus = [f for f in minus if f.int_num]
+    if len(plus) + len(minus) < 2:
+        return plus[0] if plus else -minus[0] if minus else _ZERO
+    pairs, lifted = [], []
+    for sign, terms in ((1, plus), (-1, minus)):
+        for f in terms:
+            num, den = f.int_num, f.int_den
+            k = _x_exponent(den)
+            if k is None:
+                pairs.append((num if sign > 0 else poly.neg(num), den))
+            else:  # a subtracted term's sign goes to c
+                lifted.append((num, sign * den[-1], k))
+    return _sum(pairs, lifted)
 
 
-def _sum(pairs) -> RationalFn:
-    """The sum of num/den over int-tuple pairs with nonzero num and den,
-    not necessarily reduced.
+def _sum(pairs, lifted) -> RationalFn:
+    """The sum of num/den over int-tuple pairs, and of num/(c*x**k) over
+    the Laurent triples (num, c, k) of the list ``lifted``, every num and
+    den nonzero, not necessarily reduced.
 
-    Every term whose denominator is c*x**k joins one lifted sum over
-    lcm(c)*x**max(k); each other term is then added to the running total
-    over the least common multiple of denominators equal up to a constant
-    factor, else over the product of the denominators.
+    Every term whose denominator is c*x**k joins ``lifted``, and they are
+    added in one sum over lcm(c)*x**max(k); each other term is then added
+    to the running total over the least common multiple of denominators
+    equal up to a constant factor, else over the product of the
+    denominators.
     """
-    if len(pairs) < 2:
-        return _fn(*pairs[0]) if pairs else _ZERO
-    lifted, other = [], []
+    other = []
     for num, den in pairs:
         k = _x_exponent(den)
         if k is None:
@@ -440,15 +481,20 @@ def _sum(pairs) -> RationalFn:
         else:
             lifted.append((num, den[-1], k))
     total = _ZERO
-    if lifted:
-        top = max(k for _, _, k in lifted)
-        lcm = math.lcm(*(c for _, c, _ in lifted))
-        acc = [0] * max(len(num) + top - k for num, _, k in lifted)
+    if len(lifted) == 1:
+        total = _pair(*_laurent(*lifted[0]))
+    elif lifted:
+        top, lcm, width = 0, 1, 0  # max k, lcm(c), max(len(num) - k)
         for num, c, k in lifted:
-            a, s = lcm // c, top - k
-            for i, v in enumerate(num):
-                acc[s + i] += a * v
-        total = _fn(poly.trim(acc), poly.shift((lcm,), top))
+            top = max(top, k)
+            lcm = math.lcm(lcm, c)
+            width = max(width, len(num) - k)
+        acc = [0] * (width + top)
+        for num, c, k in lifted:
+            a = lcm // c
+            for i, v in enumerate(num, top - k):
+                acc[i] += a * v
+        total = _pair(*_laurent(acc, lcm, top))
     for n2, d2 in other:
         n1, d1 = total.int_num, total.int_den
         if not n1:
@@ -686,7 +732,7 @@ class SymMatrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.entries for e in row)
+        return not any(e.int_num for row in self.entries for e in row)
 
     def __eq__(self, other):
         if not isinstance(other, SymMatrix):
@@ -755,18 +801,17 @@ class SymMatrix:
         if isinstance(other, SymMatrix):
             if self.cols != other.rows:
                 raise ValueError("inner dimension mismatch")
-            # each column as its nonzero (k, b) once; a zero row gives zeros
+            # each column as its nonzero entries' lanes once, each row as
+            # its entries' lanes once; a zero row gives zeros
             cols = [
-                [(k, b) for k, b in enumerate(col) if b.int_num]
+                [(k, *lane) for k, lane in enumerate(_lanes(col)) if lane]
                 for col in zip(*other.entries)
             ]
             zero_row = (_ZERO,) * other.cols
             return _matrix(
                 tuple(
-                    tuple(_dot(row, col) for col in cols)
-                    if any(a.int_num for a in row)
-                    else zero_row
-                    for row in self.entries
+                    tuple(_dot(row, col) for col in cols) if any(row) else zero_row
+                    for row in map(_lanes, self.entries)
                 )
             )
         f = _as_fn_or_none(other)
@@ -792,18 +837,15 @@ class SymMatrix:
         )
 
     def max_leading_order(self) -> int | None:
-        best: int | None = None
-        for row in self.entries:
-            for e in row:
-                lo = e.leading_order()
-                if lo is not None and (best is None or lo > best):
-                    best = lo
-        return best
+        orders = [
+            len(e.int_num) - len(e.int_den) for row in self.entries for e in row if e.int_num
+        ]
+        return max(orders) if orders else None
 
     def order_at_most(self, exponent: Fraction) -> bool:
         """True when every entry is O(x**exponent) at infinity."""
         lo = self.max_leading_order()
-        return lo is None or Fraction(lo) <= exponent
+        return lo is None or lo <= exponent
 
     def eval_exact(self, x) -> list[list[Fraction]]:
         x = Fraction(x)
@@ -882,7 +924,7 @@ class SymMatrix:
                         poly.neg(poly.mul(f.int_num, q.int_num)),
                         poly.mul(f.int_den, q.int_den),
                     )
-                    row[j] = _sum([(e.int_num, e.int_den), term] if e.int_num else [term])
+                    row[j] = _sum([(e.int_num, e.int_den), term] if e.int_num else [term], [])
         return _matrix(tuple(tuple(row[n:]) for row in rows))
 
 
@@ -917,12 +959,28 @@ def _matrix(rows: tuple[tuple[RationalFn, ...], ...]) -> SymMatrix:
     return m
 
 
-def _dot(row, col) -> RationalFn:
-    """The sum of the products row[k]*b over the nonzero entries (k, b) of a
-    column, each left unreduced for one normalisation."""
-    pairs = [
-        (poly.mul(a.int_num, b.int_num), poly.mul(a.int_den, b.int_den))
-        for k, b in col
-        if (a := row[k]).int_num
+def _lanes(entries) -> list:
+    """Each entry as (num, den, k), k its denominator's x-exponent or None,
+    and None for a zero entry."""
+    return [
+        (a.int_num, a.int_den, _x_exponent(a.int_den)) if a.int_num else None
+        for a in entries
     ]
-    return _sum(pairs) if pairs else _ZERO
+
+
+def _dot(row, col) -> RationalFn:
+    """The sum of the products row[k]*b over a column's nonzero entries
+    (k, num, den, x-exponent), each left unreduced for one normalisation:
+    two c*x**k denominators give the Laurent triple
+    (n_a*n_b, c_a*c_b, k_a + k_b), any other pair the product pair."""
+    pairs, lifted = [], []
+    for k, nb, db, kb in col:
+        a = row[k]
+        if a is None:
+            continue
+        na, da, ka = a
+        if ka is not None and kb is not None:
+            lifted.append((poly.mul(na, nb), da[-1] * db[-1], ka + kb))
+        else:
+            pairs.append((poly.mul(na, nb), poly.mul(da, db)))
+    return _sum(pairs, lifted)

@@ -65,9 +65,9 @@ class Monomial:
 @dataclass(frozen=True)
 class ProblemSpec:
     """A validated problem.  The derived constants (rho_fn, lam_fn, their
-    inverses and Lambda_0) are computed on first use and kept on the
-    instance.  They are not fields: equality, hash and repr see only the
-    problem itself, and a spec built by ``replace`` computes its own."""
+    inverses, Lambda_0 and Lambda_1) are computed on first use and kept on
+    the instance.  They are not fields: equality, hash and repr see only
+    the problem itself, and a spec built by ``replace`` computes its own."""
 
     n: int
     N: int
@@ -133,10 +133,12 @@ class ProblemSpec:
     def lambda0_diagonal(self) -> tuple[RationalFn, ...]:
         return self._lambda0
 
+    @cached_property
+    def _lambda1(self) -> tuple[RationalFn, ...]:
+        return tuple(base + phi for base, phi in zip(self._lambda0, self.phi1))
+
     def lambda1_diagonal(self) -> tuple[RationalFn, ...]:
-        return tuple(
-            base + phi for base, phi in zip(self.lambda0_diagonal(), self.phi1)
-        )
+        return self._lambda1
 
     def ladder_rung(self, j: int) -> SymMatrix | None:
         for jj, V in self.ladder:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .error_ledger import ErrorLedger, LedgerEntry
 from .errors import ComputationFailed
-from .symexpr import RationalFn, SymMatrix
+from .symexpr import RationalFn, SymMatrix, _matrix
 from .system_model import INVERSE_X, ProblemSpec
 
 _EXPANSION_CAP = 64
@@ -146,6 +146,7 @@ def _solve_P(
     leftover = [[zero] * n for _ in range(n)]
     lam = spec.lam_fn
     d = spec.d
+    accuracy = spec.accuracy_exponent
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -161,7 +162,7 @@ def _solve_P(
             elif j_large:
                 scaled[i][j] = v / (lam * d[j])
             elif spec.mode == INVERSE_X:
-                terms, tail = v.laurent_split(spec.accuracy_exponent)
+                terms, tail = v.laurent_split(accuracy)
                 acc = zero
                 for c, e in terms:
                     den = d[j] - d[i] + e
@@ -176,8 +177,8 @@ def _solve_P(
             else:
                 plain[i][j] = v / (d[j] - d[i])
     return (
-        PSplit(SymMatrix(tuple(map(tuple, scaled))), SymMatrix(tuple(map(tuple, plain))), state.m),
-        SymMatrix(tuple(map(tuple, leftover))),
+        PSplit(_matrix(tuple(map(tuple, scaled))), _matrix(tuple(map(tuple, plain))), state.m),
+        _matrix(tuple(map(tuple, leftover))),
     )
 
 
@@ -225,7 +226,7 @@ def _commutator_terms(
                 cross[i][j] = lam_inv * (d[j] / d[i]) * v
             elif j_large and not i_large:
                 cross[i][j] = lam_inv * (d[i] / d[j]) * v
-    cross_m = SymMatrix(tuple(map(tuple, cross)))
+    cross_m = _matrix(tuple(map(tuple, cross)))
     phi_large, phi_small = _phi_split(state, spec)
     qt, q = psplit.scaled, psplit.plain
     return CommutatorTerms(
@@ -335,6 +336,7 @@ def _iterate(
     state: IterationState, spec: ProblemSpec
 ) -> tuple[IterationState, IterationRecord]:
     m, M, n, a = state.m, spec.M, spec.n, spec.a
+    accuracy = spec.accuracy_exponent
     if m > M - 1:
         raise ValueError(f"reduction already complete after iteration {M - 1}")
     psplit, leftover = _solve_P(state, spec)
@@ -354,7 +356,7 @@ def _iterate(
         # powers until one falls at or beyond accuracy, ledger the rest.
         powers = [base]
         nxt = P * base
-        while not nxt.order_at_most(spec.accuracy_exponent):
+        while not nxt.order_at_most(accuracy):
             powers.append(nxt)
             if len(powers) > _EXPANSION_CAP:
                 raise ExpansionCapExceeded(

@@ -19,7 +19,7 @@ from levode import (
     solution_bundle,
     total_error_bound,
 )
-from levode import cli, errors, transform_engine
+from levode import cli, errors, ode_connector, transform_engine
 from levode.cli import main
 from levode.ode_connector import PoleInInterval
 from levode.symexpr import BoundNotCertified, PoleInDomain, UnboundedAtInfinity
@@ -577,6 +577,21 @@ def test_expansion_past_cap_exits_1(capsys, monkeypatch):
     assert err == (
         "computation failed: expansion of Qtilde_deriv at iteration 1 "
         "did not reach accuracy\n"
+    )
+
+
+def test_continuation_past_the_step_budget_exits_1(capsys, monkeypatch):
+    # the continuation to 0 takes about 1,000 RK45 steps; with a budget of
+    # 100 it is refused in one line naming the target and the budget
+    monkeypatch.setattr(ode_connector, "_MAX_STEPS", 100)
+    code, out, err = run_cli(
+        capsys, "solve", "--builtin", "hypergeom", "-k", "3", "--target", "0"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "computation failed: the continuation to x = 0.0 needs more than "
+        "100 RK45 steps\n"
     )
 
 

@@ -25,7 +25,13 @@ from levode import (
 )
 from levode.fixtures import hypergeometric_companion
 from levode.levinson_solver import SolutionOverflow
-from levode.ode_connector import _DENSE_POINTS, METHOD_INFO, LinearSystem
+from levode import ode_connector
+from levode.ode_connector import (
+    _DENSE_POINTS,
+    METHOD_INFO,
+    LinearSystem,
+    StepBudgetExceeded,
+)
 
 
 def const_matrix(rows):
@@ -112,6 +118,20 @@ def test_interval_outside_domain_rejected():
     system = linear_system(const_matrix([[0]]), Fraction(0), Fraction(5))
     with pytest.raises(ValueError, match="domain"):
         integrate(system, (1.0,), 0.0, 6.0, rtol=1e-8, atol=1e-10)
+
+
+def test_step_budget_counts_accepted_steps(monkeypatch):
+    # this integration takes 26 accepted steps: a budget of 26 leaves its
+    # result as it is without a budget, one of 25 refuses it
+    system = linear_system(const_matrix([[0, 1], [-1, 0]]), Fraction(0), Fraction(5))
+    args = (system, (1.0, 0.0), 0.0, 5.0)
+    options = {"rtol": 1e-6, "atol": 1e-8, "max_step": 0.5}
+    free = integrate(*args, **options)
+    monkeypatch.setattr(ode_connector, "_MAX_STEPS", 26)
+    assert integrate(*args, **options) == free
+    monkeypatch.setattr(ode_connector, "_MAX_STEPS", 25)
+    with pytest.raises(StepBudgetExceeded, match=r"^the continuation to x = 5\.0 needs more than 25 RK45 steps$"):
+        integrate(*args, **options)
 
 
 def test_runaway_growth_reported():

@@ -218,14 +218,180 @@ def test_derivative_of_x_power_denominator_matches_quotient_rule():
     def run(num, c, k):
         f = RationalFn(num, [0] * k + [c])
         n, d = f.int_num, f.int_den
-        # the general rule (n'd - nd')/d^2, normalised
-        quotient_rule = symexpr._fn(
+        # the general rule (n'd - nd')/d^2, normalised by the gcd route,
+        # not by the x-power normaliser the rule under test ends in
+        quotient_rule = _gcd_normal(
             poly.sub(poly.mul(poly.derivative(n), d), poly.mul(n, poly.derivative(d))),
             poly.mul(d, d),
         )
         _same(f.differentiate(), quotient_rule)
 
     run()
+
+
+# -- the Laurent lane: denominators c*x^k -------------------------------
+
+
+def _gcd_normal(num, den) -> RationalFn:
+    """Reference: num/den reduced by the primitive polynomial gcd, then
+    the common integer content and the sign, whatever den is; the route
+    the kernel takes for a denominator that is not c*x^k."""
+    num, den = poly.trim(num), poly.trim(den)
+    if not num:
+        return RationalFn.const(0)
+    g = poly.gcd(num, den)
+    num, den = poly.divmod_exact(num, g)[0], poly.divmod_exact(den, g)[0]
+    c = math.gcd(*num, *den) * (1 if den[-1] > 0 else -1)
+    return symexpr._pair(tuple(v // c for v in num), tuple(v // c for v in den))
+
+
+def _ref_mul(a, b):
+    return _gcd_normal(poly.mul(a.int_num, b.int_num), poly.mul(a.int_den, b.int_den))
+
+
+def _ref_sum(terms):
+    total = RationalFn.const(0)
+    for f in terms:
+        n1, d1, n2, d2 = total.int_num, total.int_den, f.int_num, f.int_den
+        total = _gcd_normal(poly.add(poly.mul(n1, d2), poly.mul(n2, d1)), poly.mul(d1, d2))
+    return total
+
+
+def _lane_terms():
+    """Terms over zero, c*x^k with small or large c of either sign,
+    x^k(x + 1) and 3x^2 - 7; the constructor meets a negative c itself."""
+    from hypothesis import strategies as st
+
+    near_2_70 = st.integers(2**70 - 3, 2**70 + 3)
+    coeff = st.one_of(st.integers(-9, 9), near_2_70, near_2_70.map(lambda c: -c))
+    nonzero = coeff.filter(bool)
+    denominators = st.one_of(
+        st.builds(lambda k, c: [0] * k + [c], st.integers(0, 5), nonzero),  # c*x^k
+        st.integers(1, 3).map(lambda k: [0] * k + [1, 1]),  # x^k (x + 1)
+        st.just([-7, 0, 3]),  # 3x^2 - 7
+    )
+    return st.one_of(
+        st.just(RationalFn.const(0)),
+        st.builds(RationalFn, st.lists(coeff, max_size=5), denominators),
+    )
+
+
+def test_laurent_lane_matches_the_gcd_path():
+    """Products, derivatives and n-ary sums give the int pair, hash and
+    string of the general gcd route, and sympy's cancelled quotient."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    try:
+        import sympy
+    except ImportError:
+        sympy = None
+    term = _lane_terms()
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=term, b=term, plus=st.lists(term, max_size=6), minus=st.lists(term, max_size=3))
+    def run(a, b, plus, minus):
+        n, d = a.int_num, a.int_den
+        quotient_rule = _gcd_normal(
+            poly.sub(poly.mul(poly.derivative(n), d), poly.mul(n, poly.derivative(d))),
+            poly.mul(d, d),
+        )
+        total = symexpr.rational_sum(plus, minus)
+        _same(a * b, _ref_mul(a, b))
+        _same(a.differentiate(), quotient_rule)
+        _same(total, _ref_sum(plus + [-f for f in minus]))
+        _same(a - b, _ref_sum([a, -b]))
+        if sympy is not None:
+            x = sympy.Symbol("x")
+            ea = _to_sympy(a)
+            assert ((a * b).num, (a * b).den) == _monic_form(ea * _to_sympy(b))
+            derivative = a.differentiate()
+            assert (derivative.num, derivative.den) == _monic_form(sympy.diff(ea, x))
+            expr = sum(map(_to_sympy, plus), sympy.Integer(0))
+            expr -= sum(map(_to_sympy, minus), sympy.Integer(0))
+            assert (total.num, total.den) == _monic_form(expr)
+
+    run()
+
+
+def test_laurent_lane_matrix_products_match_the_gcd_path():
+    """``_dot`` sums its products over c*x^k denominators as Laurent
+    triples; each entry of a product is the general route's sum of the
+    entrywise products, and so is a scalar multiple."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    term = _lane_terms()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        a=st.lists(term, min_size=6, max_size=6),
+        b=st.lists(term, min_size=6, max_size=6),
+        f=term,
+    )
+    def run(a, b, f):
+        A = SymMatrix([a[:3], a[3:]])  # 2 x 3
+        B = SymMatrix([b[:2], b[2:4], b[4:]])  # 3 x 2
+        product = A * B
+        for i in range(2):
+            for j in range(2):
+                want = _ref_sum([_ref_mul(A.entry(i, t), B.entry(t, j)) for t in range(3)])
+                _same(product.entry(i, j), want)
+        for i, row in enumerate((f * A).entries):
+            for j, e in enumerate(row):
+                _same(e, _ref_mul(f, A.entry(i, j)))
+
+    run()
+
+
+@pytest.mark.parametrize(
+    "acc, c, k, pair",
+    [
+        ([], 5, 2, ((), (1,))),
+        ([0, 0, 0], -5, 2, ((), (1,))),
+        ([6], 4, 0, ((3,), (2,))),  # the content gcd(6, 4)
+        ([0, 0, 3, 1, 0], 1, 3, ((3, 1), (0, 1))),  # x^2 cancelled, zeros trimmed
+        ([0, 6, 0, 0], -4, 3, ((-3,), (0, 0, 2))),  # all three, and the sign
+        ([0, 0, 7], -1, 1, ((0, -7), (1,))),  # x^1 cancelled out of x^2
+        ((2**70, 0, 2**71), 2**69, 4, ((2, 0, 4), (0, 0, 0, 0, 1))),
+    ],
+)
+def test_laurent_helper_gives_the_canonical_pair(acc, c, k, pair):
+    assert symexpr._laurent(acc, c, k) == pair
+    assert all(type(v) is tuple for v in pair)
+    if pair[0]:
+        _same(symexpr._pair(*pair), _gcd_normal(acc, [0] * k + [c]))
+
+
+def _mul_by_loop(p, q):
+    """poly.mul's general loop, for any two trimmed operands."""
+    if not p or not q:
+        return poly.ZERO
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                if b:
+                    out[i + j] += a * b
+    return poly.trim(out)
+
+
+@pytest.mark.parametrize("a", [1, -1, 7, -(2**70), F(1), F(-2, 3)])
+@pytest.mark.parametrize(
+    "q",
+    [(5,), (0, 0, 3), (1, -2, 0, 4), (F(1, 2), 0, F(-3)), poly.make([0, 2, 0, -1])],
+)
+def test_poly_mul_one_coefficient_fast_path(a, q):
+    """A one-coefficient operand, on either side, gives exactly the tuple
+    the general loop gives: equal values of equal types (the int 0 where
+    q has a zero), trimmed."""
+    want = _mul_by_loop((a,), q)
+    for got in (poly.mul((a,), q), poly.mul(q, (a,))):
+        assert type(got) is tuple
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert got[-1] != 0
+    assert poly.mul((a,), ()) == poly.mul((), (a,)) == ()
 
 
 def test_integer_and_fraction_coercion():

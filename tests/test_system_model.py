@@ -153,7 +153,10 @@ def test_with_X_returns_new_spec(fixture_spec):
 
 
 def _derived(spec):
-    return (spec.rho_fn, spec.lam_fn, spec.rho_inv, spec.lam_inv, spec.lambda0_diagonal())
+    return (
+        spec.rho_fn, spec.lam_fn, spec.rho_inv, spec.lam_inv,
+        spec.lambda0_diagonal(), spec.lambda1_diagonal(),
+    )
 
 
 def test_read_constants_leave_a_spec_unchanged():
@@ -178,6 +181,22 @@ def test_new_specs_compute_their_constants_afresh():
     assert other.lam_fn == lam.fn
     assert other.lam_inv == RationalFn.const(1) / lam.fn
     assert [f.to_string() for f in other.lambda0_diagonal()] == ["2*x^5", "1", "-1"]
+    assert [f.to_string() for f in other.lambda1_diagonal()] == [
+        "(2*x^8 - 3*x^3 - 3)/(x^3)", "1", "(-x^3 + 3)/(x^3)",
+    ]
+
+
+def test_read_lambda1_is_the_cached_constant():
+    # Lambda_1 is formed once per spec (equality, hash, repr, pickle and
+    # deepcopy of a read spec are checked above with the other constants);
+    # a spec built from it computes its own
+    read = builtin_hypergeometric()
+    lam1 = read.lambda1_diagonal()
+    assert read.lambda1_diagonal() is lam1
+    for other in (read.with_X(20), replace(read, X=F(30))):
+        assert "_lambda1" not in vars(other)
+        assert other.lambda1_diagonal() == lam1
+        assert other.lambda1_diagonal() is not lam1
 
 
 # -- structure helpers --------------------------------------------------
