@@ -146,18 +146,7 @@ def _load_spec(args) -> ProblemSpec:
     if args.M_override is not None:
         if args.M_override < 2:
             raise InvalidInput("M override must be at least 2")
-        folded = spec.E1
-        kept = []
-        for j, mat in spec.ladder:
-            if j <= args.M_override - 1:
-                kept.append((j, mat))
-            else:
-                folded = folded + mat
-        spec = validate(
-            dataclasses.replace(
-                spec, M=args.M_override, ladder=tuple(kept), E1=folded
-            )
-        )
+        spec = validate(spec.with_M(args.M_override))
     if args.X_override is not None:
         spec = validate(spec.with_X(_rational_flag(args.X_override, "-X")))
     return spec

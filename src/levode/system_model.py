@@ -64,8 +64,8 @@ class Monomial:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A validated problem.  The derived constants (rho_fn, lam_fn, their
-    inverses, Lambda_0 and Lambda_1) are computed on first use and kept on
+    """A validated problem.  The derived constants (rho_fn, lam_fn, rho_inv,
+    Lambda_0 and Lambda_1) are computed on first use and kept on
     the instance.  They are not fields: equality, hash and repr see only
     the problem itself, and a spec built by ``replace`` computes its own."""
 
@@ -113,10 +113,6 @@ class ProblemSpec:
     def rho_inv(self) -> RationalFn:
         return RationalFn.const(1) / self.rho_fn
 
-    @cached_property
-    def lam_inv(self) -> RationalFn:
-        return RationalFn.const(1) / self.lam_fn
-
     @property
     def phi1(self) -> tuple[RationalFn, ...]:
         return self.phi1_large + self.phi1_small
@@ -148,6 +144,16 @@ class ProblemSpec:
 
     def with_X(self, X) -> "ProblemSpec":
         return replace(self, X=Fraction(X))
+
+    def with_M(self, M: int) -> "ProblemSpec":
+        """The problem at accuracy index M: the rungs j < M are kept and
+        the rest are folded into E1.  Unvalidated, like ``with_X``."""
+        return replace(
+            self,
+            M=M,
+            ladder=tuple((j, V) for j, V in self.ladder if j < M),
+            E1=SymMatrix.sum([self.E1, *(V for j, V in self.ladder if j >= M)]),
+        )
 
 
 @dataclass(frozen=True)

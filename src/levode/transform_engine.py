@@ -9,12 +9,19 @@ pool, and the geometric-series truncation goes to the error ledger.  The
 engine is fully symbolic; nothing is approximated until a bound or a
 value is requested.
 
+The large/small block split enters through one gap.  With D = d on the
+large block and 0 on the small one, every entry of P that touches the
+large block is V_ij / (lambda * (D_j - D_i)) (``PSplit.scaled``), and the
+cross terms are that scaled part's commutator with what the gap leaves
+out of the leading diagonal: 0 on the large block, d on the small one.
+
 ``run()`` computes P, the commutator terms and the elimination defect of
 each step once, through uncached functions, and raises
 ``EliminationIdentityViolated`` from that defect.  ``compute_P``,
 ``commutator_terms`` and ``elimination_defect`` are the same code behind
-``lru_cache``s keyed by whole states and specs; they exist for re-checks
-made outside ``run()``, which never fills them.
+``lru_cache``s keyed by whole states and specs; ``run()`` never fills
+them, and their only caller outside the tests is the benchmark's
+re-check, ``perfbench/worker.check_reduction``.
 """
 
 from __future__ import annotations
@@ -134,9 +141,12 @@ def _solve_P(
 ) -> tuple[PSplit, SymMatrix]:
     """Solve the commutator equation entrywise; return P and pooled tails.
 
-    In inverse-x mode the small-small block is eliminated term by term of
-    the finite Laurent expansion; the part at or beyond accuracy cannot be
-    (and need not be) eliminated, so it is returned for the exact pool.
+    With ``D`` = d on the large block and 0 on the small one, every entry
+    touching the large block is V_ij / (lambda * (D_j - D_i)): the leading
+    gap of the diagonal.  The small-small block is V_ij / (d_j - d_i); in
+    inverse-x mode it is eliminated term by term of the finite Laurent
+    expansion, and the part at or beyond accuracy cannot be (and need not
+    be) eliminated, so it is returned for the exact pool.
     """
     n = spec.n
     v1 = _first_rung(state.ladder, n)
@@ -146,6 +156,7 @@ def _solve_P(
     leftover = [[zero] * n for _ in range(n)]
     lam = spec.lam_fn
     d = spec.d
+    D = spec.d_large + (0,) * len(spec.d_small)
     accuracy = spec.accuracy_exponent
     for i in range(n):
         for j in range(n):
@@ -154,13 +165,8 @@ def _solve_P(
             v = v1.entry(i, j)
             if v.is_zero:
                 continue
-            i_large, j_large = spec.is_large(i), spec.is_large(j)
-            if i_large and j_large:
-                scaled[i][j] = v / (lam * (d[j] - d[i]))
-            elif i_large:
-                scaled[i][j] = -v / (lam * d[i])
-            elif j_large:
-                scaled[i][j] = v / (lam * d[j])
+            if spec.is_large(i) or spec.is_large(j):
+                scaled[i][j] = v / (lam * (D[j] - D[i]))
             elif spec.mode == INVERSE_X:
                 terms, tail = v.laurent_split(accuracy)
                 acc = zero
@@ -208,29 +214,16 @@ def _phi_split(
 def _commutator_terms(
     state: IterationState, psplit: PSplit, spec: ProblemSpec
 ) -> CommutatorTerms:
-    n = spec.n
-    v1 = _first_rung(state.ladder, n)
-    zero = RationalFn.const(0)
-    lam_inv = spec.lam_inv
-    d = spec.d
-    cross = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            v = v1.entry(i, j)
-            if v.is_zero:
-                continue
-            i_large, j_large = spec.is_large(i), spec.is_large(j)
-            if i_large and not j_large:
-                cross[i][j] = lam_inv * (d[j] / d[i]) * v
-            elif j_large and not i_large:
-                cross[i][j] = lam_inv * (d[i] / d[j]) * v
-    cross_m = _matrix(tuple(map(tuple, cross)))
+    """The first-order products of P, each a commutator with a diagonal.
+
+    ``cross`` is the scaled part's commutator with the O(1) part of the
+    leading diagonal that ``_solve_P``'s gap lambda * (D_j - D_i) leaves
+    out: 0 on the large block and d on the small one.
+    """
     phi_large, phi_small = _phi_split(state, spec)
     qt, q = psplit.scaled, psplit.plain
     return CommutatorTerms(
-        cross=cross_m,
+        cross=qt.commutator((0,) * spec.N + spec.d_small),
         large_with_scaled=qt.commutator(phi_large),
         small_with_scaled=qt.commutator(phi_small),
         small_with_plain=q.commutator(phi_small),
@@ -428,15 +421,8 @@ def _iterate(
 
 def _dominant_first(spec: ProblemSpec) -> SymMatrix:
     """S_1 as displayed: V_11 plus the decaying diagonal of Phi_1."""
-    n = spec.n
-    v1 = _first_rung(spec.ladder, n)
-    lambda0 = spec.lambda0_diagonal()
-    lambda1 = spec.lambda1_diagonal()
-    decay = []
-    for i in range(n):
-        phi = lambda1[i] - lambda0[i]
-        decay.append(phi - RationalFn.const(phi.limit_at_infinity()))
-    return v1 + SymMatrix.diagonal(tuple(decay))
+    decay = tuple(phi - RationalFn.const(phi.limit_at_infinity()) for phi in spec.phi1)
+    return _first_rung(spec.ladder, spec.n) + SymMatrix.diagonal(decay)
 
 
 def run(spec: ProblemSpec) -> FinalState:

@@ -32,6 +32,7 @@ from levode.system_model import (
     serialize_problem,
     validate,
 )
+from levode.verify import run_checks
 
 S2_STRINGS = [
     ["(-3)/(x^6)", "0", "(6)/(x^6)"],
@@ -665,6 +666,18 @@ def test_verify_symbolic_group_passes(capsys):
     assert report["passed"] is True
     assert all(r["group"] == "symbolic" for r in report["rows"])
     assert report["rows"]
+
+
+def test_verify_identity_row_fails_on_a_defect(monkeypatch):
+    monkeypatch.setattr(
+        transform_engine,
+        "_elimination_defect",
+        lambda *args: SymMatrix([[RationalFn.x_power(-7)]]),
+    )
+    rows = {r.name: r for r in run_checks(only="symbolic")}
+    row = rows["elimination_identity_sample"]
+    assert not row.passed
+    assert row.computed == "defect at spec 0"
 
 
 def test_verify_fails_under_impossible_tolerance(capsys):

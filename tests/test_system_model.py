@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import random
 from copy import deepcopy
 from dataclasses import fields
 from fractions import Fraction
@@ -23,6 +24,7 @@ from levode import (
     validate_resonance,
 )
 from levode.fixtures import back_transform_matrix, builtin_hypergeometric
+from levode.sampling import random_problem
 
 F = Fraction
 
@@ -152,9 +154,24 @@ def test_with_X_returns_new_spec(fixture_spec):
     assert validate(moved) is moved
 
 
+def test_with_M_at_the_own_M_is_the_identity(fixture_spec):
+    rng = random.Random(2024)
+    for spec in [fixture_spec] + [random_problem(rng) for _ in range(200)]:
+        assert spec.with_M(spec.M) == spec
+
+
+def test_with_M_folds_the_rungs_past_M_into_E1(fixture_spec):
+    (_, V11), (_, V21) = fixture_spec.ladder
+    lowered = fixture_spec.with_M(2)
+    assert lowered.M == 2
+    assert lowered.ladder == ((1, V11),)
+    assert lowered.E1 == fixture_spec.E1 + V21
+    assert validate(lowered) is lowered
+
+
 def _derived(spec):
     return (
-        spec.rho_fn, spec.lam_fn, spec.rho_inv, spec.lam_inv,
+        spec.rho_fn, spec.lam_fn, spec.rho_inv,
         spec.lambda0_diagonal(), spec.lambda1_diagonal(),
     )
 
@@ -179,7 +196,6 @@ def test_new_specs_compute_their_constants_afresh():
     lam = Monomial(F(2), 5)
     other = replace(spec, lam=lam)
     assert other.lam_fn == lam.fn
-    assert other.lam_inv == RationalFn.const(1) / lam.fn
     assert [f.to_string() for f in other.lambda0_diagonal()] == ["2*x^5", "1", "-1"]
     assert [f.to_string() for f in other.lambda1_diagonal()] == [
         "(2*x^8 - 3*x^3 - 3)/(x^3)", "1", "(-x^3 + 3)/(x^3)",

@@ -24,6 +24,7 @@ from levode.transform_engine import (
     CommittedError,
     EliminationIdentityViolated,
     IterationState,
+    _commutator_terms,
     _iterate,
     _p_and_leftover,
     _solve_P,
@@ -123,6 +124,57 @@ def test_run_leaves_the_caches_empty():
     for spec in [builtin_hypergeometric()] + [random_problem(rng) for _ in range(5)]:
         run(spec)
     assert [fn_.cache_info().currsize for fn_ in cached] == [0, 0, 0]
+
+
+def _per_entry_scaled_and_cross(state, spec):
+    """The block-by-block formulas that the gap and the commutator replace:
+    the scaled part of P in three branches (both indices large, i large, j
+    large), and cross as lambda^-1 (d_j/d_i) V or lambda^-1 (d_i/d_j) V."""
+    v1 = dict(state.ladder).get(1, SymMatrix.zeros(spec.n))
+    lam = spec.lam_fn
+    lam_inv = RationalFn.const(1) / lam
+    d = spec.d
+    scaled, cross = {}, {}
+    for i in range(spec.n):
+        for j in range(spec.n):
+            v = v1.entry(i, j)
+            if i == j or v.is_zero:
+                continue
+            i_large, j_large = spec.is_large(i), spec.is_large(j)
+            if i_large and j_large:
+                scaled[i, j] = v / (lam * (d[j] - d[i]))
+            elif i_large:
+                scaled[i, j] = -v / (lam * d[i])
+                cross[i, j] = lam_inv * (d[j] / d[i]) * v
+            elif j_large:
+                scaled[i, j] = v / (lam * d[j])
+                cross[i, j] = lam_inv * (d[i] / d[j]) * v
+    # a zero d_i on the small block gives a zero cross entry
+    return scaled, {ij: e for ij, e in cross.items() if not e.is_zero}
+
+
+def _nonzero(mat: SymMatrix) -> dict:
+    return {
+        (i, j): e
+        for i, row in enumerate(mat.entries)
+        for j, e in enumerate(row)
+        if not e.is_zero
+    }
+
+
+def test_gap_and_commutator_match_the_per_entry_formulas():
+    rng = random.Random(2024)
+    steps = 0
+    for spec in [builtin_hypergeometric()] + [random_problem(rng) for _ in range(200)]:
+        state = initial_state(spec)
+        for _ in range(spec.M - 1):
+            psplit, _ = _solve_P(state, spec)
+            scaled, cross = _per_entry_scaled_and_cross(state, spec)
+            assert _nonzero(psplit.scaled) == scaled
+            assert _nonzero(_commutator_terms(state, psplit, spec).cross) == cross
+            state, _ = _iterate(state, spec)
+            steps += 1
+    assert steps == 418
 
 
 def test_read_combined_keeps_a_psplit_equal(fixture_spec):
