@@ -4,11 +4,12 @@ Exit codes: 0 success; 1 verification failure, refused continuation, or a
 failed computation (an uncertified or divergent bound, a reduction step
 that breaks down, a bound or solution value beyond the float range);
 2 invalid input (schema, invariant, file, flags) or an output that cannot
-be written; 3 resonance in the small diagonal block; 4 dichotomy failure.
-Every failure but the last kind is a ``LevodeError``: ``main`` prints its
-category's prefix and message as one line on stderr (a resonance, one
-line per hit) and returns its category's exit code (``levode.errors``).
-JSON reports never contain Infinity or NaN.
+be written; 3 resonance, a zero denominator d_j - d_i - s met by the
+elimination; 4 dichotomy failure.  Every failure but an unwritable output
+is a ``LevodeError``, raised by the stage that meets it: ``main`` prints
+its category's prefix and message as one line on stderr and returns its
+category's exit code (``levode.errors``).  JSON reports never contain
+Infinity or NaN.
 """
 
 from __future__ import annotations
@@ -21,21 +22,18 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from .error_ledger import bound_ledger, eta_bound, total_error_bound
+from .error_ledger import _to_float, bound_ledger, eta_bound, total_error_bound
 from .errors import (
     ContinuationRefused,
     DichotomyFailure,
     InvalidInput,
     LevodeError,
-    Resonance,
 )
 from .fixtures import BUILTINS, CHECK_GROUPS
 from .system_model import (
-    INVERSE_X,
     ProblemSpec,
     load_problem,
     validate,
-    validate_resonance,
 )
 from .transform_engine import FinalState, run
 
@@ -144,8 +142,6 @@ def _load_spec(args) -> ProblemSpec:
             raise ProblemUnreadable(exc) from None
         spec = load_problem(doc)
     if args.M_override is not None:
-        if args.M_override < 2:
-            raise InvalidInput("M override must be at least 2")
         spec = validate(spec.with_M(args.M_override))
     if args.X_override is not None:
         spec = validate(spec.with_X(_rational_flag(args.X_override, "-X")))
@@ -166,17 +162,6 @@ def _float_range(value: Fraction, what: str) -> None:
         float(value)
     except OverflowError:
         raise InvalidInput(f"{what} is beyond the float range") from None
-
-
-def _check_resonance(spec: ProblemSpec) -> None:
-    if spec.mode != INVERSE_X:
-        return
-    hits = validate_resonance(spec).hits
-    if hits:
-        raise Resonance("\n".join(
-            f"resonance at iteration {h.m}: d_{h.j} - d_{h.i} = {h.m * spec.a}"
-            for h in hits
-        ))
 
 
 def _timestamp() -> str:
@@ -233,11 +218,14 @@ def _transform_report(spec: ProblemSpec, fs: FinalState, args) -> dict:
                     "stage": e.stage,
                     "via_iteration": e.via_iteration,
                     "matrix": e.matrix.to_strings(),
-                    "norm_at_X": float(norm),
+                    "norm_at_X": _to_float(norm, f"norm of stage {e.stage} at X"),
                 }
                 for e, norm in zip(ledger.entries, norms.entries)
             ],
-            "P_norms": [float(norm) for norm in norms.p_matrices],
+            "P_norms": [
+                _to_float(norm, f"norm of P_{m}")
+                for m, norm in enumerate(norms.p_matrices, start=1)
+            ],
         },
         "residual_leading_order": str(fs.residual.max_leading_order()),
         "total_error_bound": norms.total,
@@ -287,7 +275,6 @@ def _transform_text(report: dict) -> str:
 
 def _cmd_transform(args) -> int:
     spec = _load_spec(args)
-    _check_resonance(spec)
     fs = run(spec)
     report = _transform_report(spec, fs, args)
     if args.format == "json":
@@ -318,7 +305,6 @@ def _cmd_solve(args) -> int:
             f"--rtol must be at least {MIN_RTOL!r} (100 machine epsilons), got {args.rtol!r}"
         )
     spec = _load_spec(args)
-    _check_resonance(spec)
     if not 1 <= args.k <= spec.n:
         raise InvalidInput(f"k must be in 1..{spec.n}, got {args.k}")
     target = None if args.target is None else _rational_flag(args.target, "--target")

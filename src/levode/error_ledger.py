@@ -149,13 +149,12 @@ def total_error_bound(ledger: ErrorLedger) -> float:
 def eta_bound(R_M: SymMatrix, spec) -> float:
     """Bound for the Levinson deviation eta from the final residual R_M.
 
-    Requires the accuracy exponent to beat the rho weight: M*a > p_rho + 1,
-    otherwise the defining integral diverges.
+    The integral of |rho|*norm(R_M) over [X, infinity) must converge;
+    ``integral_tail_bound`` decides that from the integrand's own decay
+    and raises ``DivergentIntegral`` when it does not.  Since R_M is
+    O(x**(-M*a)), a divergent integrand implies M*a <= p_rho + 1, but
+    R_M may decay faster than that and converge all the same.
     """
-    if spec.M * spec.a <= spec.rho.exponent + 1:
-        raise DivergentIntegral(
-            f"M*a = {spec.M * spec.a} must exceed p_rho + 1 = {spec.rho.exponent + 1}"
-        )
     integral = integral_tail_bound(spec.rho_fn * R_M, spec.X)
     weight = spec.n * integral
     if weight >= 1:

@@ -26,7 +26,7 @@ class ComputationFailed(LevodeError):
 
 
 class Resonance(LevodeError):
-    """An elimination denominator vanishes; one message line per hit."""
+    """The elimination meets a zero denominator d_j - d_i - s."""
 
     exit_code = 3
 

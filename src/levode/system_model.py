@@ -11,9 +11,9 @@ structural invariant with a named error.
 
 Two modes are supported.  ``standard`` requires 1/rho = O(x**(1-K*a))
 with K >= 1.  ``inverse_x`` is the rho(x) = 1/x case, where the
-elimination step divides by d_j - d_i - s per decay exponent s and is
-blocked by the resonance condition m*a = d_j - d_i; ``validate_resonance``
-screens for that.
+elimination step divides by d_j - d_i - s per decay exponent s of the
+small-block entry it eliminates; the engine raises a resonance when one
+of those denominators is zero.
 """
 
 from __future__ import annotations
@@ -178,10 +178,13 @@ class ResonanceReport:
 def validate_resonance(spec: ProblemSpec) -> ResonanceReport:
     """List every (m, i, j) with m*a = d_j - d_i over the small block.
 
-    Only meaningful in inverse_x mode, where those differences appear in
-    denominators of the elimination step; raises ModeError otherwise.
-    Also reports whether the sufficient condition max(d_j - d_i) < a
-    holds, which rules out hits for every m >= 1 at once.
+    No command runs this screen: the elimination decides a resonance
+    itself, from the zero denominator d_j - d_i - s it meets.  The
+    ``hits`` are neither necessary nor sufficient for one, since the
+    decay exponents s of an entry need not be multiples of a, and a hit
+    whose entries are zero divides by nothing.  The sufficient condition
+    max(d_j - d_i) < a stays sufficient, because every s >= a.  Raises
+    ModeError outside inverse_x mode.
     """
     if spec.mode != INVERSE_X:
         raise ModeError("resonance screening applies to inverse_x mode only")

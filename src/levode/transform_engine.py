@@ -32,15 +32,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .error_ledger import ErrorLedger, LedgerEntry
-from .errors import ComputationFailed
+from .errors import ComputationFailed, Resonance
 from .symexpr import RationalFn, SymMatrix, _matrix
 from .system_model import INVERSE_X, ProblemSpec
 
 _EXPANSION_CAP = 64
 
 
-class DivisionByZeroDenominator(ComputationFailed, ZeroDivisionError):
-    """A resonant exponent makes an elimination denominator vanish."""
+class DivisionByZeroDenominator(Resonance, ZeroDivisionError):
+    """A decay exponent s of a small-block entry makes d_j - d_i - s vanish."""
 
 
 class EliminationIdentityViolated(ComputationFailed, RuntimeError):
@@ -174,8 +174,8 @@ def _solve_P(
                     den = d[j] - d[i] + e
                     if den == 0:
                         raise DivisionByZeroDenominator(
-                            f"eliminating entry ({i + 1},{j + 1}): "
-                            f"d_{j + 1} - d_{i + 1} - {-e} = 0"
+                            f"resonance at iteration {state.m}: "
+                            f"d_{j + 1} - d_{i + 1} = {-e} in entry ({i + 1},{j + 1})"
                         )
                     acc = acc + RationalFn.monomial(c / den, e)
                 plain[i][j] = acc

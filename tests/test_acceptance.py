@@ -161,7 +161,7 @@ def test_random_sweep_canonical_forms_are_pinned():
     assert digest(digests) == SWEEP_DIGEST
 
 
-CERTIFY_DIGEST = "5a3b1856bca132ac816918b991707045582f045aae1fa5c1a28ca7e2aa6403a4"
+CERTIFY_DIGEST = "9ce6abaac22b20745d221313fe5237aca32959a7e0e58e06052b48bc5363c2ab"
 
 
 def test_random_sweep_bounds_and_screens_are_pinned():
@@ -231,6 +231,27 @@ def test_eta_bound_soundness(fixture_spec, fixture_final, fixture_eta):
     value, err = quad(weighted_norm, 10.0, float("inf"), limit=200)
     assert fixture_eta >= value - err
     assert 0.0 < fixture_eta < 1e-6
+
+
+def test_eta_bound_soundness_where_M_a_does_not_exceed_p_rho_plus_1():
+    # stream-2024 problems #44, #55 and #109 (0-based) have M*a = p_rho + 1,
+    # yet their residuals decay faster than O(x^(-M*a)) and the integral
+    # converges
+    rng = random.Random(2024)
+    specs = [random_problem(rng) for _ in range(110)]
+    for index in (44, 55, 109):
+        spec = specs[index]
+        assert spec.M * spec.a == spec.rho.exponent + 1
+        residual = run(spec).residual
+
+        def weighted_norm(t):
+            rows = residual.eval_float(float(t))
+            return abs(spec.rho_fn.eval_float(float(t))) * max(
+                abs(v) for row in rows for v in row
+            )
+
+        value = mpmath.quad(weighted_norm, [float(spec.X), mpmath.inf])
+        assert eta_bound(residual, spec) >= value > 0
 
 
 def test_dichotomy_checks(fixture_spec, fixture_final):

@@ -426,14 +426,50 @@ def test_small_M_override_rejected(capsys):
 
 
 def test_resonant_scales_rejected(capsys, tmp_path):
-    # with a = 2 the gap d_1 - d_2 = 2 equals 1*a: the first elimination
-    # would divide by zero
+    # with a = 2 and d_small = (-1, 2), V_1's entry (2,3) = -3/x^3 has the
+    # decay exponent 3 = d_3 - d_2: the first elimination divides by zero
+    doc = fixture_document()
+    doc["a"] = "2"
+    doc["D_small"] = ["-1", "2"]
+    path = write_problem(tmp_path, doc)
+    for argv in (("transform",), ("solve", "-k", "3")):
+        code, out, err = run_cli(capsys, *argv, "--problem", path)
+        assert code == 3
+        assert out == ""
+        assert err == "resonance at iteration 1: d_3 - d_2 = 3 in entry (2,3)\n"
+
+
+def test_gap_equal_to_m_times_a_is_no_resonance(capsys, tmp_path):
+    # with a = 2, d_2 - d_3 = 2 = 1*a, but no entry of V_1 between the two
+    # decays like x^-2, so no elimination denominator vanishes
     doc = fixture_document()
     doc["a"] = "2"
     path = write_problem(tmp_path, doc)
-    code, _, err = run_cli(capsys, "transform", "--problem", path)
-    assert code == 3
-    assert "resonance at iteration 1" in err
+    code, out, _ = run_cli(capsys, "transform", "--problem", path, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["iterations"][0]["P_plain"][1][2] == "(3)/(5*x^3)"
+    for extra in ((), ("--target", "0")):
+        code, _, _ = run_cli(capsys, "solve", "--problem", path, "-k", "3", *extra)
+        assert code == 0
+
+
+def test_norm_beyond_float_range_in_the_transform_report_exits_1(capsys, tmp_path):
+    # with no ledger entries the total error bound is 0 and rounds no norm;
+    # P_1's norm, about 2^1316, must still fail in one line
+    doc = fixture_document()
+    doc["ladder"] = doc["ladder"][:1]
+    doc["ladder"][0]["matrix"][1][2] = f"({10**400})/(x^3)"
+    doc["E1"] = [["0"] * 3 for _ in range(3)]
+    doc["M"] = 2
+    path = write_problem(tmp_path, doc)
+    for argv, what in (
+        (("transform",), "norm of P_1"),
+        (("solve", "-k", "3"), "n * integral"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--problem", path)
+        assert code == 1
+        assert out == ""
+        assert err == f"computation failed: {what} exceeds the float range\n"
 
 
 # -- solve --------------------------------------------------------------
@@ -532,14 +568,13 @@ def test_solve_overflowing_value_exits_1(capsys):
 @pytest.mark.parametrize(
     "module,name,error",
     [
-        (cli, "run", DivisionByZeroDenominator("elimination denominator vanishes")),
         (cli, "run", OrderRegression("term decays slower than promised")),
         (error_ledger, "sup_bound", BoundNotCertified("cannot certify the bound")),
         (error_ledger, "sup_bound", PoleInDomain("denominator vanishes on [10, inf)")),
         (error_ledger, "sup_bound", UnboundedAtInfinity("leading power 1 > 0 on [10, inf)")),
         (cli, "run", PoleInInterval("entry (1,1) has a pole at 0 in [0, 10]")),
     ],
-    ids=["division-by-zero", "order-regression", "bound-not-certified",
+    ids=["order-regression", "bound-not-certified",
          "pole-in-domain", "unbounded-at-infinity", "pole-in-interval"],
 )
 def test_computation_failure_exits_1(capsys, monkeypatch, module, name, error):
@@ -551,6 +586,21 @@ def test_computation_failure_exits_1(capsys, monkeypatch, module, name, error):
     assert code == 1
     assert out == ""
     assert err == f"computation failed: {error}\n"
+
+
+def test_zero_denominator_exits_3(capsys, monkeypatch):
+    error = DivisionByZeroDenominator(
+        "resonance at iteration 1: d_3 - d_2 = 3 in entry (2,3)"
+    )
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run", fail)
+    code, out, err = run_cli(capsys, "transform", "--builtin", "hypergeom")
+    assert code == 3
+    assert out == ""
+    assert err == f"{error}\n"
 
 
 def test_elimination_identity_violation_exits_1(capsys, monkeypatch):

@@ -156,6 +156,14 @@ def test_eta_divergent_when_accuracy_too_low():
         eta_bound(R, spec)
 
 
+def test_eta_converges_when_the_residual_beats_its_accuracy():
+    # p_rho = 1 and M*a = 2 as above, but R decays like x^-3: rho R decays
+    # like x^-2, int_10^inf t^-2 dt = 1/10 and eta = (1/10) / (1 - 2/10)
+    spec = tiny_spec(STANDARD, Monomial(Fraction(1), 1), K=2)
+    R = SymMatrix.zeros(2).with_entry(0, 1, fn("(1)/(x^3)"))
+    assert eta_bound(R, spec) == 0.125
+
+
 def test_eta_converges_at_minimal_margin():
     spec = tiny_spec(INVERSE_X, Monomial(Fraction(1), -1), K=0)
     R = SymMatrix.zeros(2).with_entry(0, 1, fn("(1)/(x)"))
