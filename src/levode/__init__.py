@@ -37,12 +37,10 @@ _SUBMODULE = {
         ),
         "fixtures": ("builtin_hypergeometric",),
         "levinson_solver": (
-            "asymptotic_value",
             "back_transform",
             "check_dichotomy",
             "derive_original_system",
             "exponent_data",
-            "is_safely_continuable",
             "solution_bundle",
         ),
         "ode_connector": (
@@ -57,23 +55,13 @@ _SUBMODULE = {
             "INVERSE_X",
             "STANDARD",
             "InvariantViolation",
-            "ModeError",
             "Monomial",
             "SchemaError",
             "load_problem",
             "serialize_problem",
             "validate",
-            "validate_resonance",
         ),
-        "transform_engine": (
-            "OrderRegression",
-            "commutator_terms",
-            "compute_P",
-            "elimination_defect",
-            "initial_state",
-            "iterate",
-            "run",
-        ),
+        "transform_engine": ("OrderRegression", "run"),
     }.items()
     for name in names
 }

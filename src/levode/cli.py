@@ -286,12 +286,21 @@ def _cmd_transform(args) -> int:
 
 def _cmd_solve(args) -> int:
     from .levinson_solver import (
+        FORM_INFO,
+        back_transform,
         check_dichotomy,
         derive_original_system,
-        is_safely_continuable,
+        growing_terms,
         solution_bundle,
     )
-    from .ode_connector import METHOD_INFO, MIN_RTOL, integrate, linear_system
+    from .ode_connector import (
+        DENSE_POINTS,
+        METHOD_INFO,
+        MIN_RTOL,
+        integrate,
+        linear_system,
+        write_dense,
+    )
 
     for flag, value in (("--rtol", args.rtol), ("--atol", args.atol)):
         if not 0 < value < math.inf:
@@ -299,8 +308,7 @@ def _cmd_solve(args) -> int:
                 f"{flag} must be a positive finite number, got {value!r}"
             )
     if args.rtol < MIN_RTOL:
-        # integrate would warn and run at MIN_RTOL, and the report would
-        # name a tolerance the run never used
+        # integrate refuses it as well, but only after the reduction ran
         raise InvalidInput(
             f"--rtol must be at least {MIN_RTOL!r} (100 machine epsilons), got {args.rtol!r}"
         )
@@ -344,29 +352,41 @@ def _cmd_solve(args) -> int:
         "exponent": {
             "log_coefficient": str(data.log_coefficient),
             "terms": [[str(c), e] for c, e in data.laurent_terms],
-            "tail_budget": float(data.tail_budget),
+            "tail_budget": bundle.tail_budget,
         },
         "dichotomy_ok": dichotomy.ok,
     }
     if bundle.Y_at_X is not None:
         report["Y_at_X"] = list(bundle.Y_at_X)
 
-    if target is not None:
-        if not is_safely_continuable(data):
-            growing = [
-                f"{c}*x^{e + 1}/{e + 1}"
-                for c, e in data.laurent_terms
-                if e >= 0 and c > 0
-            ]
+    if target is not None and target >= spec.X:
+        # Levinson's form holds on [X, inf): Y is evaluated there as at X
+        xs = [target]
+        if args.dense_csv and target > spec.X:
+            step = (target - spec.X) / (DENSE_POINTS - 1)
+            xs = [spec.X + i * step for i in range(DENSE_POINTS)]
+        rows = [
+            back_transform(data.solution_at(x, spec.n), fs.history, spec, x)
+            for x in xs
+        ]
+        if args.dense_csv:
+            write_dense(args.dense_csv, xs, rows)
+        report["continuation"] = {
+            "target": str(target),
+            "Y": list(rows[-1]),
+            "integrator": FORM_INFO,
+        }
+    elif target is not None:
+        growing = [f"{c}*x^{e + 1}/{e + 1}" for c, e in growing_terms(data)]
+        if growing:
             raise ContinuationRefused(
                 f"solution k={args.k} grows exponentially toward infinity "
                 f"(exponent term {', '.join(growing)}); continuing it backward "
                 "from X would amplify the uncertified dominant part, refusing"
             )
         A = derive_original_system(spec)
-        system = linear_system(A, min(target, spec.X), max(target, spec.X))
         y_target = integrate(
-            system,
+            linear_system(A, target, spec.X),
             report["Y_at_X"],
             spec.X,
             target,
@@ -407,10 +427,10 @@ def _solve_text(report: dict) -> str:
         lines.append(f"Y(X) = {report['Y_at_X']!r}")
     if "continuation" in report:
         cont = report["continuation"]
-        lines.append(
-            f"Y({cont['target']}) = {cont['Y']!r}  "
-            f"[{cont['integrator']['method']}, rtol={cont['rtol']:g}]"
-        )
+        how = cont["integrator"]["method"]
+        if "rtol" in cont:
+            how += f", rtol={cont['rtol']:g}"
+        lines.append(f"Y({cont['target']}) = {cont['Y']!r}  [{how}]")
     return "\n".join(lines)
 
 

@@ -80,15 +80,20 @@ def matrix_norm_bound(mat: SymMatrix, X) -> Fraction:
     return best
 
 
-def _inverse_deviation(p: Fraction, n: int, what: str) -> Fraction:
-    """Bound for norm(inverse(I+P) - I) given p >= norm(P)."""
-    if n * p >= 1:
-        label = f"n*norm({what})"
+def _contraction(weight: Fraction, label: str) -> Fraction:
+    """weight, once it is below 1; ContractionFailure naming it otherwise."""
+    if weight >= 1:
         raise ContractionFailure(
-            f"{label} = {_to_float(n * p, label):.3g} >= 1; "
+            f"{label} = {_to_float(weight, label):.3g} >= 1; "
             "move the evaluation point X outward"
         )
-    return n * p * (1 + p / (1 - n * p))
+    return weight
+
+
+def _inverse_deviation(p: Fraction, n: int, what: str) -> Fraction:
+    """Bound for norm(inverse(I+P) - I) given p >= norm(P)."""
+    weight = _contraction(n * p, f"n*norm({what})")
+    return weight * (1 + p / (1 - weight))
 
 
 @dataclass(frozen=True)
@@ -156,12 +161,7 @@ def eta_bound(R_M: SymMatrix, spec) -> float:
     R_M may decay faster than that and converge all the same.
     """
     integral = integral_tail_bound(spec.rho_fn * R_M, spec.X)
-    weight = spec.n * integral
-    if weight >= 1:
-        raise ContractionFailure(
-            f"n * integral = {_to_float(weight, 'n * integral'):.3g} >= 1; "
-            "move the evaluation point X outward"
-        )
+    weight = _contraction(spec.n * integral, "n * integral")
     return _to_float(integral / (1 - weight), "eta bound")
 
 

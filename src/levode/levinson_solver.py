@@ -8,28 +8,36 @@ integrate to powers, the t**-1 term to a logarithm.  Any rational tail
 beyond the accuracy cutoff is not integrated symbolically; its absolute
 integral over [X, inf) is bounded and charged to the eta budget.
 
+Levinson's form holds on all of [X, inf), so the k-th solution of the
+original system at any x >= X is T(x) (I + P_1)(x) ... exp(G_k(x)) e_k,
+evaluated as at X, and its deviation is the eta certified at X.
+
 The dichotomy check certifies the separation hypothesis behind the
-deviation bound: for every ordered pair of diagonal entries, the real
-difference weighted by rho must keep one sign on [X, inf) and have a
-divergent integral.  With real rational data this is decided exactly by
-root isolation.
+deviation bound: for every pair of diagonal entries, the real difference
+weighted by rho must keep one sign on [X, inf) and have a divergent
+integral.  With real rational data this is decided exactly by root
+isolation, once per unordered pair: F_kj = -F_jk.
 """
 
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
 from . import poly
-from .error_ledger import integral_tail_bound
+from .error_ledger import BoundOverflow, _to_float, integral_tail_bound
 from .errors import MissingBackTransform, SolutionOverflow
 from .symexpr import RationalFn, SymMatrix
 from .system_model import ProblemSpec
 
 _PREC = 40
+
+# how ``solve --target`` obtains Y at a target at or beyond X
+FORM_INFO = {"method": "Levinson form"}
 
 
 def _context(prec: int) -> decimal.Context:
@@ -109,6 +117,11 @@ class ExponentData:
         m = ctx.exp(ctx.subtract(g, ctx.multiply(e, ln10)))
         raise _overflow(what, _scientific(m, e))
 
+    def solution_at(self, x, n: int) -> tuple[float, ...]:
+        """Z_k(x) = exp(G_k(x)) e_k in dimension n."""
+        value = self.exp_at(x, f"Z_{self.k}({x})")
+        return tuple(value if i == self.k - 1 else 0.0 for i in range(n))
+
 
 @dataclass(frozen=True)
 class SolutionBundle:
@@ -117,6 +130,7 @@ class SolutionBundle:
     Y_at_X: tuple[float, ...] | None
     eta_bound: float
     C: float
+    tail_budget: float
     exponent: ExponentData
 
 
@@ -151,27 +165,25 @@ class DichotomyReport:
 
 
 def check_dichotomy(spec: ProblemSpec, diag: tuple[RationalFn, ...]) -> DichotomyReport:
-    rho = spec.rho_fn
-    X = spec.X
-    results = []
-    for j in range(1, spec.n + 1):
-        for k in range(1, spec.n + 1):
-            if j == k:
-                continue
-            F = rho * (diag[j - 1] - diag[k - 1])
-            if F.is_zero:
-                results.append(PairResult(j, k, True, False))
-                continue
-            divergent = F.leading_order() >= -1
-            if F.has_pole_in(X):
-                sign_constant = False
-            else:
-                changes = poly.count_roots_above(
-                    poly.odd_multiplicity_part(F.int_num), X
-                )
-                sign_constant = changes == 0
-            results.append(PairResult(j, k, sign_constant, divergent))
-    return DichotomyReport(tuple(results))
+    """Every ordered pair in row-major order; (k, j) shares the result
+    decided for (j, k), j < k."""
+    n = spec.n
+    decided = {}
+    for j, k in itertools.combinations(range(1, n + 1), 2):
+        F = spec.rho_fn * (diag[j - 1] - diag[k - 1])
+        if F.is_zero:
+            decided[j, k] = (True, False)
+            continue
+        sign_constant = not F.has_pole_in(spec.X) and not poly.count_roots_in(
+            poly.odd_multiplicity_part(F.int_num), spec.X
+        )
+        decided[j, k] = (sign_constant, F.leading_order() >= -1)
+    return DichotomyReport(tuple(
+        PairResult(j, k, *decided[min(j, k), max(j, k)])
+        for j in range(1, n + 1)
+        for k in range(1, n + 1)
+        if j != k
+    ))
 
 
 def exponent_data(k: int, diag: tuple[RationalFn, ...], spec: ProblemSpec) -> ExponentData:
@@ -201,15 +213,9 @@ def asymptotic_value(
     The antiderivative is taken with zero integration constant, which
     normalizes the leading monomial of the solution to unit coefficient.
     """
-    return _value_from(exponent_data(k, diag, spec), spec, x_eval)
-
-
-def _value_from(
-    data: ExponentData, spec: ProblemSpec, x_eval
-) -> tuple[tuple[float, ...], float]:
-    vec = [0.0] * spec.n
-    vec[data.k - 1] = data.exp_at(x_eval, f"Z_{data.k}({x_eval})")
-    return tuple(vec), data.exp_at(spec.X, f"C = exp(G_{data.k}({spec.X}))")
+    data = exponent_data(k, diag, spec)
+    vec = data.solution_at(x_eval, spec.n)
+    return vec, data.exp_at(spec.X, f"C = exp(G_{k}({spec.X}))")
 
 
 def back_transform(Z_value, P_history, spec: ProblemSpec, x_eval) -> tuple[float, ...]:
@@ -260,30 +266,41 @@ def derive_original_system(spec: ProblemSpec) -> SymMatrix:
     return (T.derivative() + T * B) * T.inverse()
 
 
-def is_safely_continuable(data: ExponentData) -> bool:
-    """False when the solution carries exponential growth toward infinity.
-
-    A positive-coefficient integrand term with nonnegative power makes
-    the solution dominant; continuing it backward from X amplifies the
-    deviation budget uncontrollably, so callers should refuse.
-    """
-    return all(not (e >= 0 and c > 0) for c, e in data.laurent_terms)
+def growing_terms(data: ExponentData) -> tuple[tuple[Fraction, int], ...]:
+    """The integrand terms c*x^e with c > 0 and e >= 0.  Each makes the
+    solution dominant toward infinity; continuing it backward from X would
+    amplify the deviation budget uncontrollably, so callers refuse."""
+    return tuple((c, e) for c, e in data.laurent_terms if e >= 0 and c > 0)
 
 
 def solution_bundle(k: int, final_state, eta_resid: float) -> SolutionBundle:
     """Assemble the per-solution report at x = X.
 
     eta_resid is the deviation bound from the residual perturbation; the
-    discarded exponent tail enlarges it to eta + (e**tau - 1)(1 + eta).
+    discarded exponent tail tau enlarges it to eta + (e**tau - 1)(1 + eta),
+    or raises ``BoundOverflow`` where tau or that sum leaves the float range.
     """
     spec = final_state.spec
     data = exponent_data(k, final_state.diag, spec)
-    vec, C = _value_from(data, spec, spec.X)
-    tau = float(data.tail_budget)
-    eta_total = eta_resid + math.expm1(tau) * (1.0 + eta_resid)
+    vec = data.solution_at(spec.X, spec.n)
+    tau = _to_float(data.tail_budget, f"exponent tail budget of G_{k}")
+    try:
+        eta_total = eta_resid + math.expm1(tau) * (1.0 + eta_resid)
+    except OverflowError:
+        eta_total = math.inf
+    if eta_total == math.inf:
+        raise BoundOverflow(
+            f"eta bound with the exponent tail of G_{k} exceeds the float range"
+        )
     Y = None
     if spec.back_transform is not None:
         Y = back_transform(vec, final_state.history, spec, spec.X)
     return SolutionBundle(
-        k=k, Z_at_X=vec, Y_at_X=Y, eta_bound=eta_total, C=C, exponent=data
+        k=k,
+        Z_at_X=vec,
+        Y_at_X=Y,
+        eta_bound=eta_total,
+        C=vec[k - 1],
+        tail_budget=tau,
+        exponent=data,
     )

@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,7 +33,7 @@ METHOD_INFO = {"method": "RK45", "order": 5}
 # the smallest rtol the step-size controller can resolve, as scipy's RK45 has it
 MIN_RTOL = 100 * sys.float_info.epsilon
 
-_DENSE_POINTS = 201
+DENSE_POINTS = 201
 # The most accepted steps one integration may take.  The built-in problem
 # stiffens as x goes negative (its x**2 entry): from X = 10, a continuation
 # to -100 takes about 120,000 steps and one to -200 about 940,000, at about
@@ -90,11 +89,13 @@ def integrate(
     """Value of the solution at x_to; supports decreasing x.
 
     With dense_path set, writes an evenly spaced (x, components) CSV
-    sampled from the integrator's dense output.  Float overflow inside
-    the integrator emits no warning: it ends in ``StepSizeUnderflow``, or
-    in ``SolutionOverflow`` once the solution reaches the end of the float
-    range.  A target that needs more than ``_MAX_STEPS`` steps raises
-    ``StepBudgetExceeded``.
+    sampled from the integrator's dense output.  An rtol below
+    ``MIN_RTOL`` (100 machine epsilons, the least the step-size controller
+    resolves) or NaN raises ``ValueError``, as a bad y0, atol or max_step
+    does.  Float overflow inside the integrator emits no warning: it ends
+    in ``StepSizeUnderflow``, or in ``SolutionOverflow`` once the solution
+    reaches the end of the float range.  A target that needs more than
+    ``_MAX_STEPS`` steps raises ``StepBudgetExceeded``.
     """
     # imported here so that commands which never integrate skip its load time
     import numpy as np
@@ -113,13 +114,12 @@ def integrate(
         raise ValueError("max_step must be positive")
     if not atol >= 0:
         raise ValueError("atol must be nonnegative")
-    if rtol < MIN_RTOL:
-        warnings.warn(f"rtol {rtol!r} is below 100 machine epsilons; using {MIN_RTOL!r}")
-        rtol = MIN_RTOL
+    if not rtol >= MIN_RTOL:
+        raise ValueError(f"rtol must be at least {MIN_RTOL!r}, got {rtol!r}")
     t0, t_end = float(x_from), float(x_to)
     if t0 == t_end:
         if dense_path is not None:
-            _write_dense(dense_path, [t0], [tuple(y0)])
+            write_dense(dense_path, [t0], [tuple(y0)])
         return tuple(float(v) for v in y0)
 
     A = system.A
@@ -139,8 +139,8 @@ def integrate(
             rhs, t0, t_end, y0, rtol, atol, max_step, dense_path is not None
         )
     if dense_path is not None:
-        xs = np.linspace(t0, t_end, _DENSE_POINTS)
-        _write_dense(dense_path, xs, _dense_values(steps, xs, t_end > t0))
+        xs = np.linspace(t0, t_end, DENSE_POINTS)
+        write_dense(dense_path, xs, _dense_values(steps, xs, t_end > t0))
     return tuple(float(v) for v in y)
 
 
@@ -325,7 +325,7 @@ def _dense_values(steps, xs, ascending):
     return rows
 
 
-def _write_dense(path, xs, rows) -> None:
+def write_dense(path, xs, rows) -> None:
     n = len(rows[0]) if rows else 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -2,12 +2,14 @@
 
 Each iteration removes the current dominant perturbation V_{1m} by solving
 the commutator equation for P_m, then re-expands the conjugated system in
-powers of P_m.  Every product is classified by its decay order: order
-between the new dominant scale and the target accuracy feeds a ladder
-rung of the next iteration, order at or beyond accuracy goes to an exact
-pool, and the geometric-series truncation goes to the error ledger.  The
-engine is fully symbolic; nothing is approximated until a bound or a
-value is requested.
+powers of P_m.  Every product is classified by its decay order: a term
+of leading order x^lo goes to bucket k = floor(-lo/a) - m, which feeds
+rung k of the next iteration while k < M - m and the exact pool beyond;
+a term with k < 1 raises ``OrderRegression``.  Neither a bucket's sum nor
+its off-diagonal part decays more slowly than its terms, so every rung k
+is O(x^-((m + k) a)) by construction.  The geometric-series truncation
+goes to the error ledger.  The engine is fully symbolic; nothing is
+approximated until a bound or a value is requested.
 
 The large/small block split enters through one gap.  With D = d on the
 large block and 0 on the small one, every entry of P that touches the
@@ -384,13 +386,6 @@ def _iterate(
     for k in sorted(buckets):
         if k >= 2 and not buckets[k].is_zero:
             new_ladder.append((k, buckets[k]))
-    for j, mat in new_ladder:
-        lo = Fraction(mat.max_leading_order())
-        if -lo / a < m + j:
-            raise OrderRegression(
-                f"rung {j} after iteration {m} has leading order x^{lo}, "
-                f"slower than O(x^-{(m + j) * a})"
-            )
 
     truncations = state.committed.truncations
     if any(truncation):

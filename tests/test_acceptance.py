@@ -20,21 +20,23 @@ from scipy.integrate import quad
 from levode import (
     RationalFn,
     SymMatrix,
-    asymptotic_value,
     back_transform,
     check_dichotomy,
-    commutator_terms,
-    compute_P,
     derive_original_system,
-    elimination_defect,
     eta_bound,
     exponent_data,
-    initial_state,
     integrate,
-    iterate,
     linear_system,
     run,
     total_error_bound,
+)
+from levode.levinson_solver import asymptotic_value
+from levode.transform_engine import (
+    commutator_terms,
+    compute_P,
+    elimination_defect,
+    initial_state,
+    iterate,
 )
 from levode.error_ledger import ContractionFailure, DivergentIntegral, bound_ledger
 from levode.fixtures import builtin_hypergeometric, hypergeometric_companion

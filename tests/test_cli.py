@@ -550,6 +550,78 @@ def test_solve_writes_dense_trace(capsys, tmp_path):
     assert len(lines) == 202
 
 
+@pytest.mark.parametrize(
+    "k,t", [(k, t) for k in (2, 3) for t in (11, 12, 20)] + [(1, 11), (1, 12)]
+)
+def test_forward_target_is_the_value_at_X_moved_there(capsys, monkeypatch, k, t):
+    # Levinson's form holds on [X, inf): --target t >= X evaluates it at t
+    # exactly as -X t evaluates it at X, and integrates nothing
+    def no_integration(*args, **kwargs):
+        raise AssertionError("a forward target must not integrate")
+
+    monkeypatch.setattr(ode_connector, "integrate", no_integration)
+    code, out, _ = run_cli(
+        capsys, "solve", "--builtin", "hypergeom", "-k", str(k),
+        "--target", str(t), "--format", "json",
+    )
+    assert code == 0
+    cont = json.loads(out)["continuation"]
+    assert cont.keys() == {"target", "Y", "integrator"}
+    assert cont["integrator"] == {"method": "Levinson form"}
+    code, out, _ = run_cli(
+        capsys, "solve", "--builtin", "hypergeom", "-k", str(k),
+        "-X", str(t), "--format", "json",
+    )
+    assert code == 0
+    assert cont["Y"] == json.loads(out)["Y_at_X"]
+
+
+def test_forward_target_of_the_polynomial_solution(capsys, tmp_path):
+    # the second solution is exactly (x, 1, 0); RK45 stopped on step-size
+    # underflow on the way to 1000
+    trace = tmp_path / "trace.csv"
+    code, out, _ = run_cli(
+        capsys, "solve", "--builtin", "hypergeom", "-k", "2",
+        "--target", "1000", "--dense-csv", str(trace),
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "Y(1000) = [1000.0, 1.0, 0.0]  [Levinson form]"
+    lines = trace.read_text().splitlines()
+    assert len(lines) == 202
+    assert lines[1] == "10.0,10.0,1.0,0.0"
+    assert lines[2] == "14.95,14.95,1.0,0.0"
+    assert lines[-1] == "1000.0,1000.0,1.0,0.0"
+
+
+def _tail_document(c: int) -> dict:
+    # G_2's integrand (1/2 + c/(x^10 + 1))/x leaves the tail c/(x^11 + x)
+    # beyond accuracy, whose integral over [10, inf) is bounded by c*10^-11
+    return {
+        "n": 2, "N": 0, "D_large": [], "D_small": ["0", "1/2"],
+        "rho": {"coeff": "1", "exp": -1}, "lambda": {"coeff": "1", "exp": 1},
+        "phi1": ["0", f"({c})/(x^10 + 1)"], "ladder": [],
+        "E1": [["0", "0"], ["0", "0"]],
+        "a": "1", "L": 1, "M": 2, "mode": "inverse_x", "X": "10",
+    }
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "c,what",
+    [
+        (10**14, "eta bound with the exponent tail of G_2"),
+        (10**400, "exponent tail budget of G_2"),
+    ],
+    ids=["expm1", "tail"],
+)
+def test_exponent_tail_beyond_float_range_exits_1(capsys, tmp_path, fmt, c, what):
+    path = write_problem(tmp_path, _tail_document(c))
+    code, out, err = run_cli(capsys, "solve", "--problem", path, "-k", "2", "--format", fmt)
+    assert code == 1
+    assert out == ""
+    assert err == f"computation failed: {what} exceeds the float range\n"
+
+
 def test_solve_overflowing_value_exits_1(capsys):
     # exp(G_1(20)) is about 1.6e1154, beyond the float range; the JSON
     # report must not carry it as Infinity
@@ -1021,15 +1093,13 @@ def test_package_exports_resolve():
         "ComputationFailed", "ContractionFailure", "DivergentIntegral",
         "ErrorLedger", "INVERSE_X", "InvalidInput", "InvariantViolation",
         "LedgerEntry", "LevodeError", "LinearSystem",
-        "MissingBackTransform", "ModeError", "Monomial", "OrderRegression",
+        "MissingBackTransform", "Monomial", "OrderRegression",
         "PoleInInterval", "RationalFn", "STANDARD", "SchemaError",
-        "StepSizeUnderflow", "SymMatrix", "asymptotic_value", "back_transform",
-        "builtin_hypergeometric", "check_dichotomy", "commutator_terms",
-        "compute_P", "derive_original_system", "elimination_defect",
-        "eta_bound", "exponent_data", "initial_state", "integrate",
-        "is_safely_continuable", "iterate", "linear_system", "load_problem",
-        "matrix_norm_bound", "run", "serialize_problem", "solution_bundle",
-        "total_error_bound", "validate", "validate_resonance",
+        "StepSizeUnderflow", "SymMatrix", "back_transform",
+        "builtin_hypergeometric", "check_dichotomy", "derive_original_system",
+        "eta_bound", "exponent_data", "integrate", "linear_system",
+        "load_problem", "matrix_norm_bound", "run", "serialize_problem",
+        "solution_bundle", "total_error_bound", "validate",
     }
     for name in levode.__all__:
         value = getattr(levode, name)

@@ -13,16 +13,14 @@ from levode import (
     MissingBackTransform,
     RationalFn,
     SymMatrix,
-    asymptotic_value,
     back_transform,
     check_dichotomy,
     derive_original_system,
     exponent_data,
-    is_safely_continuable,
     solution_bundle,
 )
 from levode.fixtures import hypergeometric_companion
-from levode.levinson_solver import SolutionOverflow
+from levode.levinson_solver import SolutionOverflow, asymptotic_value, growing_terms
 from levode.ode_connector import integrate, linear_system
 from levode.sampling import random_problem
 from levode.system_model import INVERSE_X, Monomial, ProblemSpec, validate
@@ -112,6 +110,19 @@ def test_fixture_dichotomy_passes(fixture_spec, fixture_final):
     assert report.ok_for(3)
 
 
+@pytest.mark.parametrize("X", [10, Fraction(3, 2)])
+def test_dichotomy_is_symmetric_in_the_pair(X, fixture_spec):
+    # F_kj = -F_jk; at X = 3/2 the built-in's pair (1,3) fails
+    spec = fixture_spec.with_X(X)
+    report = check_dichotomy(spec, run(spec).diag)
+    assert [(p.j, p.k) for p in report.pairs] == [
+        (j, k) for j in (1, 2, 3) for k in (1, 2, 3) if j != k
+    ]
+    for p in report.pairs:
+        assert report.pair(p.k, p.j) == dataclasses.replace(p, j=p.k, k=p.j)
+    assert report.ok is (X == 10)
+
+
 def test_dichotomy_signs_match_sampling(fixture_spec, fixture_final):
     # independent check: the difference of any two exponent derivatives
     # never changes sign on [X, infinity)
@@ -178,11 +189,11 @@ def test_dichotomy_equal_exponents_fail():
 # -- continuation safety ------------------------------------------------
 
 def test_growing_solution_not_continuable(fixture_spec, fixture_final):
-    flags = [
-        is_safely_continuable(exponent_data(k, fixture_final.diag, fixture_spec))
+    terms = [
+        growing_terms(exponent_data(k, fixture_final.diag, fixture_spec))
         for k in (1, 2, 3)
     ]
-    assert flags == [False, True, True]
+    assert terms == [((Fraction(1), 2),), (), ()]
 
 
 # -- mapping back to the original variables -----------------------------

@@ -27,7 +27,7 @@ from levode.fixtures import hypergeometric_companion
 from levode.levinson_solver import SolutionOverflow
 from levode import ode_connector
 from levode.ode_connector import (
-    _DENSE_POINTS,
+    DENSE_POINTS,
     METHOD_INFO,
     LinearSystem,
     StepBudgetExceeded,
@@ -57,8 +57,10 @@ def test_equal_endpoints_return_input():
         ([[3.0, 4.0]], {}),
         ((3.0, 4.0), {"atol": -1.0}),
         ((3.0, 4.0), {"max_step": 0.0}),
+        ((3.0, 4.0), {"rtol": 1e-20}),
+        ((3.0, 4.0), {"rtol": math.nan}),
     ],
-    ids=["nan", "2-d", "atol", "max_step"],
+    ids=["nan", "2-d", "atol", "max_step", "rtol-below-min", "rtol-nan"],
 )
 def test_invalid_input_rejected_for_every_target(x_to, y0, options):
     system = linear_system(const_matrix([[0, 1], [-1, 0]]), Fraction(0), Fraction(5))
@@ -304,7 +306,7 @@ def _assert_same_run(A, x_from, x_to, y0, rtol, atol, max_step, path):
                   dense_path=str(path), max_step=max_step)
     assert y == tuple(float(v) for v in ref.y[:, -1])
     assert counted.calls == ref.nfev
-    xs = np.linspace(float(x_from), float(x_to), _DENSE_POINTS)
+    xs = np.linspace(float(x_from), float(x_to), DENSE_POINTS)
     expected = [[float(x)] + [float(v) for v in ref.sol(x)] for x in xs]
     assert _dense_rows(path) == expected
     return ref

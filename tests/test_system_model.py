@@ -13,7 +13,6 @@ from levode import (
     INVERSE_X,
     STANDARD,
     InvariantViolation,
-    ModeError,
     Monomial,
     RationalFn,
     SchemaError,
@@ -21,10 +20,10 @@ from levode import (
     load_problem,
     serialize_problem,
     validate,
-    validate_resonance,
 )
 from levode.fixtures import back_transform_matrix, builtin_hypergeometric
 from levode.sampling import random_problem
+from levode.system_model import ModeError, validate_resonance
 
 F = Fraction
 

@@ -6,17 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from levode import (
-    OrderRegression,
-    RationalFn,
-    SymMatrix,
-    commutator_terms,
-    compute_P,
-    elimination_defect,
-    initial_state,
-    iterate,
-    run,
-)
+from levode import OrderRegression, RationalFn, SymMatrix, run
 from levode import transform_engine
 from levode.fixtures import builtin_hypergeometric
 from levode.sampling import random_problem
@@ -28,6 +18,11 @@ from levode.transform_engine import (
     _iterate,
     _p_and_leftover,
     _solve_P,
+    commutator_terms,
+    compute_P,
+    elimination_defect,
+    initial_state,
+    iterate,
 )
 
 F = Fraction
@@ -328,6 +323,17 @@ def test_random_specs_identity_and_orders():
                 lo = Fraction(mat.max_leading_order())
                 assert -lo >= (state.m + j - 1) * spec.a
         assert state.m == spec.M
+
+
+def test_bucket_orders_meet_their_rung_scale(fixture_final):
+    # bucket k after iteration m feeds rung k, which must be O(x^-((m+k)a));
+    # run() relies on this by construction and does not re-check it
+    rng = random.Random(2024)
+    finals = [fixture_final] + [run(random_problem(rng)) for _ in range(200)]
+    for fs in finals:
+        for rec in fs.iterations:
+            for k, lo in rec.bucket_orders:
+                assert -lo >= (rec.m + k) * fs.spec.a
 
 
 def test_random_specs_full_run_residual_order():
