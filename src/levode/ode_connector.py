@@ -2,20 +2,19 @@
 
 The coefficient matrix stays symbolic up to this boundary: its entries are
 rounded to floats once per matrix (``SymMatrix.float_table``).  Each
-``integrate`` call fills one float array with the constant entries once;
-every right-hand-side evaluation calls ``SymMatrix.eval_float`` once, which
-runs Horner only on the entries that vary with x, writes just those into
-the array and forms the product with ``ndarray.dot``.  Continuation targets
-are regular points, and a ``LinearSystem`` screens its domain for poles by
-an exact root count when it is built, before any numerics start.
+``integrate`` call fills one float array with the constant entries once.
+Continuation targets are regular points, and a ``LinearSystem`` screens
+its domain for poles by an exact root count when it is built.
 
 The integrator is the Dormand-Prince 5(4) pair (Dormand & Prince 1980,
 J. Comput. Appl. Math. 6) with Shampine's quartic dense output (Math.
-Comp. 46, 1986).  It follows scipy's ``RK45`` step for step: the same
-tableau, initial step selection, RMS error norm, step-size controller and
-stage sums, so every trajectory equals ``solve_ivp(method="RK45")`` bit
-for bit, without importing scipy.  The stages are computed in place into
-one preallocated array, in scipy's order of float operations.
+Comp. 46, 1986), specialised to Y' = A(x) Y: each stage calls
+``SymMatrix.eval_float`` once (one Horner pass over the entries that vary
+with x) and writes just those entries into the array.  It follows scipy's
+``RK45`` step for step: the same tableau, initial step selection, RMS
+error norm, step-size controller and stage sums, in scipy's order of float
+operations, so every trajectory equals ``solve_ivp(method="RK45")`` bit
+for bit, without importing scipy.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ DENSE_POINTS = 201
 # The most accepted steps one integration may take.  The built-in problem
 # stiffens as x goes negative (its x**2 entry): from X = 10, a continuation
 # to -100 takes about 120,000 steps and one to -200 about 940,000, at about
-# 27 us a step on a 2-vCPU Xeon, so a target out of reach is refused
-# within about 20 s instead of running without end.
+# 25 us a step on a shared 2-vCPU Xeon, so a target out of reach is refused
+# within about 15 s instead of running without end.
 _MAX_STEPS = 500_000
 
 
@@ -62,6 +61,8 @@ class LinearSystem:
     domain: tuple[Fraction, Fraction]
 
     def __post_init__(self):
+        if self.A.rows != self.A.cols:
+            raise ValueError(f"A must be square, got {self.A.rows}x{self.A.cols}")
         lo, hi = self.domain
         for i, row in enumerate(self.A.entries):
             for j, entry in enumerate(row):
@@ -107,8 +108,8 @@ def integrate(
             f"[{lo}, {hi}] leaves the system domain [{system.domain[0]}, {system.domain[1]}]"
         )
     y0 = np.asarray(y0, dtype=float)
-    if y0.ndim != 1 or not np.isfinite(y0).all():
-        raise ValueError("the initial value must be a finite vector")
+    if y0.shape != (system.A.cols,) or not np.isfinite(y0).all():
+        raise ValueError(f"the initial value must be a finite vector of length {system.A.cols}")
     max_step = math.inf if max_step is None else max_step
     if not max_step > 0:
         raise ValueError("max_step must be positive")
@@ -122,21 +123,9 @@ def integrate(
             write_dense(dense_path, [t0], [tuple(y0)])
         return tuple(float(v) for v in y0)
 
-    A = system.A
-    rows, varying = A.float_table()
-    M = np.array(rows)
-    flat = M.reshape(-1)  # a view: each call writes the varying entries
-    places = [(i * A.cols + j, i, j) for i, j, *_ in varying]
-
-    def rhs(x, y, out=None):
-        values = A.eval_float(x)
-        for k, i, j in places:
-            flat[k] = values[i][j]
-        return M.dot(y, out=out)
-
     with np.errstate(all="ignore"):
         y, steps = _dormand_prince(
-            rhs, t0, t_end, y0, rtol, atol, max_step, dense_path is not None
+            system.A, t0, t_end, y0, rtol, atol, max_step, dense_path is not None
         )
     if dense_path is not None:
         xs = np.linspace(t0, t_end, DENSE_POINTS)
@@ -182,8 +171,9 @@ def _rms(v) -> float:
     return math.sqrt(v.dot(v)) / v.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, f0, t_end, direction, rtol, atol, max_step):
-    """First step size by Hairer, Norsett & Wanner, Sec. II.4."""
+def _initial_step(evaluate, K, d, t0, y0, t_end, direction, rtol, atol, max_step):
+    """First step size by Hairer, Norsett & Wanner, Sec. II.4, from the
+    derivative K[0] at (t0, y0); its one more evaluation overwrites d and K[1]."""
     import numpy as np
 
     # the norms are numpy floats: dividing by one that is zero gives inf or
@@ -191,15 +181,15 @@ def _initial_step(fun, t0, y0, f0, t_end, direction, rtol, atol, max_step):
     interval_length = abs(t_end - t0)
     scale = atol + np.abs(y0) * rtol
     d0 = np.float64(_rms(y0 / scale))
-    d1 = np.float64(_rms(f0 / scale))
+    d1 = np.float64(_rms(K[0] / scale))
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    y1 = y0 + h0 * direction * f0
-    f1 = fun(t0 + h0 * direction, y1)
-    d2 = np.float64(_rms((f1 - f0) / scale)) / h0
+    # y0 + h0*direction*K[0] as a stage of weight 1 on K[0]
+    evaluate(((1, K[:1].T.dot, (1.0,), d, K[1]),), t0, h0 * direction, y0)
+    d2 = np.float64(_rms((K[1] - K[0]) / scale)) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -207,36 +197,59 @@ def _initial_step(fun, t0, y0, f0, t_end, direction, rtol, atol, max_step):
     return min(100 * h0, h1, interval_length, max_step)
 
 
-def _dormand_prince(fun, t0, t_end, y0, rtol, atol, max_step, dense):
-    """y(t_end) by adaptive Dormand-Prince 5(4) steps, and with ``dense``
-    the accepted steps as (t_old, t, y_old, Q) for ``_dense_values``.
+def _dormand_prince(A, t0, t_end, y0, rtol, atol, max_step, dense):
+    """y(t_end) of Y' = A(x) Y by adaptive Dormand-Prince 5(4) steps, and
+    with ``dense`` the accepted steps as (t_old, t, y_old, Q) for
+    ``_dense_values``.
 
-    ``fun(t, y, out)`` writes the derivative into ``out``.  The stage,
+    An attempted step is one ``evaluate`` pass over six stages: the last
+    one's sum, with the weights B, is the fifth-order solution, and its
+    derivative starts the next step (first same as last).  The stage,
     fifth-order and error sums are ``ndarray.dot`` calls, the BLAS product
     scipy's ``np.dot`` makes: summed in Python floats they differ from
-    scipy's in the last bit, and the trajectory with them.  The stages go
-    into one preallocated array and the updates run in place, each in
-    scipy's order of float operations: y + dot*h is formed as dot, times
-    h, plus y, which IEEE commutativity makes the same result.  The
-    per-step scalars (error norm, overflow check) are Python floats.
-    The loop takes at most ``_MAX_STEPS`` accepted steps, then raises
-    ``StepBudgetExceeded``.
+    scipy's in the last bit, and the trajectory with them.  Every update
+    runs in place, in scipy's order of float operations: y + dot*h is
+    formed as dot, times h, plus y, which IEEE commutativity makes the same
+    result.  h, rtol and atol are 0-d arrays, which numpy multiplies faster
+    than Python floats, to the same double.  The loop takes at most
+    ``_MAX_STEPS`` accepted steps, then raises ``StepBudgetExceeded``.
     """
     import numpy as np
 
-    A = [np.array(row) for row in _A]
-    B, E, P = np.array(_B), np.array(_E), np.array(_P)
+    rows, varying = A.float_table()
+    M = np.array(rows)
+    # M's buffer, where each evaluation writes the varying entries: item
+    # assignment to a memoryview costs less than to an ndarray
+    flat = memoryview(M.reshape(-1))
+    places = [(i * A.cols + j, i, j) for i, j, *_ in varying]
+    eval_float, product = A.eval_float, M.dot
+    hh = np.empty(())  # h of the step, as a 0-d array
+
+    def evaluate(stages, t, h, y):
+        # per stage (c, dot, a, d, k): d = y + h*dot(a), then k = A(t + c*h) d
+        hh[()] = h
+        for c, dot, a, d, k in stages:
+            dot(a, out=d)
+            d *= hh
+            d += y
+            values = eval_float(t + c * h)
+            for p, i, j in places:
+                flat[p] = values[i][j]
+            product(d, out=k)
+
+    B, E, P, rtol, atol = map(np.array, (_B, _E, _P, rtol, atol))
     direction = 1.0 if t_end > t0 else -1.0
-    t, y = t0, y0
-    K = np.empty((7, y.size))
-    KT = K.T
-    stages = [(_C[s], K[:s].T, A[s], K[s]) for s in range(1, 6)]
-    KT_B = K[:-1].T
-    fun(t, y, K[0])  # K[0] holds the derivative at the start of each step
-    h_abs = float(_initial_step(fun, t, y, K[0], t_end, direction, rtol, atol, max_step))
+    t = t0
+    K = np.empty((7, y0.size))
+    KT, K0, K6 = K.T, K[0], K[6]
+    y, y_new, d, err, ay_new, scale = y0.copy(), *(np.empty_like(y0) for _ in range(5))
+    stages = [(_C[s], K[:s].T.dot, np.array(_A[s]), d, K[s]) for s in range(1, 6)]
+    stages.append((1, K[:6].T.dot, B, y_new, K6))
+    # K[0] = A(t) y as a stage with no weights: 0.0 + y is y up to the sign
+    # of a zero, which no dot product returns
+    evaluate(((0, K[:0].T.dot, (), d, K0),), t, 0.0, y)
+    h_abs = float(_initial_step(evaluate, K, d, t, y, t_end, direction, rtol, atol, max_step))
     ay = np.abs(y)
-    ay_new = np.empty_like(ay)
-    scale = np.empty_like(ay)
     steps = []
     budget = steps_left = _MAX_STEPS
     while direction * (t - t_end) < 0:
@@ -261,21 +274,13 @@ def _dormand_prince(fun, t0, t_end, y0, rtol, atol, max_step, dense):
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            for c, KT_s, a, k in stages:
-                d = KT_s.dot(a)
-                d *= h
-                d += y
-                fun(t + c * h, d, k)
-            y_new = KT_B.dot(B)
-            y_new *= h
-            y_new += y
-            fun(t + h, y_new, K[6])
+            evaluate(stages, t, h, y)
             np.abs(y_new, out=ay_new)
             np.maximum(ay, ay_new, out=scale)
             scale *= rtol
             scale += atol
-            err = KT.dot(E)
-            err *= h
+            KT.dot(E, out=err)
+            err *= hh  # h, as evaluate left it
             err /= scale
             error_norm = _rms(err)
             if error_norm < 1:
@@ -298,10 +303,11 @@ def _dormand_prince(fun, t0, t_end, y0, rtol, atol, max_step, dense):
             if not v < _FLOAT_MAX:
                 raise SolutionOverflow(f"Y({t_new!r}) is outside the float range")
         if dense:
-            steps.append((t, t_new, y, KT.dot(P)))
-        t, y = t_new, y_new
+            steps.append((t, t_new, y.copy(), KT.dot(P)))
+        t = t_new
+        y[:] = y_new
         ay, ay_new = ay_new, ay
-        K[0] = K[6]
+        K0[:] = K6
     return y, steps
 
 

@@ -227,23 +227,6 @@ def float_coeffs(p: Coeffs, lc: int) -> tuple[float, ...]:
     return tuple(c / lc for c in reversed(p))
 
 
-def horner_ratio(num: tuple[float, ...], den: tuple[float, ...] | None, x: float) -> float:
-    """num(x) / den(x) by Horner's rule over ``float_coeffs`` tables.
-
-    ``den`` None stands for the denominator 1, whose division is skipped:
-    at a finite x its Horner sum is 1.0, and v / 1.0 == v.
-    """
-    acc = 0.0
-    for c in num:
-        acc = acc * x + c
-    if den is None:
-        return acc
-    d = 0.0
-    for c in den:
-        d = d * x + c
-    return acc / d
-
-
 def magnitude_range(p: Coeffs, u: Fraction, w: Fraction) -> tuple[Fraction, Fraction]:
     """Bounds (low, high) with low <= |p(x)| <= high for every x in [u, u + w].
 

@@ -297,7 +297,7 @@ class RationalFn:
         which is its Horner value at every finite x (0.0*x + c == c); any
         other function is its numerator and denominator as
         ``poly.float_coeffs`` over lc(D), the denominator None when it is
-        constant: the arguments of ``poly.horner_ratio``."""
+        constant: the tables ``SymMatrix.eval_float`` reads."""
         num, den = self.int_num, self.int_den
         lc = den[-1]
         if len(den) == 1:
@@ -307,8 +307,9 @@ class RationalFn:
         return poly.float_coeffs(num, lc), poly.float_coeffs(den, lc)
 
     def eval_float(self, x: float) -> float:
-        table = self.float_table()
-        return table if type(table) is float else poly.horner_ratio(*table, x)
+        """The entry of the 1x1 matrix ``[self]`` at x, by the Horner pass
+        of ``SymMatrix.eval_float``."""
+        return _matrix(((self,),)).eval_float(x)[0][0]
 
     def has_pole_in(self, lo, hi=None) -> bool:
         """True when the denominator vanishes on [lo, hi], or on [lo, inf)
@@ -873,15 +874,22 @@ class SymMatrix:
         return table
 
     def eval_float(self, x: float) -> list[list[float]]:
-        """Entries at x as fresh rows, each equal to its
-        ``RationalFn.eval_float(x)``: the constant rows of ``float_table``
-        copied, with Horner run only on the entries that vary with x.
+        """Entries at x as fresh rows: the constant rows of ``float_table``
+        copied, and each entry that varies with x as num(x) / den(x) by
+        Horner's rule, in one pass.  A den of None is the denominator 1,
+        whose division is skipped: at a finite x its Horner sum is 1.0.
         """
         rows, varying = self._float_table or self.float_table()
         out = [row.copy() for row in rows]
-        ratio = poly.horner_ratio
         for i, j, num, den in varying:
-            out[i][j] = ratio(num, den, x)
+            v = d = 0.0
+            for c in num:
+                v = v * x + c
+            if den is not None:
+                for c in den:
+                    d = d * x + c
+                v /= d
+            out[i][j] = v
         return out
 
     def to_strings(self) -> list[list[str]]:

@@ -49,6 +49,14 @@ def test_equal_endpoints_return_input():
     assert y == (3.0, 4.0)
 
 
+def test_initial_value_array_is_left_unchanged():
+    # the integrator's state lives in its own buffers, not in the caller's
+    system = linear_system(const_matrix([[0, 1], [-1, 0]]), Fraction(0), Fraction(5))
+    y0 = np.array([3.0, 4.0])
+    integrate(system, y0, 0.0, 2.0, rtol=1e-10, atol=1e-12)
+    assert y0.tolist() == [3.0, 4.0]
+
+
 @pytest.mark.parametrize("x_to", [2.0, 3.0], ids=["equal-endpoints", "interval"])
 @pytest.mark.parametrize(
     "y0, options",
@@ -59,13 +67,23 @@ def test_equal_endpoints_return_input():
         ((3.0, 4.0), {"max_step": 0.0}),
         ((3.0, 4.0), {"rtol": 1e-20}),
         ((3.0, 4.0), {"rtol": math.nan}),
+        ((3.0, 4.0, 5.0), {}),
     ],
-    ids=["nan", "2-d", "atol", "max_step", "rtol-below-min", "rtol-nan"],
+    ids=["nan", "2-d", "atol", "max_step", "rtol-below-min", "rtol-nan", "wrong-length"],
 )
 def test_invalid_input_rejected_for_every_target(x_to, y0, options):
-    system = linear_system(const_matrix([[0, 1], [-1, 0]]), Fraction(0), Fraction(5))
+    # refused before the first right-hand-side evaluation
+    A = CountingMatrix(const_matrix([[0, 1], [-1, 0]]))
+    system = linear_system(A, Fraction(0), Fraction(5))
     with pytest.raises(ValueError):
         integrate(system, y0, 2.0, x_to, **{"rtol": 1e-10, "atol": 1e-12, **options})
+    assert A.calls == 0
+
+
+def test_non_square_matrix_rejected():
+    A = SymMatrix([["0", "1", "x"], ["1", "0", "0"]])
+    with pytest.raises(ValueError, match="A must be square, got 2x3"):
+        linear_system(A, Fraction(0), Fraction(5))
 
 
 def test_polynomial_solution_is_propagated_exactly():
@@ -228,6 +246,40 @@ def test_continuation_trajectory_is_pinned(fixture_spec):
     y = integrate(system, Y3_AT_10, 10, 0, rtol=1e-10, atol=1e-12)
     assert A.calls == 6290
     assert y == Y3_AT_0
+
+
+# The continuation grid from Y3_AT_10 at X = 10, atol = rtol/100: for each
+# (target, rtol), the RHS count and Y(target) as float.hex, recorded before
+# the stage loop evaluated A(x) in place
+CONTINUATION_GRID = {
+    (0, 1e-8): (2618, ("0x1.e0b693608d8aap+0", "-0x1.c356955bc221cp+0", "0x1.0000000accf82p+1")),
+    (0, 1e-10): (6290, ("0x1.e0b69353358dcp+0", "-0x1.c3569554433f5p+0", "0x1.000000018a163p+1")),
+    (0, 1e-12): (15494, ("0x1.e0b693530d7a2p+0", "-0x1.c35695542f7c1p+0", "0x1.000000016e8a2p+1")),
+    ("1/2", 1e-8): (2588, ("0x1.35593ffd6e7f2p+0", "-0x1.f8c4bc5cb374bp-1", "0x1.263ac87d88010p+0")),
+    ("1/2", 1e-10): (6212, ("0x1.35593ff845c14p+0", "-0x1.f8c4bc5d335ffp-1", "0x1.263ac87b20664p+0")),
+    ("1/2", 1e-12): (15302, ("0x1.35593ff8383abp+0", "-0x1.f8c4bc5d37c79p-1", "0x1.263ac87b19845p+0")),
+    (1, 1e-8): (2552, ("0x1.aa97922f4be94p-1", "-0x1.1ebc0fd2ece37p-1", "0x1.36ac5e0291030p-1")),
+    (1, 1e-10): (6128, ("0x1.aa97922bfd8e2p-1", "-0x1.1ebc0fd8abadcp-1", "0x1.36ac5e010e76ep-1")),
+    (1, 1e-12): (15086, ("0x1.aa97922bf3709p-1", "-0x1.1ebc0fd8bca68p-1", "0x1.36ac5e0108d3ep-1")),
+    (2, 1e-8): (2456, ("0x1.eba03a2b3d342p-2", "-0x1.b953b40b79012p-3", "0x1.6c30473b1f79dp-3")),
+    (2, 1e-10): (5894, ("0x1.eba03a2af77b8p-2", "-0x1.b953b410565bep-3", "0x1.6c304729a9c62p-3")),
+    (2, 1e-12): (14510, ("0x1.eba03a2af6bfbp-2", "-0x1.b953b41063bd9p-3", "0x1.6c30472979b74p-3")),
+    (5, 1e-8): (1820, ("0x1.98508253662c1p-3", "-0x1.439fe505f92d5p-5", "0x1.fc61d108cd055p-7")),
+    (5, 1e-10): (4322, ("0x1.9850825365784p-3", "-0x1.439fe50690648p-5", "0x1.fc61d0ce1d081p-7")),
+    (5, 1e-12): (10598, ("0x1.985082536577ap-3", "-0x1.439fe50691de5p-5", "0x1.fc61d0cd8ad9ap-7")),
+}
+
+
+@pytest.mark.parametrize(
+    "target, rtol", list(CONTINUATION_GRID), ids=lambda v: str(v)
+)
+def test_continuation_grid_is_pinned(fixture_spec, target, rtol):
+    calls, want = CONTINUATION_GRID[target, rtol]
+    A = CountingMatrix(derive_original_system(fixture_spec))
+    system = LinearSystem(A, (Fraction(target), Fraction(10)))
+    y = integrate(system, Y3_AT_10, 10, Fraction(target), rtol=rtol, atol=rtol / 100)
+    assert A.calls == calls
+    assert tuple(v.hex() for v in y) == want
 
 
 # -- bit for bit against scipy's RK45 -------------------------------------
