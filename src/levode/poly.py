@@ -2,9 +2,9 @@
 
 A polynomial is an immutable tuple of coefficients indexed by power, with
 no trailing zeros; the zero polynomial is the empty tuple.  It is an
-integer kernel: the ring operations (``add``, ``neg``, ``sub``, ``scale``,
-``mul``, ``shift``, ``derivative``) keep a tuple of ints in Z[x],
-``divmod_exact`` does too whenever the divisor divides, ``gcd`` and Yun's
+integer kernel: the ring operations (``add``, ``neg``, ``sub``, ``mul``,
+``shift``, ``derivative``) keep a tuple of ints in Z[x], ``divmod_exact``
+does too whenever the divisor divides, ``gcd`` and Yun's
 ``squarefree_decomposition`` return primitive ints (exact by Gauss's
 lemma), and one integer Horner rule evaluates at a rational point.
 ``Fraction``s appear only where values enter or leave: ``make``, points,
@@ -60,12 +60,6 @@ def constant(c) -> Coeffs:
     return (c,) if c else ZERO
 
 
-def x_power(k: int) -> Coeffs:
-    if k < 0:
-        raise ValueError("x_power wants a nonnegative exponent")
-    return (0,) * k + ONE
-
-
 def add(p: Coeffs, q: Coeffs) -> Coeffs:
     if len(p) < len(q):
         p, q = q, p
@@ -81,11 +75,6 @@ def neg(p: Coeffs) -> Coeffs:
 
 def sub(p: Coeffs, q: Coeffs) -> Coeffs:
     return add(p, neg(q))
-
-
-def scale(p: Coeffs, c) -> Coeffs:
-    """c * p for a nonzero scalar c."""
-    return p if c == 1 else tuple(c * v for v in p)
 
 
 def mul(p: Coeffs, q: Coeffs) -> Coeffs:

@@ -9,24 +9,24 @@ work on ints alone, as does every reader in the package; ``num`` and
 it.
 
 Almost every denominator the reduction meets is c*x**k, and those terms
-take the Laurent lane: a term is carried as the triple (numerator, c, k)
-and ``_laurent`` turns acc/(c*x**k) into its canonical pair, slicing off
-the common power of x and dividing by gcd(c, content) with no polynomial
+take the Laurent lane.  A value's ``lane`` is k for such a denominator,
+else None, set when the value is made, so a denominator is scanned only
+in ``_normal``.  A term in the lane is the triple (numerator, c, k), and
+``_laurent`` turns acc/(c*x**k) into its canonical pair, slicing off the
+common power of x and dividing by gcd(c, content) with no polynomial
 gcd.  Products of two such terms (``*`` and matrix products) form
 (n_a*n_b, c_a*c_b, k_a + k_b), a derivative is (x*p' - k*p)/(c*x**(k+1)),
 and ``rational_sum`` lifts any number of them to lcm(c)*x**max(k) and
-adds their numerators in one list.  No x-power tuple is multiplied or
-shifted on the way, and every such result passes ``_laurent``.  ``+``
-and ``-`` are the two-term case of ``rational_sum``, and a zero operand
-short-circuits.  Other denominators are divided by the primitive integer
-gcd; every polynomial operation is that of ``poly``, the integer kernel.
+adds their numerators in one list.  ``+`` and ``-`` are its two-term
+case, and a zero operand short-circuits.  Terms over other denominators
+are added over their product and divided by the primitive integer gcd;
+every polynomial operation is that of ``poly``, the integer kernel.
 
 ``SymMatrix`` is a dense matrix of them with non-commutative products,
-each entry of a product one such sum of unreduced products, read off
-each row and column's lanes once; ``SymMatrix.sum`` adds many matrices
-entry by entry, and ``SymMatrix.commutator`` forms D*P - P*D for a
-diagonal D as (d_i - d_j)*P_ij.  On top of the arithmetic the module
-provides
+each entry of a product one such sum of unreduced products;
+``SymMatrix.sum`` adds many matrices entry by entry, and
+``SymMatrix.commutator`` forms D*P - P*D for a diagonal D as
+(d_i - d_j)*P_ij.  On top of the arithmetic the module provides
 
 * differentiation and the leading power at infinity,
 * Laurent expansion at infinity with an exact rational tail,
@@ -77,20 +77,22 @@ class RationalFn:
 
     Stored as the canonical pair ``(int_num, int_den)``: trimmed int tuples,
     coprime as polynomials, with no common integer content and a positive
-    leading denominator coefficient.  ``num`` and ``den`` view it as
-    Fractions over a monic denominator, for readers outside the package.
+    leading denominator coefficient; ``lane`` is k when ``int_den`` is
+    c*x**k, else None.  ``num`` and ``den`` view the pair as Fractions
+    over a monic denominator, for readers outside the package.
     """
 
-    __slots__ = ("int_num", "int_den")
+    __slots__ = ("int_num", "int_den", "lane")
 
     def __init__(self, num, den=poly.ONE):
         num, den = _coeffs(num), _coeffs(den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         ints = tuple(poly._primitive_ints(num + den))
-        num, den = _normal(ints[: len(num)], ints[len(num):])
+        num, den, lane = _normal(ints[: len(num)], ints[len(num):])
         _set(self, "int_num", num)
         _set(self, "int_den", den)
+        _set(self, "lane", lane)
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("RationalFn is immutable")
@@ -130,8 +132,8 @@ class RationalFn:
             return _ZERO
         a, b = c.numerator, c.denominator
         if e >= 0:
-            return _pair(poly.shift((a,), e), (b,))
-        return _pair((a,), poly.shift((b,), -e))
+            return _pair(poly.shift((a,), e), (b,), 0)
+        return _pair((a,), poly.shift((b,), -e), -e)
 
     # -- predicates and structure -------------------------------------
 
@@ -173,7 +175,7 @@ class RationalFn:
     __radd__ = __add__
 
     def __neg__(self):
-        return _pair(poly.neg(self.int_num), self.int_den)
+        return _pair(poly.neg(self.int_num), self.int_den, self.lane)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -196,10 +198,10 @@ class RationalFn:
         if not (self.int_num and o.int_num):
             return _ZERO
         a, b = self.int_den, o.int_den
-        ka = _x_exponent(a)
-        if ka is not None and (kb := _x_exponent(b)) is not None:
-            return _pair(*_laurent(poly.mul(self.int_num, o.int_num), a[-1] * b[-1], ka + kb))
-        return _fn(poly.mul(self.int_num, o.int_num), poly.mul(a, b))
+        n = poly.mul(self.int_num, o.int_num)
+        if self.lane is not None and o.lane is not None:
+            return _pair(*_laurent(n, a[-1] * b[-1], self.lane + o.lane))
+        return _fn(n, poly.mul(a, b))
 
     __rmul__ = __mul__
 
@@ -236,8 +238,7 @@ class RationalFn:
     # -- calculus and asymptotics -------------------------------------
 
     def differentiate(self) -> "RationalFn":
-        n, d = self.int_num, self.int_den
-        k = _x_exponent(d)
+        n, d, k = self.int_num, self.int_den, self.lane
         if k is not None:  # (p/(c*x**k))' = (x*p' - k*p)/(c*x**(k+1))
             return _pair(*_laurent([(i - k) * c for i, c in enumerate(n)], d[-1], k + 1))
         return _fn(
@@ -363,20 +364,21 @@ def _x_exponent(den: Coeffs) -> int | None:
     return k if den.count(0) == k else None
 
 
-def _laurent(acc, c: int, k: int) -> tuple[Coeffs, Coeffs]:
-    """The canonical pair of acc/(c*x**k), for an int sequence ``acc``
-    (trailing zeros allowed), a nonzero int c and k >= 0.
+def _laurent(acc, c: int, k: int) -> tuple[Coeffs, Coeffs, int]:
+    """The canonical pair of acc/(c*x**k) and its lane, for an int
+    sequence ``acc`` (trailing zeros allowed), a nonzero int c and k >= 0.
 
     Such a denominator shares at most x**min(valuation(acc), k) with the
-    numerator, which is cancelled by slicing, and the common integer
-    content is gcd(c, content(acc)); dividing by it, negated when c < 0,
-    leaves lc(den) > 0.  No x-power tuple is built before the result's.
+    numerator, which is cancelled by slicing, leaving the lane k - v; the
+    common integer content is gcd(c, content(acc)), and dividing by it,
+    negated when c < 0, leaves lc(den) > 0.  No x-power tuple is built
+    before the result's.
     """
     n = len(acc)
     while n and not acc[n - 1]:
         n -= 1
     if not n:
-        return poly.ZERO, poly.ONE
+        return poly.ZERO, poly.ONE, 0
     v = 0
     while v < k and not acc[v]:
         v += 1
@@ -387,43 +389,48 @@ def _laurent(acc, c: int, k: int) -> tuple[Coeffs, Coeffs]:
     if g != 1:
         num = [a // g for a in num]
         c //= g
-    return tuple(num), (0,) * (k - v) + (c,)
+    return tuple(num), (0,) * (k - v) + (c,), k - v
 
 
-def _normal(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
-    """The canonical pair of num/den, for trimmed int tuples, den nonzero.
+def _normal(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs, int | None]:
+    """The canonical pair of num/den and its lane, for trimmed int tuples,
+    den nonzero.
 
-    A denominator c*x**k is the Laurent lane's (``_laurent``); any other
-    is divided, with its numerator, by their primitive gcd.  Then the
-    common integer content is divided out and the sign makes lc(den)
-    positive.
+    A denominator that is not c*x**k is divided, with its numerator, by
+    their primitive gcd, which can leave c*x**j, so the quotient is
+    scanned too.  One of the form c*x**k is then the Laurent lane's
+    (``_laurent``); any other has the common integer content divided out
+    and the sign that makes lc(den) positive.
     """
     if not num:
-        return poly.ZERO, poly.ONE
+        return poly.ZERO, poly.ONE, 0
     k = _x_exponent(den)
+    if k is None:
+        g = poly.gcd(num, den)
+        if len(g) > 1:
+            num = poly.divmod_exact(num, g)[0]
+            den = poly.divmod_exact(den, g)[0]
+            k = _x_exponent(den)
     if k is not None:
         return _laurent(num, den[-1], k)
-    g = poly.gcd(num, den)
-    if len(g) > 1:
-        num = poly.divmod_exact(num, g)[0]
-        den = poly.divmod_exact(den, g)[0]
     c = math.gcd(*num, *den)
     if den[-1] < 0:
         c = -c
     if c != 1:
         num = tuple(v // c for v in num)
         den = tuple(v // c for v in den)
-    return num, den
+    return num, den, None
 
 
 _set = object.__setattr__
 
 
-def _pair(num: Coeffs, den: Coeffs) -> RationalFn:
-    """The RationalFn whose canonical pair is (num, den), taken as given."""
+def _pair(num: Coeffs, den: Coeffs, lane: int | None) -> RationalFn:
+    """The RationalFn of canonical pair (num, den) and lane, taken as given."""
     f = object.__new__(RationalFn)
     _set(f, "int_num", num)
     _set(f, "int_den", den)
+    _set(f, "lane", lane)
     return f
 
 
@@ -434,18 +441,18 @@ def _fn(num: Coeffs, den: Coeffs) -> RationalFn:
     return _pair(*_normal(num, den))
 
 
-_ZERO = _pair(poly.ZERO, poly.ONE)
-_ONE = _pair(poly.ONE, poly.ONE)
+_ZERO = _pair(poly.ZERO, poly.ONE, 0)
+_ONE = _pair(poly.ONE, poly.ONE, 0)
 
 
 def rational_sum(plus, minus=()) -> RationalFn:
     """The sum of the RationalFns ``plus`` less those of ``minus``,
     normalised once.
 
-    Terms over a denominator c*x**k are lifted to lcm(c)*x**max(k) and
-    their numerators added in one list; ``RationalFn.__add__`` and
-    ``__sub__`` are the cases of two terms.  With fewer than two nonzero
-    terms there is nothing to add.
+    Each term goes to ``_sum`` by its lane: over c*x**k as a Laurent
+    triple, any other as its pair; ``RationalFn.__add__`` and ``__sub__``
+    are the cases of two terms.  With fewer than two nonzero terms there
+    is nothing to add.
     """
     plus = [f for f in plus if f.int_num]
     minus = [f for f in minus if f.int_num]
@@ -455,32 +462,22 @@ def rational_sum(plus, minus=()) -> RationalFn:
     for sign, terms in ((1, plus), (-1, minus)):
         for f in terms:
             num, den = f.int_num, f.int_den
-            k = _x_exponent(den)
-            if k is None:
+            if f.lane is None:
                 pairs.append((num if sign > 0 else poly.neg(num), den))
             else:  # a subtracted term's sign goes to c
-                lifted.append((num, sign * den[-1], k))
+                lifted.append((num, sign * den[-1], f.lane))
     return _sum(pairs, lifted)
 
 
 def _sum(pairs, lifted) -> RationalFn:
-    """The sum of num/den over int-tuple pairs, and of num/(c*x**k) over
-    the Laurent triples (num, c, k) of the list ``lifted``, every num and
-    den nonzero, not necessarily reduced.
+    """The sum of num/(c*x**k) over the Laurent triples (num, c, k) of
+    ``lifted`` and of num/den over the int-tuple ``pairs``, whose
+    denominators are not of that form; every num and den nonzero, not
+    necessarily reduced.
 
-    Every term whose denominator is c*x**k joins ``lifted``, and they are
-    added in one sum over lcm(c)*x**max(k); each other term is then added
-    to the running total over the least common multiple of denominators
-    equal up to a constant factor, else over the product of the
-    denominators.
+    The triples are added in one sum over lcm(c)*x**max(k); each pair is
+    then added to the running total over the product of the denominators.
     """
-    other = []
-    for num, den in pairs:
-        k = _x_exponent(den)
-        if k is None:
-            other.append((num, den))
-        else:
-            lifted.append((num, den[-1], k))
     total = _ZERO
     if len(lifted) == 1:
         total = _pair(*_laurent(*lifted[0]))
@@ -496,21 +493,12 @@ def _sum(pairs, lifted) -> RationalFn:
             for i, v in enumerate(num, top - k):
                 acc[i] += a * v
         total = _pair(*_laurent(acc, lcm, top))
-    for n2, d2 in other:
+    for n2, d2 in pairs:
         n1, d1 = total.int_num, total.int_den
         if not n1:
             total = _fn(n2, d2)
-            continue
-        if len(d1) == len(d2):
-            # denominators equal up to a constant factor (equal ones too):
-            # lift both to their least common multiple
-            g = math.gcd(d1[-1], d2[-1])
-            a1, a2 = d2[-1] // g, d1[-1] // g
-            den = poly.scale(d1, a1)
-            if den == poly.scale(d2, a2):
-                total = _fn(poly.add(poly.scale(n1, a1), poly.scale(n2, a2)), den)
-                continue
-        total = _fn(poly.add(poly.mul(n1, d2), poly.mul(n2, d1)), poly.mul(d1, d2))
+        else:
+            total = _fn(poly.add(poly.mul(n1, d2), poly.mul(n2, d1)), poly.mul(d1, d2))
     return total
 
 
@@ -802,17 +790,18 @@ class SymMatrix:
         if isinstance(other, SymMatrix):
             if self.cols != other.rows:
                 raise ValueError("inner dimension mismatch")
-            # each column as its nonzero entries' lanes once, each row as
-            # its entries' lanes once; a zero row gives zeros
+            # each column as its nonzero entries once; a zero row gives zeros
             cols = [
-                [(k, *lane) for k, lane in enumerate(_lanes(col)) if lane]
+                [(k, b.int_num, b.int_den, b.lane) for k, b in enumerate(col) if b.int_num]
                 for col in zip(*other.entries)
             ]
             zero_row = (_ZERO,) * other.cols
             return _matrix(
                 tuple(
-                    tuple(_dot(row, col) for col in cols) if any(row) else zero_row
-                    for row in map(_lanes, self.entries)
+                    tuple(_dot(row, col) for col in cols)
+                    if any(a.int_num for a in row)
+                    else zero_row
+                    for row in self.entries
                 )
             )
         f = _as_fn_or_none(other)
@@ -902,7 +891,8 @@ class SymMatrix:
     # -- inverse -------------------------------------------------------
 
     def inverse(self) -> "SymMatrix":
-        """Gauss-Jordan elimination on [self | I], skipping zero entries."""
+        """Gauss-Jordan elimination on [self | I], skipping zero entries:
+        each row operation is the RationalFn arithmetic ``e - f*q``."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
@@ -920,19 +910,13 @@ class SymMatrix:
             d = pivot[c]
             for j in nonzero:
                 pivot[j] = pivot[j] / d
-            # each row less f times the pivot row, every entry normalised once;
-            # column c is never read again
+            # each row less f times the pivot row; column c is never read again
             for row in rows:
                 f = row[c]
                 if row is pivot or not f.int_num:
                     continue
                 for j in nonzero:
-                    e, q = row[j], pivot[j]
-                    term = (
-                        poly.neg(poly.mul(f.int_num, q.int_num)),
-                        poly.mul(f.int_den, q.int_den),
-                    )
-                    row[j] = _sum([(e.int_num, e.int_den), term] if e.int_num else [term], [])
+                    row[j] = row[j] - f * pivot[j]
         return _matrix(tuple(tuple(row[n:]) for row in rows))
 
 
@@ -967,28 +951,19 @@ def _matrix(rows: tuple[tuple[RationalFn, ...], ...]) -> SymMatrix:
     return m
 
 
-def _lanes(entries) -> list:
-    """Each entry as (num, den, k), k its denominator's x-exponent or None,
-    and None for a zero entry."""
-    return [
-        (a.int_num, a.int_den, _x_exponent(a.int_den)) if a.int_num else None
-        for a in entries
-    ]
-
-
 def _dot(row, col) -> RationalFn:
     """The sum of the products row[k]*b over a column's nonzero entries
-    (k, num, den, x-exponent), each left unreduced for one normalisation:
-    two c*x**k denominators give the Laurent triple
-    (n_a*n_b, c_a*c_b, k_a + k_b), any other pair the product pair."""
+    (k, num, den, lane), each left unreduced for one normalisation: two
+    c*x**k denominators give the Laurent triple
+    (n_a*n_b, c_a*c_b, k_a + k_b), any other pair the product pair, whose
+    denominator is then not of that form either."""
     pairs, lifted = [], []
     for k, nb, db, kb in col:
         a = row[k]
-        if a is None:
+        if not a.int_num:
             continue
-        na, da, ka = a
-        if ka is not None and kb is not None:
-            lifted.append((poly.mul(na, nb), da[-1] * db[-1], ka + kb))
+        if a.lane is not None and kb is not None:
+            lifted.append((poly.mul(a.int_num, nb), a.int_den[-1] * db[-1], a.lane + kb))
         else:
-            pairs.append((poly.mul(na, nb), poly.mul(da, db)))
+            pairs.append((poly.mul(a.int_num, nb), poly.mul(a.int_den, db)))
     return _sum(pairs, lifted)

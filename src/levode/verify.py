@@ -323,11 +323,26 @@ _CHECKS = (
 
 def run_checks(
     only: str | None = None,
-    tolerance_overrides: dict[str, float] | None = None,
+    tolerance_overrides: dict | None = None,
 ) -> list[CheckRow]:
+    """One row per check, of the group ``only`` or of all of them.
+    ``tolerance_overrides`` maps a check's name to its tolerance, a number
+    or its text, which must be a finite nonnegative number."""
     if only is not None and only not in CHECK_GROUPS:
         raise InvalidInput(f"unknown check group {only!r}; choose from {CHECK_GROUPS}")
-    overrides = tolerance_overrides or {}
+    overrides = {}
+    for name, value in (tolerance_overrides or {}).items():
+        try:
+            tol = float(value)
+        except (TypeError, ValueError, OverflowError):
+            tol = math.nan
+        if not math.isfinite(tol):
+            raise InvalidInput(
+                f"tolerance value for {name!r} is not a finite number: {value!r}"
+            )
+        if tol < 0:
+            raise InvalidInput(f"tolerance value for {name!r} is negative: {value!r}")
+        overrides[name] = tol
     unknown = set(overrides) - {name for name, _, _ in _CHECKS}
     if unknown:
         raise InvalidInput(f"tolerance override for unknown check: {sorted(unknown)}")

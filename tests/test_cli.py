@@ -826,6 +826,26 @@ def test_verify_rejects_malformed_tolerance(capsys):
     assert "NAME=VALUE" in err
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (-1, "is negative: -1"),
+        (float("nan"), "is not a finite number: nan"),
+        (float("inf"), "is not a finite number: inf"),
+    ],
+)
+def test_run_checks_rejects_a_bad_tolerance(value, message):
+    # a library caller meets the command line's rule, value errors before
+    # unknown names; an infinite tolerance would pass y_at_10 whatever it
+    # computed, and -1 or nan would fail it without a word
+    overrides = {"nope": 1, "y_at_10": value}
+    with pytest.raises(errors.InvalidInput) as info:
+        run_checks(only="asymptotic", tolerance_overrides=overrides)
+    assert str(info.value) == f"tolerance value for 'y_at_10' {message}"
+    rows = run_checks(only="asymptotic", tolerance_overrides={"y_at_10": Fraction(1, 2)})
+    assert [(r.tolerance, r.passed) for r in rows if r.name == "y_at_10"] == [(0.5, True)]
+
+
 # -- exit-code contract under fuzzed flags -------------------------------
 
 def _strict_json_constant(name):
@@ -834,7 +854,7 @@ def _strict_json_constant(name):
 
 def test_fuzzed_flags_keep_the_exit_code_contract(capsys):
     pytest.importorskip("hypothesis")
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import example, given, settings, strategies as st
 
     def optional(flag, values):
         # the --flag=value form keeps values such as -1 from reading as flags
@@ -850,8 +870,14 @@ def test_fuzzed_flags_keep_the_exit_code_contract(capsys):
         )
 
     numbers = ["nan", "inf", "-1", "0", "1e400", "1e-6", "1e-10"]
+    forward = dict(command="solve", fmt="json", M=(), rtol=(), atol=())
 
     @settings(max_examples=30, deadline=None)
+    # forward targets, which random draws seldom reach
+    @example(**forward, k="3", X=(), target=("--target", "12"))
+    @example(**forward, k="2", X=("-X=5",), target=("--target=5",))
+    @example(**dict(forward, M=("-M=2",), rtol=("--rtol=1e-6",)), k="1", X=("-X=5",),
+             target=("--target", "12"))
     @given(
         command=st.sampled_from(["transform", "solve"]),
         fmt=st.sampled_from(["text", "json"]),
@@ -872,7 +898,17 @@ def test_fuzzed_flags_keep_the_exit_code_contract(capsys):
         if code:
             assert err.count("\n") <= 1, err
         if fmt == "json" and out:
-            json.loads(out, parse_constant=_strict_json_constant)
+            report = json.loads(out, parse_constant=_strict_json_constant)
+            cont = report.get("continuation")
+            if code == 0 and cont and cont["integrator"] == {"method": "Levinson form"}:
+                # a forward target is the value at X moved there, bit for bit
+                at_target = [
+                    "solve", "--builtin", "hypergeom", "--format", fmt, *M,
+                    "-k", k, *rtol, *atol, f"-X={cont['target']}",
+                ]
+                assert main(at_target) == 0
+                moved = json.loads(capsys.readouterr().out)["Y_at_X"]
+                assert list(map(float.hex, moved)) == list(map(float.hex, cont["Y"]))
 
     check()
 

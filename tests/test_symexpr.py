@@ -87,7 +87,15 @@ def _same(f, g):
     assert f == g
     assert hash(f) == hash(g)
     assert (f.int_num, f.int_den) == (g.int_num, g.int_den)
+    assert f.lane == g.lane
     assert f.to_string() == g.to_string()
+
+
+def _lane_of(den):
+    """The lane a value over ``den`` must carry: k when den is
+    (0,)*k + (c,), else None."""
+    k = len(den) - 1
+    return k if den == (0,) * k + (den[-1],) else None
 
 
 def test_kernel_matches_sympy_cancel():
@@ -242,7 +250,8 @@ def _gcd_normal(num, den) -> RationalFn:
     g = poly.gcd(num, den)
     num, den = poly.divmod_exact(num, g)[0], poly.divmod_exact(den, g)[0]
     c = math.gcd(*num, *den) * (1 if den[-1] > 0 else -1)
-    return symexpr._pair(tuple(v // c for v in num), tuple(v // c for v in den))
+    den = tuple(v // c for v in den)
+    return symexpr._pair(tuple(v // c for v in num), den, _lane_of(den))
 
 
 def _ref_mul(a, b):
@@ -344,6 +353,69 @@ def test_laurent_lane_matrix_products_match_the_gcd_path():
     run()
 
 
+def test_every_value_carries_its_lane():
+    """A value's lane is k exactly when its denominator is c*x^k, and None
+    otherwise, whichever way the value was made: a wrong k gives wrong
+    products and sums, a missing one only slower ones."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    def check(f):
+        assert f.lane == _lane_of(f.int_den), (f, f.lane)
+
+    def check_matrix(m):
+        for row in m.entries:
+            for e in row:
+                check(e)
+
+    term = _lane_terms()
+    exponent = st.integers(-5, 5)
+    coefficient = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    routes = [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        a=term, b=term, e=exponent, c=coefficient, k=st.integers(0, 4),
+        plus=st.lists(term, max_size=5), minus=st.lists(term, max_size=3),
+        entries=st.lists(term, min_size=8, max_size=8),
+    )
+    def run(a, b, e, c, k, plus, minus, entries):
+        # the constructor and the parser, also where the gcd with x + 1
+        # leaves a denominator c*x^k
+        num, den = poly.mul(a.int_num, (1, 1)), poly.mul(a.int_den, (1, 1))
+        text = f"({symexpr._format_int_poly(num)})/({symexpr._format_int_poly(den)})"
+        made = [
+            a,
+            RationalFn(num, den),
+            RationalFn.parse(text),
+            RationalFn.parse(a.to_string()),
+            RationalFn.monomial(c, e),
+            RationalFn.x_power(e),
+            RationalFn.const(c),
+            RationalFn([1, 1], [0] * k + [1, 1]),
+            a + b, a - b, a * b, -a, a.differentiate(), a ** (e % 4),
+            symexpr.rational_sum(plus, minus),
+        ]
+        if b:
+            made += [a / b, b ** -(e % 3 + 1)]
+        made += [route(f) for route in routes for f in (a, b)]
+        for f in made:
+            check(f)
+        A = SymMatrix([entries[:2], entries[2:4]])
+        B = SymMatrix([entries[4:6], entries[6:]])
+        for m in (A * B, a * A, SymMatrix.sum([A, B], [A]), A - B, A.commutator([a, b])):
+            check_matrix(m)
+        for route in routes:
+            check_matrix(route(A))
+        try:
+            inverse = A.inverse()
+        except ZeroDivisionError:
+            return
+        check_matrix(inverse)
+
+    run()
+
+
 @pytest.mark.parametrize(
     "acc, c, k, pair",
     [
@@ -357,10 +429,11 @@ def test_laurent_lane_matrix_products_match_the_gcd_path():
     ],
 )
 def test_laurent_helper_gives_the_canonical_pair(acc, c, k, pair):
-    assert symexpr._laurent(acc, c, k) == pair
+    got = symexpr._laurent(acc, c, k)
+    assert got == (*pair, len(pair[1]) - 1)
     assert all(type(v) is tuple for v in pair)
     if pair[0]:
-        _same(symexpr._pair(*pair), _gcd_normal(acc, [0] * k + [c]))
+        _same(symexpr._pair(*got), _gcd_normal(acc, [0] * k + [c]))
 
 
 def _mul_by_loop(p, q):
@@ -884,7 +957,7 @@ def test_poly_gcd_matches_known_factorizations():
     p = poly.mul(poly.make([-1, 1]), poly.make([2, 0, 1]))
     q = poly.mul(poly.make([-1, 1]), poly.make([5, 1]))
     assert poly.gcd(p, q) == (-1, 1)
-    assert poly.gcd(poly.x_power(7), poly.x_power(4)) == poly.x_power(4)
+    assert poly.gcd((0, 0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1)) == (0, 0, 0, 0, 1)
     # on int tuples the gcd and exact quotients stay in Z[x], never a float
     pi, qi = poly.mul((-2, 2), (2, 0, 1)), poly.mul((3, -3), (5, 1))
     assert poly.gcd(pi, qi) == (-1, 1)
@@ -896,7 +969,7 @@ def test_poly_gcd_matches_known_factorizations():
 
 def test_poly_gcd_with_a_zero_operand_is_the_other_made_primitive():
     cases = [
-        (poly.x_power(7), poly.ZERO, poly.x_power(7)),
+        ((0, 0, 0, 0, 0, 0, 0, 1), poly.ZERO, (0, 0, 0, 0, 0, 0, 0, 1)),
         (poly.ZERO, (0, 0, 6, -4), (0, 0, -3, 2)),
         (poly.shift((6, 9), 3), poly.ZERO, (0, 0, 0, 2, 3)),
         (poly.ZERO, poly.make([0, F(1, 2), F(3, 4)]), (0, 2, 3)),
@@ -915,7 +988,9 @@ def test_poly_squarefree_decomposition_stays_in_integers():
     for _ in range(3):
         p = poly.mul(p, (-3, 1))
     want = [(1, 2), (-1, 1), (-3, 1)]
-    for q in (p, poly.scale(p, -6), poly.make(F(c, 7) for c in p)):
+    assert p == (-27, 27, 72, -134, 81, -21, 2)
+    minus_6p = (162, -162, -432, 804, -486, 126, -12)
+    for q in (p, minus_6p, poly.make(F(c, 7) for c in p)):
         factors = poly.squarefree_decomposition(q)
         assert factors == want
         assert all(type(c) is int for f in factors for c in f)
