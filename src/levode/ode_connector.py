@@ -9,8 +9,9 @@ its domain for poles by an exact root count when it is built.
 The integrator is the Dormand-Prince 5(4) pair (Dormand & Prince 1980,
 J. Comput. Appl. Math. 6) with Shampine's quartic dense output (Math.
 Comp. 46, 1986), specialised to Y' = A(x) Y: each stage calls
-``SymMatrix.eval_float`` once (one Horner pass over the entries that vary
-with x) and writes just those entries into the array.  It follows scipy's
+``SymMatrix.eval_float`` once (one call of the straight-line Horner
+function the matrix compiles from its float table on the first call) and
+writes just the entries that vary with x into the array.  It follows scipy's
 ``RK45`` step for step: the same tableau, initial step selection, RMS
 error norm, step-size controller and stage sums, in scipy's order of float
 operations, so every trajectory equals ``solve_ivp(method="RK45")`` bit
@@ -35,9 +36,10 @@ MIN_RTOL = 100 * sys.float_info.epsilon
 DENSE_POINTS = 201
 # The most accepted steps one integration may take.  The built-in problem
 # stiffens as x goes negative (its x**2 entry): from X = 10, a continuation
-# to -100 takes about 120,000 steps and one to -200 about 940,000, at about
-# 25 us a step on a shared 2-vCPU Xeon, so a target out of reach is refused
-# within about 15 s instead of running without end.
+# to -100 takes about 120,000 steps and one to -200 about 940,000.  Toward
+# -1000 a step costs about 45 us, rejected attempts included (one pinned
+# CPU of a shared 2-vCPU Xeon), so a target out of reach is refused after
+# about 22 s instead of running without end.
 _MAX_STEPS = 500_000
 
 
@@ -221,7 +223,7 @@ def _dormand_prince(A, t0, t_end, y0, rtol, atol, max_step, dense):
     # M's buffer, where each evaluation writes the varying entries: item
     # assignment to a memoryview costs less than to an ndarray
     flat = memoryview(M.reshape(-1))
-    places = [(i * A.cols + j, i, j) for i, j, *_ in varying]
+    places = [(i * len(rows[0]) + j, i, j) for i, j, *_ in varying]
     eval_float, product = A.eval_float, M.dot
     hh = np.empty(())  # h of the step, as a 0-d array
 

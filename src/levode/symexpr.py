@@ -308,9 +308,23 @@ class RationalFn:
         return poly.float_coeffs(num, lc), poly.float_coeffs(den, lc)
 
     def eval_float(self, x: float) -> float:
-        """The entry of the 1x1 matrix ``[self]`` at x, by the Horner pass
-        of ``SymMatrix.eval_float``."""
-        return _matrix(((self,),)).eval_float(x)[0][0]
+        """The value at x by the Horner pass ``SymMatrix.eval_float``
+        compiles, run over ``float_table``: a constant is its float, any
+        other function num(x) / den(x) with each sum started from 0.0, the
+        division skipped where den is None (its Horner sum is 1.0 at a
+        finite x).  Nothing is compiled, so one call costs one pass."""
+        table = self.float_table()
+        if type(table) is float:
+            return table
+        num, den = table
+        v = d = 0.0
+        for c in num:
+            v = v * x + c
+        if den is None:
+            return v
+        for c in den:
+            d = d * x + c
+        return v / d
 
     def has_pole_in(self, lo, hi=None) -> bool:
         """True when the denominator vanishes on [lo, hi], or on [lo, inf)
@@ -673,8 +687,9 @@ def sup_bound(f: RationalFn, X, *, rel_slack=Fraction(1, 20)) -> Fraction:
 class SymMatrix:
     """Dense matrix of RationalFn entries with exact non-commutative products."""
 
-    # _float_table: what float_table returns, kept from its first call
-    __slots__ = ("rows", "cols", "entries", "_float_table")
+    # _float_table: what float_table returns, kept from its first call;
+    # _float_fn: the function eval_float compiles from it on its first call
+    __slots__ = ("rows", "cols", "entries", "_float_table", "_float_fn")
 
     def __init__(self, entries):
         rows = tuple(tuple(_as_fn(e) for e in row) for row in entries)
@@ -687,7 +702,7 @@ class SymMatrix:
     def __setattr__(self, *a):
         raise AttributeError("SymMatrix is immutable")
 
-    def __reduce__(self):  # rebuilt through __init__, without _float_table
+    def __reduce__(self):  # rebuilt through __init__, without the float forms
         return SymMatrix, (self.entries,)
 
     # -- constructors --------------------------------------------------
@@ -846,8 +861,8 @@ class SymMatrix:
         rows with every constant entry's float in place (0.0 where an entry
         varies with x), and ``(i, j, num, den)`` for each entry that varies,
         its numerator and denominator as ``RationalFn.float_table`` gives
-        them.  The rows are the lists ``eval_float`` copies on each call:
-        read them, never change them."""
+        them.  ``eval_float`` compiles its function from this table; read
+        the rows, never change them."""
         table = self._float_table
         if table is None:
             rows, varying = [], []
@@ -859,27 +874,20 @@ class SymMatrix:
                         values[j] = 0.0
                 rows.append(values)
             table = tuple(rows), tuple(varying)
-            object.__setattr__(self, "_float_table", table)
+            _set(self, "_float_table", table)
         return table
 
     def eval_float(self, x: float) -> list[list[float]]:
-        """Entries at x as fresh rows: the constant rows of ``float_table``
-        copied, and each entry that varies with x as num(x) / den(x) by
-        Horner's rule, in one pass.  A den of None is the denominator 1,
-        whose division is skipped: at a finite x its Horner sum is 1.0.
-        """
-        rows, varying = self._float_table or self.float_table()
-        out = [row.copy() for row in rows]
-        for i, j, num, den in varying:
-            v = d = 0.0
-            for c in num:
-                v = v * x + c
-            if den is not None:
-                for c in den:
-                    d = d * x + c
-                v /= d
-            out[i][j] = v
-        return out
+        """Entries at x as fresh rows, by one function of x compiled from
+        ``float_table`` on the first call and kept (``_float_function``):
+        each entry that varies is num(x) / den(x) by Horner's rule, in the
+        float operations of ``RationalFn.eval_float``, the others the
+        table's constants."""
+        f = self._float_fn
+        if f is None:
+            f = _float_function(*self.float_table())
+            _set(self, "_float_fn", f)
+        return f(x)
 
     def to_strings(self) -> list[list[str]]:
         return [[e.to_string() for e in row] for row in self.entries]
@@ -892,7 +900,8 @@ class SymMatrix:
 
     def inverse(self) -> "SymMatrix":
         """Gauss-Jordan elimination on [self | I], skipping zero entries:
-        each row operation is the RationalFn arithmetic ``e - f*q``."""
+        each row update ``e - f*q`` is the dot product of (e, -f) with
+        (1, q), its product left unreduced for one normalisation."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
@@ -900,6 +909,7 @@ class SymMatrix:
             list(row) + [_ONE if j == i else _ZERO for j in range(n)]
             for i, row in enumerate(self.entries)
         ]
+        one = (0, poly.ONE, poly.ONE, 0)  # the entry 1 of a _dot column
         for c in range(n):
             p = next((r for r in range(c, n) if rows[r][c].int_num), None)
             if p is None:
@@ -908,15 +918,20 @@ class SymMatrix:
             rows[c], rows[p] = pivot, rows[c]
             nonzero = [j for j in range(c + 1, 2 * n) if pivot[j].int_num]
             d = pivot[c]
+            # the pivot row over d, and (1, q) for each of its nonzero
+            # entries q, as _dot takes a column
+            cols = []
             for j in nonzero:
-                pivot[j] = pivot[j] / d
+                q = pivot[j] = pivot[j] / d
+                cols.append((one, (1, q.int_num, q.int_den, q.lane)))
             # each row less f times the pivot row; column c is never read again
             for row in rows:
                 f = row[c]
                 if row is pivot or not f.int_num:
                     continue
-                for j in nonzero:
-                    row[j] = row[j] - f * pivot[j]
+                g = -f
+                for j, col in zip(nonzero, cols):
+                    row[j] = _dot((row[j], g), col)
         return _matrix(tuple(tuple(row[n:]) for row in rows))
 
 
@@ -942,6 +957,7 @@ def _fill(m: SymMatrix, rows: tuple[tuple[RationalFn, ...], ...]) -> None:
     _set(m, "cols", len(rows[0]))
     _set(m, "entries", rows)
     _set(m, "_float_table", None)
+    _set(m, "_float_fn", None)
 
 
 def _matrix(rows: tuple[tuple[RationalFn, ...], ...]) -> SymMatrix:
@@ -949,6 +965,40 @@ def _matrix(rows: tuple[tuple[RationalFn, ...], ...]) -> SymMatrix:
     m = object.__new__(SymMatrix)
     _fill(m, rows)
     return m
+
+
+def _float_function(rows, varying):
+    """The function of x that ``SymMatrix.eval_float`` calls, compiled
+    from its ``float_table`` (rows, varying).
+
+    Its source is straight-line: for each varying entry, one statement per
+    Horner step, ``e = 0.0 * x + c0`` then ``e = e * x + c``, the same for
+    the denominator ``d`` and one ``e = e / d`` (none where den is None),
+    then the rows returned as list displays of the floats' reprs and the
+    entry names.  Nested expressions would hit the parser's nesting limit
+    at degrees ``MAX_DEGREE`` admits.  Every table float is finite (int
+    true division raises OverflowError rather than give inf), so its repr
+    reads back as the same double, and the source runs with no builtins.
+    """
+    lines = ["def f(x):"]
+    out = [[repr(v) for v in row] for row in rows]
+    for k, (i, j, num, den) in enumerate(varying):
+        e = out[i][j] = f"e{k}"
+        lines += _horner_lines(e, num)
+        if den is not None:
+            lines += _horner_lines("d", den)
+            lines.append(f"    {e} = {e} / d")
+    displays = ", ".join(f"[{', '.join(row)}]" for row in out)
+    lines.append(f"    return [{displays}]")
+    namespace = {"__builtins__": {}}
+    exec("\n".join(lines), namespace)
+    return namespace["f"]
+
+
+def _horner_lines(name: str, coeffs) -> list[str]:
+    """Horner's rule for the floats ``coeffs`` (highest power first) as
+    statements accumulating into ``name``, starting from 0.0."""
+    return [f"    {name} = {name if k else 0.0} * x + {c!r}" for k, c in enumerate(coeffs)]
 
 
 def _dot(row, col) -> RationalFn:

@@ -835,6 +835,60 @@ def test_matrix_inverse_of_random_matrix(n):
     assert m * inv == inv * m == SymMatrix.identity(n)
 
 
+def _two_step_inverse(m: SymMatrix) -> SymMatrix:
+    """``SymMatrix.inverse`` with each row update in two normalisations,
+    f*q reduced before the difference: the reference for the pairs and
+    lanes of the one-normalisation update."""
+    n = m.rows
+    rows = [
+        list(row) + [fn("1") if j == i else fn("0") for j in range(n)]
+        for i, row in enumerate(m.entries)
+    ]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c])
+        pivot = rows[p]
+        rows[c], rows[p] = pivot, rows[c]
+        nonzero = [j for j in range(c + 1, 2 * n) if pivot[j]]
+        d = pivot[c]
+        for j in nonzero:
+            pivot[j] = pivot[j] / d
+        for row in rows:
+            f = row[c]
+            if row is pivot or not f:
+                continue
+            for j in nonzero:
+                row[j] = row[j] - f * pivot[j]
+    return SymMatrix([row[n:] for row in rows])
+
+
+def _pairs_and_lanes(m: SymMatrix):
+    return [(e.int_num, e.int_den, e.lane) for row in m.entries for e in row]
+
+
+def test_inverse_row_update_matches_two_step_reference(fixture_spec):
+    import random
+
+    pool = ["0"] * 2 + [
+        "1", "-3", "x - 1/3", "(1)/(x^2)", "(x^2 + 1)/(x - 2)", "(3*x)/(x^2 + x + 1)",
+        "(2)/(x^2 - 3)", "(x - 7)/(x + 5)", "(5*x^3 - 1)/(2*x^2 + 7)",
+    ]
+    matrices = [fixture_spec.back_transform]
+    rng = random.Random(2024)
+    for n in (2, 2, 3, 3, 4, 4):
+        while True:  # redraw a singular matrix
+            m = SymMatrix([[fn(rng.choice(pool)) for _ in range(n)] for _ in range(n)])
+            try:
+                _two_step_inverse(m)
+            except StopIteration:
+                continue
+            break
+        matrices.append(m)
+    for m in matrices:
+        inv = m.inverse()
+        assert m * inv == SymMatrix.identity(m.rows)
+        assert _pairs_and_lanes(inv) == _pairs_and_lanes(_two_step_inverse(m))
+
+
 def test_matrix_diagonal_split():
     a = SymMatrix(((fn("x"), fn("2")), (fn("3"), fn("4"))))
     assert SymMatrix.diagonal([fn("x"), fn("4")]) + a.off_diagonal_part() == a
@@ -849,27 +903,32 @@ def test_matrix_diagonal_split():
 def test_ledger_matrices_survive_copy_and_pickle(route, fixture_final):
     for entry in fixture_final.ledger.entries:
         m = entry.matrix
-        m.eval_float(10.0)  # fills the float table, which is not carried over
+        m.eval_float(10.0)  # compiles the float function, which is not carried over
         twin = route(m)
         assert twin == m
         assert twin.to_strings() == m.to_strings()
-        assert twin._float_table is None
+        assert twin._float_table is None and twin._float_fn is None
+        for x in (10.0, 37.5, 1e6):
+            got = [v for row in twin.eval_float(x) for v in row]
+            assert _bits(got) == _bits([v for row in m.eval_float(x) for v in row])
         f = m.entry(1, 0)
         assert route(f) == f
         assert route(f).to_string() == f.to_string()
 
 
-def _reference_eval_float(f: RationalFn, x: float) -> float:
-    """Horner sums over float(Fraction) coefficients, then one division."""
+def _reference_eval_float(f: RationalFn):
+    """x -> f(x) by Horner sums over float(Fraction) coefficients, then
+    one division."""
+    num = [float(c) for c in reversed(f.num)]
+    den = [float(c) for c in reversed(f.den)]
 
-    def horner(p):
+    def horner(p, x):
         acc = 0.0
-        for c in reversed(p):
-            acc = acc * x + float(c)
+        for c in p:
+            acc = acc * x + c
         return acc
 
-    d = horner(f.den)
-    return horner(f.num) / d
+    return lambda x: horner(num, x) / horner(den, x)
 
 
 def _bits(values):
@@ -882,6 +941,16 @@ def test_matrix_eval_float_is_bit_identical_to_reference():
 
     coeff = st.fractions(min_value=-1000, max_value=1000, max_denominator=60)
     polynomial = st.lists(coeff, min_size=1, max_size=5)
+    # degrees 250 and 1000 with zero coefficients between at most four
+    # nonzero ones: long straight-line Horner sources, and at negative x
+    # partial sums whose "+ 0.0" turns a -0.0 into 0.0
+    sparse = st.sampled_from([250, 1000]).flatmap(
+        lambda degree: st.builds(
+            lambda low, top: [low.get(e, 0) for e in range(degree)] + [top],
+            st.dictionaries(st.integers(0, degree - 1), coeff, max_size=3),
+            coeff.filter(bool),
+        )
+    )
     entry = st.one_of(
         st.just(RationalFn.const(0)),
         coeff.map(RationalFn.const),
@@ -894,26 +963,38 @@ def test_matrix_eval_float_is_bit_identical_to_reference():
                 ["x^3 - 1", "x^2 + x + 1", "3*x^2 - 7", "7*x^4 + 2*x + 1/3", "5*x^9"]
             ),
         ),
+        sparse.map(RationalFn),
+        st.builds(lambda num, k: RationalFn(num) * X(-k), sparse, st.integers(1, 1000)),
+        st.builds(lambda num, den: RationalFn(num) / RationalFn(den), polynomial, sparse),
     )
     matrix = st.integers(1, 3).flatmap(
         lambda cols: st.lists(
             st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=3
         )
     ).map(SymMatrix)
-    point = st.builds(
-        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
-        st.sampled_from([1.0, -1.0]),
-        st.floats(1.0, 10.0, exclude_max=True),
-        st.integers(-30, 30),
+    point = st.one_of(
+        st.builds(
+            lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+            st.sampled_from([1.0, -1.0]),
+            st.floats(1.0, 10.0, exclude_max=True),
+            st.integers(-30, 30),
+        ),
+        st.floats(-1.5, 1.5),  # where degree 1000 stays in the float range
+        st.builds(  # where Horner partial sums underflow to -0.0
+            lambda mantissa, exponent: -mantissa * 10.0**exponent,
+            st.floats(1.0, 10.0, exclude_max=True),
+            st.integers(-300, -100),
+        ),
     )
 
     @settings(max_examples=300, deadline=None)
     @given(M=matrix, xs=st.lists(point, min_size=1, max_size=4))
     def check(M, xs):
+        reference = [_reference_eval_float(e) for row in M.entries for e in row]
         for _ in range(2):  # the first call builds the float tables
             for x in xs:
                 try:
-                    want = [_reference_eval_float(e, x) for row in M.entries for e in row]
+                    want = [at(x) for at in reference]
                 except ZeroDivisionError:  # a float pole, e.g. x^3 - 1 at 1.0
                     with pytest.raises(ZeroDivisionError):
                         M.eval_float(x)
@@ -924,6 +1005,26 @@ def test_matrix_eval_float_is_bit_identical_to_reference():
                 assert _bits(single) == _bits(want)
 
     check()
+
+
+def test_eval_float_compiles_once_per_matrix(monkeypatch):
+    built = []
+    generator = symexpr._float_function
+
+    def counting(*table):
+        built.append(table)
+        return generator(*table)
+
+    monkeypatch.setattr(symexpr, "_float_function", counting)
+    xs = [1.0 + i / 37 for i in range(1000)]
+    M = SymMatrix([["x", "(1)/(x^2 + 1)"], ["2", "(x^3 - 1)/(x^4)"]])
+    for x in xs:
+        M.eval_float(x)
+    assert len(built) == 1
+    f = fn("(x^2 - 3)/(x^2 + 1)")
+    for x in xs:
+        f.eval_float(x)
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize(
