@@ -291,6 +291,7 @@ def _cmd_solve(args) -> int:
         check_dichotomy,
         derive_original_system,
         growing_terms,
+        require_back_transform,
         solution_bundle,
     )
     from .ode_connector import (
@@ -317,11 +318,7 @@ def _cmd_solve(args) -> int:
         raise InvalidInput(f"k must be in 1..{spec.n}, got {args.k}")
     target = None if args.target is None else _rational_flag(args.target, "--target")
     if target is not None:
-        if spec.back_transform is None:
-            raise InvalidInput(
-                "continuation needs the original system, so the problem must "
-                "define a back-transformation matrix T(x)"
-            )
+        require_back_transform(spec)
         _float_range(target, f"--target {args.target}")
         _float_range(spec.X, "the evaluation point X")
     fs = run(spec)

@@ -218,16 +218,23 @@ def asymptotic_value(
     return vec, data.exp_at(spec.X, f"C = exp(G_{k}({spec.X}))")
 
 
-def back_transform(Z_value, P_history, spec: ProblemSpec, x_eval) -> tuple[float, ...]:
-    """T(x) * product of (I + P_m) * Z, evaluated exactly then rounded once."""
+def require_back_transform(spec: ProblemSpec) -> SymMatrix:
+    """The problem's T(x), which every value of Y needs, or
+    ``MissingBackTransform`` when it defines none."""
     if spec.back_transform is None:
         raise MissingBackTransform(
             "the problem defines no back-transformation matrix T(x)"
         )
+    return spec.back_transform
+
+
+def back_transform(Z_value, P_history, spec: ProblemSpec, x_eval) -> tuple[float, ...]:
+    """T(x) * product of (I + P_m) * Z, evaluated exactly then rounded once."""
+    T = require_back_transform(spec)
     n = spec.n
     x = Fraction(x_eval)
     identity = SymMatrix.identity(n)
-    product = spec.back_transform.eval_exact(x)
+    product = T.eval_exact(x)
     for psplit in P_history:
         factor = (identity + psplit.combined).eval_exact(x)
         product = [
@@ -254,11 +261,7 @@ def derive_original_system(spec: ProblemSpec) -> SymMatrix:
     With Y = T Z and Z' = rho*(Lambda_1 + R_1) Z, the original matrix is
     (T' + T*rho*(Lambda_1 + R_1)) * inverse(T).
     """
-    if spec.back_transform is None:
-        raise MissingBackTransform(
-            "the problem defines no back-transformation matrix T(x)"
-        )
-    T = spec.back_transform
+    T = require_back_transform(spec)
     coeff = SymMatrix.diagonal(spec.lambda1_diagonal()) + spec.E1
     for _, rung in spec.ladder:
         coeff = coeff + rung

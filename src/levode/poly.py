@@ -248,21 +248,29 @@ def fujiwara_bound(p: Coeffs) -> Fraction:
 
     Fujiwara (1916): |z| <= 2 * max over k of |a_(n-k) / a_n|**(1/k), with
     a_0 halved.  Each k-th root is rounded up to a power of two, so the
-    bound is rational and at most twice Fujiwara's.
+    bound is rational and at most twice Fujiwara's: with L the least
+    integer such that 2**L >= |a_(n-k) / a_n|, taken from the bit lengths
+    of the ratio's integer numerator and denominator and one comparison,
+    the k-th root is at most 2**ceil(L/k).
     """
     n = degree(p)
-    best = Fraction(0)
+    if n < 1:
+        return Fraction(0)
+    lead = p[n]
+    exponents = []
     for k in range(1, n + 1):
-        r = abs(Fraction(p[n - k], p[n]))
-        if k == n:
-            r /= 2
-        if r:
-            # 2**(e*k) >= 2**(L+1) > r, then step e down while it still holds
-            e = -(-(r.numerator.bit_length() - r.denominator.bit_length() + 1) // k)
-            while Fraction(2) ** ((e - 1) * k) >= r:
-                e -= 1
-            best = max(best, Fraction(2) ** e)
-    return 2 * best
+        c = p[n - k]
+        if not c:
+            continue
+        num = abs(c.numerator * lead.denominator)
+        den = abs(c.denominator * lead.numerator) << (k == n)
+        # with b the bit-length difference, 2**(b-1) < num/den < 2**(b+1),
+        # so L is b, or b + 1 when 2**b * den < num
+        L = num.bit_length() - den.bit_length()
+        if den << max(L, 0) < num << max(-L, 0):
+            L += 1
+        exponents.append(-(-L // k))
+    return Fraction(2) ** (max(exponents) + 1) if exponents else Fraction(0)
 
 
 def squarefree_decomposition(p: Coeffs) -> list[Coeffs]:

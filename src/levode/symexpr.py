@@ -33,7 +33,9 @@ each entry of a product one such sum of unreduced products;
 * a certified supremum bound for |f| on a right half-line from the
   Sturm-isolated critical points of f, computed in exact arithmetic only
   (no floating point enters the bound),
-* a canonical string form and the matching parser.
+* a canonical string form and the matching parser,
+* float evaluation of a matrix (of one function, as a 1x1 matrix) by
+  one straight-line Horner function compiled on first use.
 
 Everything downstream (the reduction engine, the error ledger, the
 asymptotic evaluator) stores its symbolic state in these two types.
@@ -292,39 +294,6 @@ class RationalFn:
         if d == 0:
             raise ZeroDivisionError(f"pole at x = {x}")
         return poly.eval_at(self.int_num, x) / d
-
-    def float_table(self) -> float | tuple[tuple[float, ...], tuple[float, ...] | None]:
-        """The form ``eval_float`` evaluates.  A constant is its float value,
-        which is its Horner value at every finite x (0.0*x + c == c); any
-        other function is its numerator and denominator as
-        ``poly.float_coeffs`` over lc(D), the denominator None when it is
-        constant: the tables ``SymMatrix.eval_float`` reads."""
-        num, den = self.int_num, self.int_den
-        lc = den[-1]
-        if len(den) == 1:
-            if len(num) <= 1:
-                return num[0] / lc if num else 0.0
-            return poly.float_coeffs(num, lc), None
-        return poly.float_coeffs(num, lc), poly.float_coeffs(den, lc)
-
-    def eval_float(self, x: float) -> float:
-        """The value at x by the Horner pass ``SymMatrix.eval_float``
-        compiles, run over ``float_table``: a constant is its float, any
-        other function num(x) / den(x) with each sum started from 0.0, the
-        division skipped where den is None (its Horner sum is 1.0 at a
-        finite x).  Nothing is compiled, so one call costs one pass."""
-        table = self.float_table()
-        if type(table) is float:
-            return table
-        num, den = table
-        v = d = 0.0
-        for c in num:
-            v = v * x + c
-        if den is None:
-            return v
-        for c in den:
-            d = d * x + c
-        return v / d
 
     def has_pole_in(self, lo, hi=None) -> bool:
         """True when the denominator vanishes on [lo, hi], or on [lo, inf)
@@ -860,18 +829,23 @@ class SymMatrix:
         """The form ``eval_float`` evaluates, built on the first call: the
         rows with every constant entry's float in place (0.0 where an entry
         varies with x), and ``(i, j, num, den)`` for each entry that varies,
-        its numerator and denominator as ``RationalFn.float_table`` gives
-        them.  ``eval_float`` compiles its function from this table; read
-        the rows, never change them."""
+        its numerator and denominator as ``poly.float_coeffs`` over lc(D),
+        the denominator None when it is constant.  ``eval_float`` compiles
+        its function from this table; read the rows, never change them."""
         table = self._float_table
         if table is None:
             rows, varying = [], []
             for i, row in enumerate(self.entries):
-                values = [e.float_table() for e in row]
-                for j, v in enumerate(values):
-                    if type(v) is not float:
-                        varying.append((i, j, *v))
-                        values[j] = 0.0
+                values = []
+                for j, e in enumerate(row):
+                    num, den = e.int_num, e.int_den
+                    lc = den[-1]
+                    if len(den) == 1 and len(num) <= 1:
+                        values.append(num[0] / lc if num else 0.0)
+                        continue
+                    values.append(0.0)
+                    fden = poly.float_coeffs(den, lc) if len(den) > 1 else None
+                    varying.append((i, j, poly.float_coeffs(num, lc), fden))
                 rows.append(values)
             table = tuple(rows), tuple(varying)
             _set(self, "_float_table", table)
@@ -880,9 +854,10 @@ class SymMatrix:
     def eval_float(self, x: float) -> list[list[float]]:
         """Entries at x as fresh rows, by one function of x compiled from
         ``float_table`` on the first call and kept (``_float_function``):
-        each entry that varies is num(x) / den(x) by Horner's rule, in the
-        float operations of ``RationalFn.eval_float``, the others the
-        table's constants."""
+        each entry that varies is num(x) / den(x) by Horner's rule, each sum
+        started from 0.0 and the division skipped where den is None, the
+        others the table's constants.  A 1x1 matrix is the float form of
+        one ``RationalFn``."""
         f = self._float_fn
         if f is None:
             f = _float_function(*self.float_table())

@@ -5,7 +5,8 @@ reference constant and reports name, group, computed, reference,
 tolerance, pass/fail.  Groups: symbolic (exact string equality of
 engine output), asymptotic (solution values and dichotomy), error
 (bound magnitudes and soundness), continuation (values at the regular
-endpoint).  Tolerances can be overridden per row by name.
+endpoint).  A row with a tolerance takes an override by name; an exact
+row, whose tolerance is None, takes none.
 """
 
 from __future__ import annotations
@@ -51,15 +52,6 @@ Y0_ENCLOSURE = (
 
 CONTINUATION_RTOL = 1e-10
 CONTINUATION_ATOL = 1e-12
-
-DEFAULT_TOLERANCES = {
-    "z33_at_10": 1e-9,
-    "y_at_10": 1e-8,
-    "total_error": 5.0,  # allowed factor against the reference bound
-    "y_at_0_regression": 1e-6,
-    "y_at_0_analytic": 1e-6,
-    "exact_solution_propagation": 10 * CONTINUATION_RTOL,
-}
 
 
 @dataclass(frozen=True)
@@ -112,41 +104,41 @@ class FixtureContext:
         )
 
 
-def _matrix_row(name, computed_rows, expected_rows):
-    passed = computed_rows == expected_rows
-    return (repr(computed_rows), repr(expected_rows), None, passed)
+def _exact(computed, expected):
+    """An exact row's result: ``computed`` equal to ``expected``, each shown
+    as ``str`` shows it (a list as its repr)."""
+    return str(computed), str(expected), computed == expected
+
+
+def _close(computed, reference, tol):
+    """A vector row's result: every component of ``computed`` within
+    ``tol`` of ``reference``."""
+    diff = max(abs(c - r) for c, r in zip(computed, reference))
+    return repr(computed), repr(reference), diff <= tol
 
 
 def _check_s1(ctx, tol):
-    return _matrix_row("s1", ctx.final_state.dominant_terms[0].to_strings(), S1_EXPECTED)
+    return _exact(ctx.final_state.dominant_terms[0].to_strings(), S1_EXPECTED)
 
 
 def _check_s2(ctx, tol):
-    return _matrix_row("s2", ctx.final_state.dominant_terms[1].to_strings(), S2_EXPECTED)
+    return _exact(ctx.final_state.dominant_terms[1].to_strings(), S2_EXPECTED)
 
 
 def _check_lambda1(ctx, tol):
-    computed = [f.to_string() for f in ctx.spec.lambda1_diagonal()]
-    return repr(computed), repr(LAMBDA1_EXPECTED), None, computed == LAMBDA1_EXPECTED
+    return _exact([f.to_string() for f in ctx.spec.lambda1_diagonal()], LAMBDA1_EXPECTED)
 
 
 def _check_integrand_k3(ctx, tol):
     # the factor multiplying rho in the exponent integrand for k = 3
-    computed = ctx.final_state.diag[2].to_string()
-    return computed, INTEGRAND_K3_EXPECTED, None, computed == INTEGRAND_K3_EXPECTED
+    return _exact(ctx.final_state.diag[2].to_string(), INTEGRAND_K3_EXPECTED)
 
 
 def _check_annihilation(ctx, tol):
-    A = hypergeometric_companion()
-    sol = (RationalFn.x_power(1), RationalFn.const(1), RationalFn.const(0))
-    deriv = (RationalFn.const(1), RationalFn.const(0), RationalFn.const(0))
-    resid = []
-    for i in range(3):
-        acc = RationalFn.const(0)
-        for j in range(3):
-            acc = acc + A.entry(i, j) * sol[j]
-        resid.append((acc - deriv[i]).to_string())
-    return repr(resid), repr(["0", "0", "0"]), None, resid == ["0", "0", "0"]
+    # Y = (x, 1, 0) solves Y' = A Y: A*Y - Y' is zero
+    Y, dY = SymMatrix([["x"], [1], [0]]), SymMatrix([[1], [0], [0]])
+    resid = hypergeometric_companion() * Y - dY
+    return _exact([e.to_string() for (e,) in resid.entries], ["0", "0", "0"])
 
 
 def _check_elimination_sample(ctx, tol):
@@ -159,25 +151,18 @@ def _check_elimination_sample(ctx, tol):
         try:
             run(random_problem(rng))
         except EliminationIdentityViolated:
-            return f"defect at spec {checked}", "all defects zero", None, False
+            return f"defect at spec {checked}", "all defects zero", False
         checked += 1
-    return f"{checked} random specs, all defects zero", "all defects zero", None, True
+    return f"{checked} random specs, all defects zero", "all defects zero", True
 
 
 def _check_z33(ctx, tol):
     computed = ctx.bundle.Z_at_X[2]
-    return (
-        repr(computed),
-        repr(Z33_REFERENCE),
-        tol,
-        abs(computed - Z33_REFERENCE) <= tol,
-    )
+    return repr(computed), repr(Z33_REFERENCE), abs(computed - Z33_REFERENCE) <= tol
 
 
 def _check_y10(ctx, tol):
-    y_at_X = ctx.bundle.Y_at_X
-    diff = max(abs(c - r) for c, r in zip(y_at_X, Y10_REFERENCE))
-    return repr(y_at_X), repr(Y10_REFERENCE), tol, diff <= tol
+    return _close(ctx.bundle.Y_at_X, Y10_REFERENCE, tol)
 
 
 def _check_dichotomy_fixture(ctx, tol):
@@ -185,7 +170,6 @@ def _check_dichotomy_fixture(ctx, tol):
     return (
         f"{sum(p.ok for p in report.pairs)}/{len(report.pairs)} pairs pass",
         "all pairs pass",
-        None,
         report.ok,
     )
 
@@ -221,7 +205,6 @@ def _check_dichotomy_degenerate(ctx, tol):
         f"pair (1,2) ok={pair.ok} sign_constant={pair.sign_constant} "
         f"divergent={pair.integral_divergent}",
         "pair flagged failing: sign constant, integral not divergent",
-        None,
         flagged,
     )
 
@@ -232,24 +215,19 @@ def _check_total_error(ctx, factor):
         computed >= 0.0
         and TOTAL_ERROR_REFERENCE / factor <= computed <= TOTAL_ERROR_REFERENCE * factor
     )
-    return (
-        repr(computed),
-        f"within factor {factor} of {TOTAL_ERROR_REFERENCE!r}",
-        factor,
-        ok,
-    )
+    return repr(computed), f"within factor {factor} of {TOTAL_ERROR_REFERENCE!r}", ok
 
 
 def _check_eta_soundness(ctx, tol):
     import mpmath  # loaded only when this check runs
 
     R = ctx.final_state.residual
-    rho = ctx.spec.rho_fn
+    rho = SymMatrix([[ctx.spec.rho_fn]])  # compiled once, on the first point
 
     def norm_at(t) -> float:
         t = float(t)
         rows = R.eval_float(t)
-        return abs(rho.eval_float(t)) * max(abs(v) for row in rows for v in row)
+        return abs(rho.eval_float(t)[0][0]) * max(abs(v) for row in rows for v in row)
 
     # tanh-sinh quadrature over [X, inf), with its own error estimate
     value, err = mpmath.quad(norm_at, [float(ctx.spec.X), mpmath.inf], error=True)
@@ -258,14 +236,12 @@ def _check_eta_soundness(ctx, tol):
     return (
         f"eta={ctx.eta!r} quadrature={value!r}",
         "closed-form eta at least the quadrature value",
-        None,
         ok,
     )
 
 
 def _check_y0_regression(ctx, tol):
-    diff = max(abs(c - r) for c, r in zip(ctx.y_at_0, Y0_REGRESSION))
-    return repr(ctx.y_at_0), repr(Y0_REGRESSION), tol, diff <= tol
+    return _close(ctx.y_at_0, Y0_REGRESSION, tol)
 
 
 def _check_y0_analytic(ctx, tol):
@@ -278,14 +254,12 @@ def _check_y0_analytic(ctx, tol):
         abs(computed - Y0_FIRST_COMPONENT) <= tol
         and abs(computed - analytic) <= tol
     )
-    return repr(computed), f"{Y0_FIRST_COMPONENT!r} (closed form {analytic!r})", tol, ok
+    return repr(computed), f"{Y0_FIRST_COMPONENT!r} (closed form {analytic!r})", ok
 
 
 def _check_y0_enclosure(ctx, tol):
-    ok = all(
-        lo <= c <= hi for c, (lo, hi) in zip(ctx.y_at_0, Y0_ENCLOSURE)
-    )
-    return repr(ctx.y_at_0), repr(Y0_ENCLOSURE), None, ok
+    ok = all(lo <= c <= hi for c, (lo, hi) in zip(ctx.y_at_0, Y0_ENCLOSURE))
+    return repr(ctx.y_at_0), repr(Y0_ENCLOSURE), ok
 
 
 def _check_exact_propagation(ctx, tol):
@@ -297,27 +271,32 @@ def _check_exact_propagation(ctx, tol):
         rtol=CONTINUATION_RTOL,
         atol=CONTINUATION_ATOL,
     )
-    diff = max(abs(c - r) for c, r in zip(out, (0.0, 1.0, 0.0)))
-    return repr(out), repr((0.0, 1.0, 0.0)), tol, diff <= tol
+    return _close(out, (0.0, 1.0, 0.0), tol)
 
 
+# (name, group, default tolerance, check): None marks an exact row, which
+# takes no override; a check returns (computed, reference, passed)
 _CHECKS = (
-    ("s1_matrix", "symbolic", _check_s1),
-    ("s2_matrix", "symbolic", _check_s2),
-    ("lambda1", "symbolic", _check_lambda1),
-    ("exponent_integrand_k3", "symbolic", _check_integrand_k3),
-    ("exact_solution_annihilation", "symbolic", _check_annihilation),
-    ("elimination_identity_sample", "symbolic", _check_elimination_sample),
-    ("z33_at_10", "asymptotic", _check_z33),
-    ("y_at_10", "asymptotic", _check_y10),
-    ("dichotomy_fixture", "asymptotic", _check_dichotomy_fixture),
-    ("dichotomy_degenerate", "asymptotic", _check_dichotomy_degenerate),
-    ("total_error", "error", _check_total_error),
-    ("eta_soundness", "error", _check_eta_soundness),
-    ("y_at_0_regression", "continuation", _check_y0_regression),
-    ("y_at_0_analytic", "continuation", _check_y0_analytic),
-    ("y_at_0_enclosure", "continuation", _check_y0_enclosure),
-    ("exact_solution_propagation", "continuation", _check_exact_propagation),
+    ("s1_matrix", "symbolic", None, _check_s1),
+    ("s2_matrix", "symbolic", None, _check_s2),
+    ("lambda1", "symbolic", None, _check_lambda1),
+    ("exponent_integrand_k3", "symbolic", None, _check_integrand_k3),
+    ("exact_solution_annihilation", "symbolic", None, _check_annihilation),
+    ("elimination_identity_sample", "symbolic", None, _check_elimination_sample),
+    ("z33_at_10", "asymptotic", 1e-9, _check_z33),
+    ("y_at_10", "asymptotic", 1e-8, _check_y10),
+    ("dichotomy_fixture", "asymptotic", None, _check_dichotomy_fixture),
+    ("dichotomy_degenerate", "asymptotic", None, _check_dichotomy_degenerate),
+    # an allowed factor against the reference bound
+    ("total_error", "error", 5.0, _check_total_error),
+    ("eta_soundness", "error", None, _check_eta_soundness),
+    ("y_at_0_regression", "continuation", 1e-6, _check_y0_regression),
+    ("y_at_0_analytic", "continuation", 1e-6, _check_y0_analytic),
+    ("y_at_0_enclosure", "continuation", None, _check_y0_enclosure),
+    (
+        "exact_solution_propagation", "continuation", 10 * CONTINUATION_RTOL,
+        _check_exact_propagation,
+    ),
 )
 
 
@@ -327,7 +306,9 @@ def run_checks(
 ) -> list[CheckRow]:
     """One row per check, of the group ``only`` or of all of them.
     ``tolerance_overrides`` maps a check's name to its tolerance, a number
-    or its text, which must be a finite nonnegative number."""
+    or its text, which must be a finite nonnegative number; an exact row
+    takes none.  A bad value is refused before an unknown name, and an
+    unknown name before an exact row."""
     if only is not None and only not in CHECK_GROUPS:
         raise InvalidInput(f"unknown check group {only!r}; choose from {CHECK_GROUPS}")
     overrides = {}
@@ -343,28 +324,23 @@ def run_checks(
         if tol < 0:
             raise InvalidInput(f"tolerance value for {name!r} is negative: {value!r}")
         overrides[name] = tol
-    unknown = set(overrides) - {name for name, _, _ in _CHECKS}
+    defaults = {name: default for name, _, default, _ in _CHECKS}
+    unknown = set(overrides) - set(defaults)
     if unknown:
         raise InvalidInput(f"tolerance override for unknown check: {sorted(unknown)}")
+    exact = [name for name in overrides if defaults[name] is None]
+    if exact:
+        raise InvalidInput(f"tolerance override for exact check: {sorted(exact)}")
     ctx = FixtureContext()
     rows: list[CheckRow] = []
-    for name, group, fn in _CHECKS:
+    for name, group, default, check in _CHECKS:
         if only is not None and group != only:
             continue
-        tol = overrides.get(name, DEFAULT_TOLERANCES.get(name))
+        tol = overrides.get(name, default)
         try:
-            computed, reference, tol_out, passed = fn(ctx, tol)
+            computed, reference, passed = check(ctx, tol)
         except Exception as exc:
             computed, reference = f"error: {type(exc).__name__}: {exc}", ""
-            tol_out, passed = tol, False
-        rows.append(
-            CheckRow(
-                name=name,
-                group=group,
-                computed=computed,
-                reference=reference,
-                tolerance=tol_out,
-                passed=passed,
-            )
-        )
+            passed = False
+        rows.append(CheckRow(name, group, computed, reference, tol, passed))
     return rows

@@ -222,13 +222,11 @@ def test_exact_solution_checks(fixture_spec):
 
 def test_eta_bound_soundness(fixture_spec, fixture_final, fixture_eta):
     residual = fixture_final.residual
-    n = fixture_spec.n
+    rho = SymMatrix([[fixture_spec.rho_fn]])
 
     def weighted_norm(t: float) -> float:
         rows = residual.eval_float(t)
-        return abs(fixture_spec.rho_fn.eval_float(t)) * max(
-            abs(v) for row in rows for v in row
-        )
+        return abs(rho.eval_float(t)[0][0]) * max(abs(v) for row in rows for v in row)
 
     value, err = quad(weighted_norm, 10.0, float("inf"), limit=200)
     assert fixture_eta >= value - err
@@ -245,10 +243,11 @@ def test_eta_bound_soundness_where_M_a_does_not_exceed_p_rho_plus_1():
         spec = specs[index]
         assert spec.M * spec.a == spec.rho.exponent + 1
         residual = run(spec).residual
+        rho = SymMatrix([[spec.rho_fn]])
 
         def weighted_norm(t):
             rows = residual.eval_float(float(t))
-            return abs(spec.rho_fn.eval_float(float(t))) * max(
+            return abs(rho.eval_float(float(t))[0][0]) * max(
                 abs(v) for row in rows for v in row
             )
 

@@ -118,6 +118,7 @@ GOLDEN = Path(__file__).parent / "golden"
             "solve_hypergeom_k3_target0.json",
             ("solve", "--builtin", "hypergeom", "-k", "3", "--target", "0"),
         ),
+        ("verify_hypergeom.json", ("verify",)),
     ],
 )
 def test_json_report_matches_golden_file(capsys, name, argv):
@@ -820,6 +821,22 @@ def test_verify_rejects_unknown_tolerance_name(capsys):
     assert err == "invalid input: tolerance override for unknown check: ['nope']\n"
 
 
+def test_verify_rejects_a_tolerance_for_an_exact_row(capsys):
+    # an exact row has no tolerance to replace: the override would be
+    # printed as "tolerance=exact" and never read
+    code, out, err = run_cli(capsys, "verify", "--tolerance", "s1_matrix=1")
+    assert code == 2
+    assert out == ""
+    assert err == "invalid input: tolerance override for exact check: ['s1_matrix']\n"
+    with pytest.raises(errors.InvalidInput, match="exact check: .'s1_matrix'.$"):
+        run_checks(tolerance_overrides={"s1_matrix": 1})
+    # a bad value is refused first, then an unknown name, then an exact row
+    with pytest.raises(errors.InvalidInput, match="for 's1_matrix' is negative"):
+        run_checks(tolerance_overrides={"s1_matrix": -1})
+    with pytest.raises(errors.InvalidInput, match="unknown check: .'nope'.$"):
+        run_checks(tolerance_overrides={"s1_matrix": 1, "nope": 1})
+
+
 def test_verify_rejects_malformed_tolerance(capsys):
     code, _, err = run_cli(capsys, "verify", "--tolerance", "justaname")
     assert code == 2
@@ -836,9 +853,9 @@ def test_verify_rejects_malformed_tolerance(capsys):
 )
 def test_run_checks_rejects_a_bad_tolerance(value, message):
     # a library caller meets the command line's rule, value errors before
-    # unknown names; an infinite tolerance would pass y_at_10 whatever it
-    # computed, and -1 or nan would fail it without a word
-    overrides = {"nope": 1, "y_at_10": value}
+    # unknown names and exact rows; an infinite tolerance would pass y_at_10
+    # whatever it computed, and -1 or nan would fail it without a word
+    overrides = {"nope": 1, "s1_matrix": 1, "y_at_10": value}
     with pytest.raises(errors.InvalidInput) as info:
         run_checks(only="asymptotic", tolerance_overrides=overrides)
     assert str(info.value) == f"tolerance value for 'y_at_10' {message}"

@@ -129,10 +129,10 @@ def test_dichotomy_signs_match_sampling(fixture_spec, fixture_final):
     diag = fixture_final.diag
     report = check_dichotomy(fixture_spec, diag)
     for p in report.pairs:
-        F = fixture_spec.rho_fn * (diag[p.j - 1] - diag[p.k - 1])
+        F = SymMatrix([[fixture_spec.rho_fn * (diag[p.j - 1] - diag[p.k - 1])]])
         signs = set()
         for t in range(50):
-            v = F.eval_float(10.0 + t * (190.0 / 49.0))
+            v = F.eval_float(10.0 + t * (190.0 / 49.0))[0][0]
             signs.add(v > 0 if v != 0 else None)
         assert p.sign_constant == (len(signs) == 1 and None not in signs)
 

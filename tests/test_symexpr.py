@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import random
 import struct
 from fractions import Fraction
 
@@ -1001,8 +1002,6 @@ def test_matrix_eval_float_is_bit_identical_to_reference():
                     continue
                 got = [v for row in M.eval_float(x) for v in row]
                 assert _bits(got) == _bits(want)
-                single = [e.eval_float(x) for row in M.entries for e in row]
-                assert _bits(single) == _bits(want)
 
     check()
 
@@ -1021,10 +1020,11 @@ def test_eval_float_compiles_once_per_matrix(monkeypatch):
     for x in xs:
         M.eval_float(x)
     assert len(built) == 1
-    f = fn("(x^2 - 3)/(x^2 + 1)")
+    # the 1x1 form of one function, as verify's eta row evaluates rho
+    f = SymMatrix([[fn("(x^2 - 3)/(x^2 + 1)")]])
     for x in xs:
         f.eval_float(x)
-    assert len(built) == 1
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize(
@@ -1135,6 +1135,87 @@ def test_poly_fujiwara_bound_exceeds_every_root():
         assert poly.count_roots_above(p, bound) == 0
         assert poly.count_roots_in(p, -bound - 1, bound) == len(set(roots))
     assert poly.fujiwara_bound(poly.make([5])) == 0
+
+
+def _fujiwara_by_powers(p):
+    """The Fujiwara bound by its former loop over Fraction powers: for each
+    k, the least e with 2**(e*k) >= |a_(n-k) / a_n| (a_0 halved), stepped
+    down from an upper guess."""
+    n = poly.degree(p)
+    best = F(0)
+    for k in range(1, n + 1):
+        r = abs(F(p[n - k], p[n]))
+        if k == n:
+            r /= 2
+        if r:
+            e = -(-(r.numerator.bit_length() - r.denominator.bit_length() + 1) // k)
+            while F(2) ** ((e - 1) * k) >= r:
+                e -= 1
+            best = max(best, F(2) ** e)
+    return 2 * best
+
+
+def test_poly_fujiwara_bound_matches_the_power_loop():
+    rng = random.Random(1916)
+
+    def coefficient():
+        bits = rng.choice([0, 1, 3, 20, 80, 250])
+        # exact powers of two put a ratio on the rounding boundary
+        c = 1 << bits if rng.random() < 0.3 else rng.getrandbits(bits + 1)
+        c *= rng.choice([-1, 1])
+        if rng.random() < 0.3:
+            return F(c, rng.choice([1, 2, 3, 1 << bits, rng.getrandbits(bits + 1) + 1]))
+        return c
+
+    for _ in range(2000):
+        p = poly.trim(
+            coefficient() if rng.random() < 0.8 else 0 for _ in range(rng.randint(1, 12))
+        )
+        if p:
+            got = poly.fujiwara_bound(p)
+            assert type(got) is Fraction
+            assert got == _fujiwara_by_powers(p), p
+
+
+def test_poly_fujiwara_bound_matches_the_power_loop_where_sup_bound_uses_it(
+    fixture_spec, fixture_final, monkeypatch
+):
+    # every critical polynomial sup_bound meets on the built-in's bounds
+    # and on the stream-2024 problems' bounds
+    from levode.error_ledger import (
+        ContractionFailure,
+        DivergentIntegral,
+        bound_ledger,
+        eta_bound,
+    )
+    from levode.sampling import random_problem
+    from levode.transform_engine import run
+
+    seen = []
+    bound = poly.fujiwara_bound
+
+    def checked(p):
+        got = bound(p)
+        assert got == _fujiwara_by_powers(p), p
+        seen.append(p)
+        return got
+
+    monkeypatch.setattr(poly, "fujiwara_bound", checked)
+    bound_ledger(fixture_final.ledger)
+    eta_bound(fixture_final.residual, fixture_spec)
+    rng = random.Random(2024)
+    for _ in range(200):
+        spec = random_problem(rng)
+        fs = run(spec)
+        for certify in (
+            lambda: bound_ledger(fs.ledger),
+            lambda: eta_bound(fs.residual, spec),
+        ):
+            try:
+                certify()
+            except (ContractionFailure, DivergentIntegral):
+                pass
+    assert len(seen) > 1000
 
 
 def test_poly_isolate_roots_gives_one_root_per_interval():
