@@ -9,11 +9,12 @@ does too whenever the divisor divides, ``gcd`` and Yun's
 lemma), and one integer Horner rule evaluates at a rational point.
 ``Fraction``s appear only where values enter or leave: ``make``, points,
 interval ends and bounds.  Besides ring arithmetic this module provides
-the real-root machinery the rest of the package relies on: Sturm chains
-for counting roots on half-open intervals and for isolating each root in
-an interval of its own, the Fujiwara bound that confines every root to a
-disc, and magnitude bounds on an interval from the Taylor coefficients at
-its left end.
+the real-root machinery the rest of the package relies on: one integer
+Taylor shift, under Descartes' rule of signs with bisection to isolate
+each root in a half-open interval of its own (root counts are the number
+of intervals) and under magnitude bounds on an interval from the Taylor
+coefficients at its left end, and the Fujiwara bound that confines every
+root to a disc.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ Coeffs = tuple[int | Fraction, ...]
 
 ZERO: Coeffs = ()
 ONE: Coeffs = (1,)
+
+_MODULUS = 2**61 - 1  # a prime, for the squarefree test
 
 
 def make(values) -> Coeffs:
@@ -216,6 +219,17 @@ def float_coeffs(p: Coeffs, lc: int) -> tuple[float, ...]:
     return tuple(c / lc for c in reversed(p))
 
 
+def _taylor_shift(ints: list[int], a: int, b: int) -> list[int]:
+    """The coefficients in z of R(a + z), where R(y) = b**n * P(y / b) for
+    the integer polynomial P of degree n: b**n * P((a + z) / b)."""
+    n = len(ints) - 1
+    h = [c * b ** (n - i) for i, c in enumerate(ints)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            h[j] += a * h[j + 1]
+    return h
+
+
 def magnitude_range(p: Coeffs, u: Fraction, w: Fraction) -> tuple[Fraction, Fraction]:
     """Bounds (low, high) with low <= |p(x)| <= high for every x in [u, u + w].
 
@@ -229,11 +243,8 @@ def magnitude_range(p: Coeffs, u: Fraction, w: Fraction) -> tuple[Fraction, Frac
         return Fraction(0), Fraction(0)
     ints = _primitive_ints(p)
     n = len(ints) - 1
-    a, b = u.numerator, u.denominator
-    h = [c * b ** (n - i) for i, c in enumerate(ints)]
-    for i in range(n):  # h becomes R(a + z) in powers of z
-        for j in range(n - 1, i - 1, -1):
-            h[j] += a * h[j + 1]
+    b = u.denominator
+    h = _taylor_shift(ints, u.numerator, b)
     step = b * w
     # motion * sd**n = sn * sum over k >= 1 of |h_k| * sn**(k-1) * sd**(n-k)
     sn, sd = step.numerator, step.denominator
@@ -310,43 +321,41 @@ def odd_multiplicity_part(p: Coeffs) -> Coeffs:
     return out
 
 
-def _sturm_chain(p: Coeffs) -> list[list[int]]:
-    """Sturm chain of the squarefree part of ``p``, from one remainder sequence.
-
-    Each member is a positive multiple of the classical one, kept as
-    primitive integers, which changes no sign and avoids the coefficient
-    growth of a remainder sequence over the rationals.  When ``p`` has
-    repeated roots the sequence ends in gcd(p, p') and every member is
-    divided by it, which leaves a Sturm chain of p / gcd(p, p').
-    """
+def _squarefree_part(p: Coeffs) -> list[int]:
+    """Primitive ints for p / gcd(p, p'), with x^k split off first and x
+    kept once.  The rest is squarefree if coprime to its derivative modulo
+    a prime not dividing its leading coefficient (*Modern Computer
+    Algebra*, ch. 6); only if that test fails is the exact gcd taken."""
     k = valuation(p)
-    if k > 1:  # x**k has the one distinct root 0; keep x alone
-        p = p[k - 1:]
-    chain = [_primitive_ints(p), _primitive_ints(derivative(p))]
-    while len(chain[-1]) > 1:
-        r = _pseudo_rem(chain[-2], chain[-1])
-        if not r:
-            return [_primitive_ints(divmod_exact(q, chain[-1])[0]) for q in chain]
-        chain.append(_primitive([-v for v in r]))
-    return chain
+    ints = _primitive_ints(p[k:])
+    dp = derivative(ints)
+    f, g = _mod(ints), _mod(dp)
+    while g:  # Euclid modulo the prime, on pseudo-remainders
+        f, g = g, _mod(_pseudo_rem(f, g))
+    if len(f) > 1 or ints[-1] % _MODULUS == 0:
+        ints = list(divmod_exact(ints, gcd(ints, dp))[0])
+    return [0] * min(k, 1) + ints
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
+def _mod(p) -> list[int]:
+    return list(trim(c % _MODULUS for c in p))
 
 
-def _variations(signs) -> int:
-    seq = [s for s in signs if s]
-    return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
+def _variations(cs) -> int:
+    """Sign changes in the sequence of the nonzero values of ``cs``."""
+    seq = [c > 0 for c in cs if c]
+    return sum(s != t for s, t in zip(seq, seq[1:]))
 
 
-def _variations_at(chain: list[list[int]], x: Fraction | None) -> int:
-    """Sign variations of the chain at x; ``None`` means +infinity."""
-    if x is None:
-        return _variations(_sign(q[-1]) for q in chain)
-    return _variations(
-        _sign(_homogeneous_value(q, x.numerator, x.denominator)) for q in chain
-    )
+def _descartes(ints: list[int], lo: Fraction, hi: Fraction) -> int:
+    """Descartes' rule: a bound of the same parity on the roots of P in the
+    open (lo, hi), the sign variations of (1 + t)**n * P(lo + (hi - lo) /
+    (1 + t)): P shifted to lo, scaled to the width, reversed, shifted by 1."""
+    d = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    w = hi.numerator * (d // hi.denominator) - a
+    h = _taylor_shift(ints, a, d)
+    return _variations(_taylor_shift([c * w**k for k, c in enumerate(h)][::-1], 1, 1))
 
 
 def count_roots_above(p: Coeffs, a: Fraction) -> int:
@@ -356,32 +365,40 @@ def count_roots_above(p: Coeffs, a: Fraction) -> int:
 
 def count_roots_in(p: Coeffs, a: Fraction, b: Fraction | None = None) -> int:
     """Number of distinct real roots of ``p`` in the half-open interval (a, b];
-    ``b`` None means (a, inf)."""
-    if degree(p) < 1:
-        return 0
-    chain = _sturm_chain(p)
-    return _variations_at(chain, a) - _variations_at(chain, b)
+    ``b`` None means (a, inf), which ends at the Fujiwara bound."""
+    return len(isolate_roots(p, a, fujiwara_bound(p) if b is None else b))
 
 
 def isolate_roots(p: Coeffs, a: Fraction, b: Fraction) -> list[tuple[Fraction, Fraction]]:
     """Isolating intervals for the distinct real roots of ``p`` in (a, b].
 
     Returns disjoint half-open intervals (lo, hi], in increasing order, each
-    holding exactly one distinct root, found by bisecting (a, b] with one
-    Sturm chain.
+    holding exactly one distinct root: the widest piece of the bisection of
+    (a, b] at midpoints that holds no other.  A piece holds the roots of
+    the squarefree part P in (lo, hi), and hi when P(hi) = 0; a piece that
+    Descartes' rule does not bound by one root is halved (Collins &
+    Akritas, 1976).
     """
     if degree(p) < 1 or b <= a:
         return []
-    chain = _sturm_chain(p)
-    out = []
-    todo = [(a, b, _variations_at(chain, a), _variations_at(chain, b))]
+    ints = _squarefree_part(p)
+    found = []
+    todo = [(a, b)]
     while todo:
-        lo, hi, v_lo, v_hi = todo.pop()
-        if v_lo - v_hi == 1:
-            out.append((lo, hi))
-        elif v_lo - v_hi > 1:
+        lo, hi = todo.pop()
+        roots = _descartes(ints, lo, hi) + (eval_at(ints, hi) == 0)
+        if roots == 1:
+            found.append((lo, hi))
+        elif roots > 1:
             mid = (lo + hi) / 2
-            v_mid = _variations_at(chain, mid)
-            todo.append((mid, hi, v_mid, v_hi))
-            todo.append((lo, mid, v_lo, v_mid))
+            todo += [(mid, hi), (lo, mid)]
+    # variations may overcount: widen each piece to the first on its way
+    # down from (a, b] that holds neither neighbouring root
+    out = []
+    for i, (_, v) in enumerate(found):
+        lo, hi = a, b
+        while (i and lo <= found[i - 1][0]) or (i + 1 < len(found) and found[i + 1][1] <= hi):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if v <= mid else (mid, hi)
+        out.append((lo, hi))
     return out

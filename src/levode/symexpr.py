@@ -31,7 +31,7 @@ each entry of a product one such sum of unreduced products;
 * differentiation and the leading power at infinity,
 * Laurent expansion at infinity with an exact rational tail,
 * a certified supremum bound for |f| on a right half-line from the
-  Sturm-isolated critical points of f, computed in exact arithmetic only
+  isolated critical points of f, computed in exact arithmetic only
   (no floating point enters the bound),
 * a canonical string form and the matching parser,
 * float evaluation of a matrix (of one function, as a 1x1 matrix) by
@@ -298,18 +298,11 @@ class RationalFn:
     def has_pole_in(self, lo, hi=None) -> bool:
         """True when the denominator vanishes on [lo, hi], or on [lo, inf)
         when ``hi`` is None."""
-        lo = Fraction(lo)
         den = self.int_den
         if len(den) < 2:
             return False
-        if lo > 0 and all(c >= 0 for c in den):
-            # no sign change (x**k, x**k*(x + 1), ...): Descartes' rule
-            # leaves no positive root, so skip the Sturm count
-            return False
-        if poly.eval_at(den, lo) == 0:
-            return True
-        hi = None if hi is None else Fraction(hi)
-        return poly.count_roots_in(den, lo, hi) > 0
+        lo, hi = Fraction(lo), None if hi is None else Fraction(hi)
+        return poly.eval_at(den, lo) == 0 or poly.count_roots_in(den, lo, hi) > 0
 
     # -- canonical text form -------------------------------------------
 
@@ -592,7 +585,7 @@ def sup_bound(f: RationalFn, X, *, rel_slack=Fraction(1, 20)) -> Fraction:
     the critical-point polynomial crit = n'd - nd' the function is
     monotone, so the sup is the largest of |f(X)|, |limit| and |f| at the
     critical points in (X, inf).  None exceeds the Fujiwara bound B of
-    crit; one Sturm chain isolates each in an interval of (X, B] of its
+    crit; ``poly.isolate_roots`` gives each an interval of (X, B] of its
     own.  With none there the result is exactly max(|f(X)|, |limit|).
     Otherwise each isolating interval is halved, keeping the half where
     crit changes sign, until a bound for |f| on it is within

@@ -32,10 +32,10 @@ INVERSE_X = "inverse_x"
 # The largest accuracy index M a problem may ask for.  The reduction makes
 # M - 1 iterations, and the degrees of its matrices and of the residual the
 # error bounds work on grow with each one.  On the built-in problem with a
-# zero E1 (one CPU of a 2-vCPU Xeon host), `levode solve -k 3` takes 0.6 s
-# at M = 16, 0.9 s at M = 18 and 7 s at M = 19, nearly all of it in the
-# Sturm chains of sup_bound; `levode transform` ran past 30 s at M = 100.
-MAX_M = 16
+# zero E1 (one CPU of a 2-vCPU Xeon host), `levode solve -k 3` takes
+# 0.4-0.6 s at M = 30, 0.7-0.9 s at M = 36 and 1.0-1.2 s at M = 40, most of
+# it in the reduction and in forming the critical polynomials of sup_bound.
+MAX_M = 36
 
 
 class SchemaError(InvalidInput):

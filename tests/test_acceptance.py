@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -198,6 +199,19 @@ def test_random_sweep_bounds_and_screens_are_pinned():
         ]
         digests.append(digest(strings))
     assert digest(digests) == CERTIFY_DIGEST
+
+
+def test_high_accuracy_index_certifies_within_budget(fixture_spec):
+    # the built-in with a zero E1 at M = 22: its bounds isolate the roots
+    # of 360 critical polynomials of degree up to 704, and certifying must
+    # stay as cheap as the random sweep keeps the reduction
+    spec = validate(replace(fixture_spec, E1=SymMatrix.zeros(fixture_spec.n), M=22))
+    fs = run(spec)
+    start = time.perf_counter()
+    bound_ledger(fs.ledger)
+    eta_bound(fs.residual, spec)
+    check_dichotomy(spec, fs.diag)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_exact_solution_checks(fixture_spec):

@@ -1219,19 +1219,135 @@ def test_poly_fujiwara_bound_matches_the_power_loop_where_sup_bound_uses_it(
 
 
 def test_poly_isolate_roots_gives_one_root_per_interval():
+    roots = (F(-3), F(1), F(1), F(1001, 1000), F(2), F(4))  # 1 is a double root
     p = poly.ONE
-    for r in (F(-3), F(1), F(1), F(1001, 1000), F(2), F(4)):  # 1 is a double root
+    for r in roots:
         p = poly.mul(p, poly.make([-r, 1]))
+
+    def held(lo, hi):
+        return sum(lo < r <= hi for r in set(roots))
+
     for a, b in [(F(-10), F(10)), (F(1), F(4)), (F(0), F(2)), (F(5), F(9))]:
         intervals = poly.isolate_roots(p, a, b)
-        assert len(intervals) == poly.count_roots_in(p, a, b)
+        assert len(intervals) == held(a, b)
         for lo, hi in intervals:
             assert a <= lo < hi <= b
-            assert poly.count_roots_in(p, lo, hi) == 1
+            assert held(lo, hi) == 1
         for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
             assert hi <= lo
     # (1, 4] excludes the root at 1 and includes the one at 4
     assert len(poly.isolate_roots(p, F(1), F(4))) == 3
+
+
+def _bisection_parent(a, b, lo, hi):
+    """The piece of the bisection of (a, b] that was halved into (lo, hi]."""
+    w = hi - lo
+    index = (lo - a) / w
+    assert index.denominator == 1
+    return (lo, hi + w) if index % 2 == 0 else (lo - w, hi)
+
+
+def test_poly_root_isolation_matches_sympy():
+    """Oracle: sympy's exact real roots, on integer polynomials with
+    repeated factors, powers of x and roots at the interval ends."""
+    pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    from hypothesis import given, settings, strategies as st
+
+    x = sympy.Symbol("x")
+    rational = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        roots=st.lists(st.tuples(rational, st.integers(1, 3)), max_size=4),
+        power=st.integers(0, 3),
+        cofactor=st.lists(st.integers(-9, 9), max_size=5),
+        data=st.data(),
+    )
+    def check(roots, power, cofactor, data):
+        p = poly.shift(poly.trim(cofactor) or poly.ONE, power)
+        for r, m in roots:
+            for _ in range(m):
+                p = poly.mul(p, (-r.numerator, r.denominator))
+        real = set(sympy.Poly(list(reversed(p)), x).real_roots()) if poly.degree(p) > 0 else set()
+
+        def held(lo, hi=None):
+            lo_s = sympy.Rational(lo.numerator, lo.denominator)
+            if hi is None:
+                return sum(bool(r > lo_s) for r in real)
+            hi_s = sympy.Rational(hi.numerator, hi.denominator)
+            return sum(bool(lo_s < r) and bool(r <= hi_s) for r in real)
+
+        ends = st.sampled_from([r for r, _ in roots] + [F(0)]) | rational
+        a, b = sorted((data.draw(ends), data.draw(ends)))
+        assert poly.count_roots_in(p, a) == held(a)
+        assert poly.count_roots_in(p, a, b) == held(a, b)
+        intervals = poly.isolate_roots(p, a, b)
+        assert len(intervals) == held(a, b)
+        for lo, hi in intervals:
+            assert a <= lo < hi <= b
+            assert held(lo, hi) == 1
+            if (lo, hi) != (a, b):
+                assert held(*_bisection_parent(a, b, lo, hi)) >= 2
+        for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
+            assert hi <= lo
+
+    check()
+
+
+def test_poly_isolate_roots_separates_close_roots_without_recursion():
+    # roots 1/3 and 1/3 + 2**-1100 share every piece of the bisection of
+    # (0, 1] down to width 2**-1100: deeper than Python's default recursion
+    # limit, so the bisection must keep its own stack
+    gap = 2**1100
+    p = poly.mul((-1, 3), (-(gap + 3), 3 * gap))
+    intervals = poly.isolate_roots(p, F(0), F(1))
+    assert len(intervals) == 2
+    (lo1, hi1), (lo2, hi2) = intervals
+    assert lo1 < F(1, 3) <= hi1 <= lo2 < F(gap + 3, 3 * gap) <= hi2
+    assert hi1 - lo1 == hi2 - lo2 == F(2, gap)
+    assert poly.count_roots_in(p, F(0)) == 2
+
+
+def _counting_gcd(monkeypatch):
+    calls = []
+    exact = poly.gcd
+
+    def counted(p, q):
+        calls.append((p, q))
+        return exact(p, q)
+
+    monkeypatch.setattr(poly, "gcd", counted)
+    return calls
+
+
+def test_poly_isolate_roots_when_the_modulus_divides_the_leading_coefficient(monkeypatch):
+    # (q*x - 1)(x - 2) with q the squarefree test's prime: the modular test
+    # cannot see the degree, so the exact gcd decides
+    q = 2**61 - 1
+    p = poly.mul((-1, q), (-2, 1))
+    calls = _counting_gcd(monkeypatch)
+    assert poly.isolate_roots(p, F(0), F(4)) == [(F(0), F(1)), (F(1), F(2))]
+    assert calls
+    assert poly.count_roots_in(poly.mul(p, (-1, q)), F(0)) == 2
+
+
+def test_poly_isolate_roots_of_a_non_squarefree_critical_polynomial(monkeypatch):
+    # sup_bound's crit = n'd - nd' of this f is 2*x^3*(x - 2)^2*(x + 1):
+    # with x^3 split off, (x - 2)^2*(x + 1) still repeats a factor, so the
+    # exact gcd gives the squarefree part
+    f = fn("(-2*x^3 + 3*x^2 - 2)/(x^4)")
+    n, d = f.int_num, f.int_den
+    crit = poly.sub(poly.mul(poly.derivative(n), d), poly.mul(n, poly.derivative(d)))
+    want = poly.mul(poly.mul((0, 0, 0, 2), poly.mul((-2, 1), (-2, 1))), (1, 1))
+    assert crit == want or crit == poly.neg(want)
+    calls = _counting_gcd(monkeypatch)
+    # (-2, 8] halves at 3, 1/2 and -3/4 to part -1, 0 and 2
+    assert poly.isolate_roots(crit, F(-2), F(8)) == [
+        (F(-2), F(-3, 4)), (F(-3, 4), F(1, 2)), (F(1, 2), F(3))
+    ]
+    assert calls
+    assert poly.isolate_roots(crit, F(1), F(8)) == [(F(1), F(8))]
 
 
 def test_poly_magnitude_range_brackets_values():
