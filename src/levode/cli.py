@@ -369,7 +369,7 @@ def _cmd_solve(args) -> int:
         if args.dense_csv:
             write_dense(args.dense_csv, xs, rows)
         report["continuation"] = {
-            "target": str(target),
+            "target": args.target,
             "Y": list(rows[-1]),
             "integrator": FORM_INFO,
         }
@@ -392,7 +392,7 @@ def _cmd_solve(args) -> int:
             dense_path=args.dense_csv,
         )
         report["continuation"] = {
-            "target": str(target),
+            "target": args.target,
             "Y": list(y_target),
             "rtol": args.rtol,
             "atol": args.atol,

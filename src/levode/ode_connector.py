@@ -15,7 +15,9 @@ writes just the entries that vary with x into the array.  It follows scipy's
 ``RK45`` step for step: the same tableau, initial step selection, RMS
 error norm, step-size controller and stage sums, in scipy's order of float
 operations, so every trajectory equals ``solve_ivp(method="RK45")`` bit
-for bit, without importing scipy.
+for bit, without importing scipy.  numpy forms only the sums scipy forms
+with ``np.dot``; the element-wise arithmetic is Python float arithmetic,
+which rounds each operation as numpy does.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ DENSE_POINTS = 201
 # The most accepted steps one integration may take.  The built-in problem
 # stiffens as x goes negative (its x**2 entry): from X = 10, a continuation
 # to -100 takes about 120,000 steps and one to -200 about 940,000.  Toward
-# -1000 a step costs about 45 us, rejected attempts included (one pinned
+# -1000 a step costs about 25 us, rejected attempts included (one pinned
 # CPU of a shared 2-vCPU Xeon), so a target out of reach is refused after
-# about 22 s instead of running without end.
+# about 13 s instead of running without end.
 _MAX_STEPS = 500_000
 
 
@@ -127,12 +129,13 @@ def integrate(
 
     with np.errstate(all="ignore"):
         y, steps = _dormand_prince(
-            system.A, t0, t_end, y0, rtol, atol, max_step, dense_path is not None
+            system.A, t0, t_end, y0.tolist(), float(rtol), float(atol), max_step,
+            dense_path is not None,
         )
     if dense_path is not None:
         xs = np.linspace(t0, t_end, DENSE_POINTS)
         write_dense(dense_path, xs, _dense_values(steps, xs, t_end > t0))
-    return tuple(float(v) for v in y)
+    return tuple(y)
 
 
 # The Dormand-Prince 5(4) tableau as scipy's RK45 holds it: nodes C, stage
@@ -167,31 +170,55 @@ _FLOAT_MAX = sys.float_info.max
 
 
 def _rms(v) -> float:
-    """``np.linalg.norm(v) / sqrt(n)`` by the norm's own formula, the
-    square root of ``v.dot(v)``, as a Python float (``math.sqrt`` and
-    ``np.sqrt`` both round the root correctly)."""
+    """``np.linalg.norm(v) / sqrt(n)`` of an ndarray by the norm's own
+    formula, the square root of ``v.dot(v)``, as a Python float
+    (``math.sqrt`` and ``np.sqrt`` both round the root correctly)."""
     return math.sqrt(v.dot(v)) / v.size ** 0.5
 
 
-def _initial_step(evaluate, K, d, t0, y0, t_end, direction, rtol, atol, max_step):
+def _quotient(a: float, b: float) -> float:
+    """a / b as numpy divides: by a zero it gives inf or nan, where Python
+    raises ZeroDivisionError (a scale is zero only when atol is)."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        if a == 0 or a != a:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _scale(ay, ay_new, rtol: float, atol: float) -> list[float]:
+    """``atol + np.maximum(ay, ay_new) * rtol`` in Python floats.  The
+    larger of a and b keeps np.maximum's rule that a NaN in either wins:
+    Python's ``max(a, nan)`` returns a."""
+    return [(a if a >= b or a != a else b) * rtol + atol for a, b in zip(ay, ay_new)]
+
+
+def _initial_step(evaluate, probe, K, t0, y0, t_end, direction, rtol, atol, max_step):
     """First step size by Hairer, Norsett & Wanner, Sec. II.4, from the
-    derivative K[0] at (t0, y0); its one more evaluation overwrites d and K[1]."""
+    derivative K[0] at (t0, y0); its one more evaluation, the stage
+    ``probe``, overwrites its buffer and K[1]."""
     import numpy as np
 
-    # the norms are numpy floats: dividing by one that is zero gives inf or
-    # nan, as in scipy, where a Python float raises ZeroDivisionError
     interval_length = abs(t_end - t0)
-    scale = atol + np.abs(y0) * rtol
-    d0 = np.float64(_rms(y0 / scale))
-    d1 = np.float64(_rms(K[0] / scale))
+    scale = [atol + abs(v) * rtol for v in y0]
+
+    def norm(values):
+        # a numpy float: dividing by a zero norm gives inf or nan, as in
+        # scipy, where a Python float raises ZeroDivisionError
+        return np.float64(_rms(np.array([_quotient(v, s) for v, s in zip(values, scale)])))
+
+    f0 = K[0].tolist()
+    d0 = norm(y0)
+    d1 = norm(f0)
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
     # y0 + h0*direction*K[0] as a stage of weight 1 on K[0]
-    evaluate(((1, K[:1].T.dot, (1.0,), d, K[1]),), t0, h0 * direction, y0)
-    d2 = np.float64(_rms((K[1] - K[0]) / scale)) / h0
+    evaluate((probe,), t0, h0 * direction, y0)
+    d2 = norm([f1 - f for f, f1 in zip(f0, K[1].tolist())]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -200,21 +227,23 @@ def _initial_step(evaluate, K, d, t0, y0, t_end, direction, rtol, atol, max_step
 
 
 def _dormand_prince(A, t0, t_end, y0, rtol, atol, max_step, dense):
-    """y(t_end) of Y' = A(x) Y by adaptive Dormand-Prince 5(4) steps, and
-    with ``dense`` the accepted steps as (t_old, t, y_old, Q) for
-    ``_dense_values``.
+    """y(t_end) of Y' = A(x) Y by adaptive Dormand-Prince 5(4) steps from
+    the list of floats y0, and with ``dense`` the accepted steps as
+    (t_old, t, y_old, Q) for ``_dense_values``.
 
     An attempted step is one ``evaluate`` pass over six stages: the last
     one's sum, with the weights B, is the fifth-order solution, and its
-    derivative starts the next step (first same as last).  The stage,
-    fifth-order and error sums are ``ndarray.dot`` calls, the BLAS product
-    scipy's ``np.dot`` makes: summed in Python floats they differ from
-    scipy's in the last bit, and the trajectory with them.  Every update
-    runs in place, in scipy's order of float operations: y + dot*h is
-    formed as dot, times h, plus y, which IEEE commutativity makes the same
-    result.  h, rtol and atol are 0-d arrays, which numpy multiplies faster
-    than Python floats, to the same double.  The loop takes at most
-    ``_MAX_STEPS`` accepted steps, then raises ``StepBudgetExceeded``.
+    derivative starts the next step (first same as last).  numpy forms
+    only the sums that scipy forms with ``np.dot``: the stage, fifth-order
+    and error sums, the product A(x) d and the norm's ``err.dot(err)``.
+    Summed in Python floats they differ from scipy's BLAS products in the
+    last bit, and the trajectory with them.  The rest is element-wise, one
+    IEEE operation per item, which a Python float rounds as numpy does: the
+    state y is a list of floats, y + dot*h is formed as dot, times h, plus
+    y and written through a memoryview into the buffer the next product
+    reads, and the error scale and err*h/scale follow scipy's order of
+    operations item by item.  The loop takes at most ``_MAX_STEPS``
+    accepted steps, then raises ``StepBudgetExceeded``.
     """
     import numpy as np
 
@@ -225,33 +254,36 @@ def _dormand_prince(A, t0, t_end, y0, rtol, atol, max_step, dense):
     flat = memoryview(M.reshape(-1))
     places = [(i * len(rows[0]) + j, i, j) for i, j, *_ in varying]
     eval_float, product = A.eval_float, M.dot
-    hh = np.empty(())  # h of the step, as a 0-d array
+    n = len(y0)
+    components = range(n)
 
     def evaluate(stages, t, h, y):
-        # per stage (c, dot, a, d, k): d = y + h*dot(a), then k = A(t + c*h) d
-        hh[()] = h
-        for c, dot, a, d, k in stages:
-            dot(a, out=d)
-            d *= hh
-            d += y
+        # per stage (c, dot, a, z, view, k): z = dot(a)*h + y item by item
+        # through z's memoryview, then k = A(t + c*h) z
+        for c, dot, a, z, view, k in stages:
+            dot(a, out=z)
+            for i in components:
+                view[i] = view[i] * h + y[i]
             values = eval_float(t + c * h)
             for p, i, j in places:
                 flat[p] = values[i][j]
-            product(d, out=k)
+            product(z, out=k)
 
-    B, E, P, rtol, atol = map(np.array, (_B, _E, _P, rtol, atol))
+    B, E, P = map(np.array, (_B, _E, _P))
     direction = 1.0 if t_end > t0 else -1.0
-    t = t0
-    K = np.empty((7, y0.size))
+    t, y = t0, y0
+    K = np.empty((7, n))
     KT, K0, K6 = K.T, K[0], K[6]
-    y, y_new, d, err, ay_new, scale = y0.copy(), *(np.empty_like(y0) for _ in range(5))
-    stages = [(_C[s], K[:s].T.dot, np.array(_A[s]), d, K[s]) for s in range(1, 6)]
-    stages.append((1, K[:6].T.dot, B, y_new, K6))
+    d, y_new, err = (np.empty(n) for _ in range(3))
+    d_view, y_new_view, err_view = map(memoryview, (d, y_new, err))
+    stages = [(_C[s], K[:s].T.dot, np.array(_A[s]), d, d_view, K[s]) for s in range(1, 6)]
+    stages.append((1, K[:6].T.dot, B, y_new, y_new_view, K6))
     # K[0] = A(t) y as a stage with no weights: 0.0 + y is y up to the sign
     # of a zero, which no dot product returns
-    evaluate(((0, K[:0].T.dot, (), d, K0),), t, 0.0, y)
-    h_abs = float(_initial_step(evaluate, K, d, t, y, t_end, direction, rtol, atol, max_step))
-    ay = np.abs(y)
+    evaluate(((0, K[:0].T.dot, (), d, d_view, K0),), t, 0.0, y)
+    probe = (1, K[:1].T.dot, (1.0,), d, d_view, K[1])
+    h_abs = float(_initial_step(evaluate, probe, K, t, y, t_end, direction, rtol, atol, max_step))
+    ay = [abs(v) for v in y]
     steps = []
     budget = steps_left = _MAX_STEPS
     while direction * (t - t_end) < 0:
@@ -277,13 +309,11 @@ def _dormand_prince(A, t0, t_end, y0, rtol, atol, max_step, dense):
             h = t_new - t
             h_abs = abs(h)
             evaluate(stages, t, h, y)
-            np.abs(y_new, out=ay_new)
-            np.maximum(ay, ay_new, out=scale)
-            scale *= rtol
-            scale += atol
+            ay_new = [abs(v) for v in y_new_view]
             KT.dot(E, out=err)
-            err *= hh  # h, as evaluate left it
-            err /= scale
+            for i, s in enumerate(_scale(ay, ay_new, rtol, atol)):
+                e = err_view[i] * h
+                err_view[i] = e / s if s else _quotient(e, s)
             error_norm = _rms(err)
             if error_norm < 1:
                 break
@@ -301,14 +331,12 @@ def _dormand_prince(A, t0, t_end, y0, rtol, atol, max_step, dense):
         # too short to move it avoid overflow, so the loop would crawl on
         # for ~1e14 steps; a non-finite state never becomes finite again
         # (nan < _FLOAT_MAX is false, as inf < _FLOAT_MAX is).
-        for v in ay_new.tolist():
+        for v in ay_new:
             if not v < _FLOAT_MAX:
                 raise SolutionOverflow(f"Y({t_new!r}) is outside the float range")
         if dense:
-            steps.append((t, t_new, y.copy(), KT.dot(P)))
-        t = t_new
-        y[:] = y_new
-        ay, ay_new = ay_new, ay
+            steps.append((t, t_new, y, KT.dot(P)))
+        t, y, ay = t_new, y_new_view.tolist(), ay_new
         K0[:] = K6
     return y, steps
 

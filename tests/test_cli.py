@@ -359,6 +359,21 @@ def test_negative_target_without_equals_sign(capsys):
     assert json.loads(out)["continuation"]["target"] == "-1/3"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_target_is_reported_as_written(capsys, fmt):
+    # as a Fraction 1e300 is a 301-digit integer; the report keeps the
+    # --target text instead
+    code, out, err = run_cli(
+        capsys, "solve", "--builtin", "hypergeom", "-k", "3",
+        "--target", "1e300", "--format", fmt,
+    )
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert json.loads(out)["continuation"]["target"] == "1e300"
+    else:
+        assert out.splitlines()[-1].startswith("Y(1e300) = [")
+
+
 def test_failed_continuation_prints_one_line():
     # from X = 1e300 the float Horner sums overflow on the way to 0; the
     # numpy warnings they raise must not reach stderr

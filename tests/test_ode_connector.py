@@ -238,6 +238,46 @@ Y3_AT_10 = (0.09996009933218178, -0.009984069933576718, 0.001992013986677493)
 Y3_AT_0 = (1.8777858808658072, -1.7630399065703817, 2.0000000007168395)
 
 
+class StrictMatrix:
+    """Lends the RK45 loop only a SymMatrix's ``float_table`` and
+    ``eval_float``, recording the point of each evaluation: reading any
+    other attribute raises."""
+
+    def __init__(self, inner: SymMatrix):
+        self.inner = inner
+        self.points = []
+
+    def __getattr__(self, name):
+        raise AttributeError(f"the RK45 loop read A.{name}")
+
+    def float_table(self):
+        return self.inner.float_table()
+
+    def eval_float(self, x):
+        self.points.append(x)
+        return self.inner.eval_float(x)
+
+
+def test_rk45_loop_reads_only_float_table_and_eval_float(fixture_spec):
+    # perfbench's CountingMatrix forwards every other attribute and counts
+    # RHS evaluations as eval_float calls: the loop reads nothing else from
+    # A and evaluates it once per stage, twice to start (at X and for the
+    # initial step) and then six times per attempted step
+    A = StrictMatrix(derive_original_system(fixture_spec))
+    y, _ = ode_connector._dormand_prince(
+        A, 10.0, 0.0, list(Y3_AT_10), 1e-10, 1e-12, math.inf, False
+    )
+    assert tuple(y) == Y3_AT_0
+    start, points = A.points[:2], A.points[2:]
+    assert start[0] == 10.0 > start[1]
+    assert len(points) == 6288
+    steps = [points[i:i + 6] for i in range(0, len(points), 6)]
+    # from t, the nodes t + h/5, t + 3h/10, t + 4h/5, t + 8h/9 and t + h,
+    # node 1 twice: for the fifth-order solution and for the last stage
+    assert all(s[0] > s[1] > s[2] > s[3] > s[4] == s[5] for s in steps)
+    assert steps[-1][5] == 0.0
+
+
 def test_continuation_trajectory_is_pinned(fixture_spec):
     # rounding the coefficients once must leave every RHS value, hence
     # every step the integrator takes, exactly as it was
@@ -325,11 +365,14 @@ def _reference_rows(A):
                       for row in tables]
 
 
-def _scipy_rk45(A, y0, x_from, x_to, rtol, atol, max_step):
+def _scipy_rk45(A, y0, x_from, x_to, rtol, atol, max_step, states=None):
+    """scipy's RK45 run, appending each state it evaluates at to ``states``."""
     scipy_integrate = pytest.importorskip("scipy.integrate")
     rows = _reference_rows(A)
 
     def rhs(x, y):
+        if states is not None:
+            states.append(y.tolist())
         return np.array(rows(x)) @ y
 
     with np.errstate(all="ignore"):
@@ -417,6 +460,10 @@ def test_rational_systems_match_scipy_bit_for_bit(tmp_path):
     assert any(not rational and size > 1 for rational, size in kinds)
 
 
+# y' = -1e5 y from 1e303 over [0, 1/100]
+NAN_INSIDE_A_STEP = ([["-100000"]], 0, Fraction(1, 100), 1e303)
+
+
 @pytest.mark.parametrize(
     "rows,x_from,x_to,y0",
     [
@@ -425,14 +472,55 @@ def test_rational_systems_match_scipy_bit_for_bit(tmp_path):
         ([["0", "1"], ["x^2", "-1"]], 0, 60, 1.0),
         # the first derivative already overflows: a zero initial step
         ([["100000"]], 0, 1, 1.79e308),
+        # steps too long for stability overflow the stages, and inf - inf
+        # in a stage sum leaves y_new a NaN where y is finite
+        NAN_INSIDE_A_STEP,
     ],
-    ids=["growth", "growth-backward", "polynomial-growth", "overflowing-start"],
+    ids=["growth", "growth-backward", "polynomial-growth", "overflowing-start",
+         "nan-inside-a-step"],
 )
 def test_failures_match_scipy(tmp_path, rows, x_from, x_to, y0):
     A = SymMatrix(rows)
     ref = _assert_same_run(A, Fraction(x_from), Fraction(x_to), (y0,) * len(rows),
                            1e-6, 1e-8, None, tmp_path / "fail.csv")
     assert not ref.success
+
+
+def test_zero_error_scale_matches_scipy(tmp_path):
+    # with atol = 0, a state decaying into the subnormals has |y|*rtol
+    # round to zero: err/scale then divides by zero as numpy divides
+    ref = _assert_same_run(SymMatrix([["-1"]]), Fraction(0), Fraction(8), (1e-318,),
+                           1e-3, 0.0, None, tmp_path / "fail.csv")
+    assert not ref.success
+
+
+def test_a_step_reaches_a_nan_state_from_a_finite_one():
+    # the premise of the nan-inside-a-step case: scipy evaluates its sixth
+    # stage, two calls to start and then six per attempted step, at a y_new
+    # that holds a NaN, while every state it accepts is finite
+    rows, x_from, x_to, y0 = NAN_INSIDE_A_STEP
+    states = []
+    ref = _scipy_rk45(SymMatrix(rows), (y0,), Fraction(x_from), Fraction(x_to),
+                      1e-6, 1e-8, None, states)
+    assert any(math.isnan(v) for y_new in states[2 + 5::6] for v in y_new)
+    assert np.isfinite(ref.y).all()
+
+
+@pytest.mark.parametrize("b", [0.0, 1.0, math.inf, math.nan])
+@pytest.mark.parametrize("a", [0.0, 1.0, math.inf, math.nan])
+def test_error_scale_takes_the_larger_as_numpy_does(a, b):
+    # a NaN in either place wins, as in np.maximum
+    want = 1e-8 + np.maximum(np.array([a]), np.array([b])) * 1e-6
+    got = ode_connector._scale([a], [b], 1e-6, 1e-8)
+    assert [v.hex() for v in got] == [float(v).hex() for v in want]
+
+
+@pytest.mark.parametrize("b", [0.0, -0.0, 4.0, math.inf])
+@pytest.mark.parametrize("a", [0.0, -0.0, -2.5, math.inf, -math.inf, math.nan])
+def test_quotient_divides_as_numpy_does(a, b):
+    with np.errstate(all="ignore"):
+        want = float(np.float64(a) / np.float64(b))
+    assert ode_connector._quotient(a, b).hex() == want.hex()
 
 
 LARGE_SEED = 58
