@@ -1,23 +1,26 @@
 """Numeric continuation of the original system Y' = A(x) Y.
 
 The coefficient matrix stays symbolic up to this boundary: its entries are
-rounded to floats once per matrix (``SymMatrix.float_table``).  Each
-``integrate`` call fills one float array with the constant entries once.
-Continuation targets are regular points, and a ``LinearSystem`` screens
-its domain for poles by an exact root count when it is built.
+rounded to floats once per matrix (``SymMatrix.float_table``).  Continuation
+targets are regular points, and a ``LinearSystem`` screens its domain for
+poles by an exact root count when it is built.
 
 The integrator is the Dormand-Prince 5(4) pair (Dormand & Prince 1980,
 J. Comput. Appl. Math. 6) with Shampine's quartic dense output (Math.
-Comp. 46, 1986), specialised to Y' = A(x) Y: each stage calls
-``SymMatrix.eval_float`` once (one call of the straight-line Horner
-function the matrix compiles from its float table on the first call) and
-writes just the entries that vary with x into the array.  It follows scipy's
-``RK45`` step for step: the same tableau, initial step selection, RMS
-error norm, step-size controller and stage sums, in scipy's order of float
-operations, so every trajectory equals ``solve_ivp(method="RK45")`` bit
-for bit, without importing scipy.  numpy forms only the sums scipy forms
-with ``np.dot``; the element-wise arithmetic is Python float arithmetic,
-which rounds each operation as numpy does.
+Comp. 46, 1986), specialised to Y' = A(x) Y.  A ``LinearSystem`` compiles
+its stage arithmetic once, on its first integration, from the matrix's
+float table: one straight-line function per kind of evaluation (the
+derivative at the start, the initial-step probe and the six-stage attempt
+with its error norm), each stage unrolled over the components and over
+the entries that vary with x.  Every stage calls ``SymMatrix.eval_float``
+once and writes just the varying entries into the array of the constant
+ones.  It follows scipy's ``RK45`` step for step: the same tableau,
+initial step selection, RMS error norm, step-size controller and stage
+sums, in scipy's order of float operations, so every trajectory equals
+``solve_ivp(method="RK45")`` bit for bit, without importing scipy.  numpy
+forms only the sums scipy forms with ``np.dot``; the element-wise
+arithmetic is Python float arithmetic, which rounds each operation as
+numpy does.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import ComputationFailed, SolutionOverflow
@@ -39,9 +43,9 @@ DENSE_POINTS = 201
 # The most accepted steps one integration may take.  The built-in problem
 # stiffens as x goes negative (its x**2 entry): from X = 10, a continuation
 # to -100 takes about 120,000 steps and one to -200 about 940,000.  Toward
-# -1000 a step costs about 25 us, rejected attempts included (one pinned
+# -1000 a step costs about 15 us, rejected attempts included (one pinned
 # CPU of a shared 2-vCPU Xeon), so a target out of reach is refused after
-# about 13 s instead of running without end.
+# about 7.5 s instead of running without end.
 _MAX_STEPS = 500_000
 
 
@@ -74,6 +78,15 @@ class LinearSystem:
                     raise PoleInInterval(
                         f"entry ({i + 1},{j + 1}) has a pole in [{lo}, {hi}]"
                     )
+
+    @cached_property
+    def _stages(self):
+        """The stage factory ``_dormand_prince`` runs, compiled on the first
+        integration and kept for the next ones."""
+        return _compile_stages(self.A)
+
+    def __reduce__(self):  # rebuilt through __init__, without the stages
+        return LinearSystem, (self.A, self.domain)
 
 
 def linear_system(A: SymMatrix, lo, hi) -> LinearSystem:
@@ -129,8 +142,8 @@ def integrate(
 
     with np.errstate(all="ignore"):
         y, steps = _dormand_prince(
-            system.A, t0, t_end, y0.tolist(), float(rtol), float(atol), max_step,
-            dense_path is not None,
+            system.A, system._stages, t0, t_end, y0.tolist(), float(rtol), float(atol),
+            max_step, dense_path is not None,
         )
     if dense_path is not None:
         xs = np.linspace(t0, t_end, DENSE_POINTS)
@@ -169,13 +182,6 @@ _ERROR_EXPONENT = -1 / 5  # the embedded error estimate is of order 4
 _FLOAT_MAX = sys.float_info.max
 
 
-def _rms(v) -> float:
-    """``np.linalg.norm(v) / sqrt(n)`` of an ndarray by the norm's own
-    formula, the square root of ``v.dot(v)``, as a Python float
-    (``math.sqrt`` and ``np.sqrt`` both round the root correctly)."""
-    return math.sqrt(v.dot(v)) / v.size ** 0.5
-
-
 def _quotient(a: float, b: float) -> float:
     """a / b as numpy divides: by a zero it gives inf or nan, where Python
     raises ZeroDivisionError (a scale is zero only when atol is)."""
@@ -187,17 +193,103 @@ def _quotient(a: float, b: float) -> float:
         return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
-def _scale(ay, ay_new, rtol: float, atol: float) -> list[float]:
-    """``atol + np.maximum(ay, ay_new) * rtol`` in Python floats.  The
-    larger of a and b keeps np.maximum's rule that a NaN in either wins:
-    Python's ``max(a, nan)`` returns a."""
-    return [(a if a >= b or a != a else b) * rtol + atol for a, b in zip(ay, ay_new)]
+def _compile_stages(A):
+    """The factory ``make(eval_float, rtol, atol)`` of one integration's
+    buffers and stage functions ``(K, y_new, start, probe, attempt)``,
+    compiled from A's float table.
+
+    K holds the seven stage derivatives and y_new (a memoryview) the
+    fifth-order solution; y is a list of floats.  ``start(t, 0.0, y)``
+    sets K[0] = A(t) y, ``probe(t, h, y)`` the initial step's K[1], and
+    ``attempt(t, h, y, ay)`` runs the six stages of one step and returns
+    its RMS error norm and |y_new|, ay being |y|.  ``stage`` writes every
+    stage: numpy's sum ``dot(weights, z)`` as scipy forms it (none for
+    K[0], whose sums are 0.0), ``z[i] = z[i] * h + y_i`` per component
+    through z's memoryview, one ``eval_float(t + c * h)`` with the node c
+    as its repr, one write per varying entry into A's array and the
+    product A z, each ndarray.dot given its output array by position (a
+    keyword costs numpy a parse per call).  The attempt ends with the error sum ``K.T E``, the
+    scaled errors of ``_error_lines`` and the norm's own formula, the
+    square root of ``err.dot(err)``, over sqrt(n).  The stage functions
+    hold their buffers as closure cells, and ``make`` leaves the namespace
+    it is compiled in, so an integration leaves no reference cycle.
+    """
+    import numpy as np
+
+    rows, varying = A.float_table()
+    n = len(rows)
+    places = [(i * n + j, i, j) for i, j, *_ in varying]
+    ys, ays = ("".join(f"{name}{i}, " for i in range(n)) for name in "ya")
+
+    def stage(s, weights, c, out, view, k):
+        # k = A(t + c*h) z for z = out = K[:s].T.dot(weights)*h + y, the
+        # sums 0.0 where s = 0
+        lines, sums = [], ["0.0"] * n
+        if s:
+            lines.append(f"dot{s}({weights}, {out})")
+            sums = [f"{view}[{i}]" for i in range(n)]
+        lines += [f"{view}[{i}] = {v} * h + y{i}" for i, v in enumerate(sums)]
+        lines.append(f"e = ev(t + {c!r} * h)")
+        lines += [f"flat[{p}] = e[{i}][{j}]" for p, i, j in places]
+        lines.append(f"prod({out}, {k})")
+        return lines
+
+    attempt = [f"{ays}= ay"]
+    for s in range(1, 6):
+        attempt += stage(s, f"W{s}", _C[s], "z", "zv", f"k{s}")
+    attempt += stage(6, "B", 1, "y_new", "yv", "k6")
+    attempt.append("KT.dot(E, err)")
+    for i in range(n):
+        attempt += _error_lines(i)
+    bs = ", ".join(f"b{i}" for i in range(n))
+    attempt.append(f"return sqrt(err.dot(err)) / {n ** 0.5!r}, [{bs}]")
+    functions = {
+        "start(t, h, y)": stage(0, None, 0, "z", "zv", "k0"),
+        "probe(t, h, y)": stage(1, "P1", 1, "z", "zv", "k1"),
+        "attempt(t, h, y, ay)": attempt,
+    }
+    lines = [
+        "def make(ev, rtol, atol):",
+        "    M = array(rows)",
+        "    flat = memoryview(M.reshape(-1))",
+        "    prod = M.dot",
+        f"    K = empty((7, {n}))",
+        "    KT = K.T",
+        f"    {', '.join(f'k{s}' for s in range(7))} = K",
+    ]
+    lines += [f"    dot{s} = K[:{s}].T.dot" for s in range(1, 7)]
+    lines += [
+        f"    z, y_new, err = empty({n}), empty({n}), empty({n})",
+        "    zv, yv, errv = memoryview(z), memoryview(y_new), memoryview(err)",
+    ]
+    for signature, body in functions.items():
+        lines += [f"    def {signature}:", f"        {ys}= y"]
+        lines += [f"        {line}" for line in body]
+    lines.append("    return K, yv, start, probe, attempt")
+    namespace = {"array": np.array, "empty": np.empty, "quotient": _quotient, "rows": rows,
+                 "sqrt": math.sqrt, "B": np.array(_B), "E": np.array(_E), "P1": np.array((1.0,))}
+    namespace.update((f"W{s}", np.array(_A[s])) for s in range(1, 6))
+    exec("\n".join(lines), namespace)
+    return namespace.pop("make")
 
 
-def _initial_step(evaluate, probe, K, t0, y0, t_end, direction, rtol, atol, max_step):
+def _error_lines(i: int) -> list[str]:
+    """The attempt's lines for component i after the error sum: b_i =
+    |y_new_i|, the scale ``max(a_i, b_i) * rtol + atol`` with a_i = |y_i|
+    (a NaN in either wins, as in np.maximum) and err_i*h/scale in place,
+    divided as numpy divides."""
+    return [
+        f"b{i} = abs(yv[{i}])",
+        f"s = (a{i} if a{i} >= b{i} or a{i} != a{i} else b{i}) * rtol + atol",
+        f"r = errv[{i}] * h",
+        f"errv[{i}] = r / s if s else quotient(r, s)",
+    ]
+
+
+def _initial_step(probe, K, t0, y0, t_end, direction, rtol, atol, max_step):
     """First step size by Hairer, Norsett & Wanner, Sec. II.4, from the
-    derivative K[0] at (t0, y0); its one more evaluation, the stage
-    ``probe``, overwrites its buffer and K[1]."""
+    derivative K[0] at (t0, y0); its one more evaluation, ``probe``,
+    overwrites K[1]."""
     import numpy as np
 
     interval_length = abs(t_end - t0)
@@ -205,8 +297,10 @@ def _initial_step(evaluate, probe, K, t0, y0, t_end, direction, rtol, atol, max_
 
     def norm(values):
         # a numpy float: dividing by a zero norm gives inf or nan, as in
-        # scipy, where a Python float raises ZeroDivisionError
-        return np.float64(_rms(np.array([_quotient(v, s) for v, s in zip(values, scale)])))
+        # scipy, where a Python float raises ZeroDivisionError; the norm by
+        # numpy's formula, the square root of q.dot(q)
+        q = np.array([_quotient(v, s) for v, s in zip(values, scale)])
+        return np.float64(math.sqrt(q.dot(q)) / q.size ** 0.5)
 
     f0 = K[0].tolist()
     d0 = norm(y0)
@@ -216,8 +310,7 @@ def _initial_step(evaluate, probe, K, t0, y0, t_end, direction, rtol, atol, max_
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    # y0 + h0*direction*K[0] as a stage of weight 1 on K[0]
-    evaluate((probe,), t0, h0 * direction, y0)
+    probe(t0, h0 * direction, y0)
     d2 = norm([f1 - f for f, f1 in zip(f0, K[1].tolist())]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -226,63 +319,38 @@ def _initial_step(evaluate, probe, K, t0, y0, t_end, direction, rtol, atol, max_
     return min(100 * h0, h1, interval_length, max_step)
 
 
-def _dormand_prince(A, t0, t_end, y0, rtol, atol, max_step, dense):
+def _dormand_prince(A, make, t0, t_end, y0, rtol, atol, max_step, dense):
     """y(t_end) of Y' = A(x) Y by adaptive Dormand-Prince 5(4) steps from
     the list of floats y0, and with ``dense`` the accepted steps as
     (t_old, t, y_old, Q) for ``_dense_values``.
 
-    An attempted step is one ``evaluate`` pass over six stages: the last
-    one's sum, with the weights B, is the fifth-order solution, and its
-    derivative starts the next step (first same as last).  numpy forms
-    only the sums that scipy forms with ``np.dot``: the stage, fifth-order
-    and error sums, the product A(x) d and the norm's ``err.dot(err)``.
-    Summed in Python floats they differ from scipy's BLAS products in the
-    last bit, and the trajectory with them.  The rest is element-wise, one
-    IEEE operation per item, which a Python float rounds as numpy does: the
-    state y is a list of floats, y + dot*h is formed as dot, times h, plus
-    y and written through a memoryview into the buffer the next product
-    reads, and the error scale and err*h/scale follow scipy's order of
-    operations item by item.  The loop takes at most ``_MAX_STEPS``
-    accepted steps, then raises ``StepBudgetExceeded``.
+    ``make`` is A's stage factory from ``_compile_stages``; its functions
+    call ``A.eval_float`` once per stage.  An attempted step is one call
+    of its ``attempt``: six stages, the last one's sum, with the weights
+    B, the fifth-order solution, whose derivative starts the next step
+    (first same as last), then the error norm.  numpy forms only the sums
+    scipy forms with ``np.dot``: the stage, fifth-order and error sums,
+    the product A(x) z and the norm's ``err.dot(err)``.  Summed in Python
+    floats they differ from scipy's BLAS products in the last bit, and the
+    trajectory with them.  The rest is element-wise, one IEEE operation
+    per item, which a Python float rounds as numpy does: the state y is a
+    list of floats.  A step size that is not a number (the initial step
+    is one when atol = 0 and a component of y0 is zero) raises
+    ``StepSizeUnderflow``, where scipy's loop never ends.
+    The loop takes at most ``_MAX_STEPS`` accepted steps, then raises
+    ``StepBudgetExceeded``.
     """
     import numpy as np
 
-    rows, varying = A.float_table()
-    M = np.array(rows)
-    # M's buffer, where each evaluation writes the varying entries: item
-    # assignment to a memoryview costs less than to an ndarray
-    flat = memoryview(M.reshape(-1))
-    places = [(i * len(rows[0]) + j, i, j) for i, j, *_ in varying]
-    eval_float, product = A.eval_float, M.dot
-    n = len(y0)
-    components = range(n)
-
-    def evaluate(stages, t, h, y):
-        # per stage (c, dot, a, z, view, k): z = dot(a)*h + y item by item
-        # through z's memoryview, then k = A(t + c*h) z
-        for c, dot, a, z, view, k in stages:
-            dot(a, out=z)
-            for i in components:
-                view[i] = view[i] * h + y[i]
-            values = eval_float(t + c * h)
-            for p, i, j in places:
-                flat[p] = values[i][j]
-            product(z, out=k)
-
-    B, E, P = map(np.array, (_B, _E, _P))
+    K, y_new, start, probe, attempt = make(A.eval_float, rtol, atol)
+    KT = K.T
+    K0, K6 = memoryview(K[0]), memoryview(K[6])
+    P = np.array(_P)
     direction = 1.0 if t_end > t0 else -1.0
+    toward, nextafter = direction * math.inf, math.nextafter
     t, y = t0, y0
-    K = np.empty((7, n))
-    KT, K0, K6 = K.T, K[0], K[6]
-    d, y_new, err = (np.empty(n) for _ in range(3))
-    d_view, y_new_view, err_view = map(memoryview, (d, y_new, err))
-    stages = [(_C[s], K[:s].T.dot, np.array(_A[s]), d, d_view, K[s]) for s in range(1, 6)]
-    stages.append((1, K[:6].T.dot, B, y_new, y_new_view, K6))
-    # K[0] = A(t) y as a stage with no weights: 0.0 + y is y up to the sign
-    # of a zero, which no dot product returns
-    evaluate(((0, K[:0].T.dot, (), d, d_view, K0),), t, 0.0, y)
-    probe = (1, K[:1].T.dot, (1.0,), d, d_view, K[1])
-    h_abs = float(_initial_step(evaluate, probe, K, t, y, t_end, direction, rtol, atol, max_step))
+    start(t, 0.0, y)
+    h_abs = float(_initial_step(probe, K, t, y, t_end, direction, rtol, atol, max_step))
     ay = [abs(v) for v in y]
     steps = []
     budget = steps_left = _MAX_STEPS
@@ -292,29 +360,25 @@ def _dormand_prince(A, t0, t_end, y0, rtol, atol, max_step, dense):
                 f"the continuation to x = {t_end!r} needs more than {budget} RK45 steps"
             )
         steps_left -= 1
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        min_step = 10 * abs(nextafter(t, toward) - t)
         if h_abs > max_step:
             h_abs = max_step
         elif h_abs < min_step:
             h_abs = min_step
         rejected = False
         while True:
-            if h_abs < min_step:
+            # NaN-safe: every comparison with a NaN step size is false
+            if not h_abs >= min_step:
                 raise StepSizeUnderflow(
                     "Required step size is less than spacing between numbers."
+                    if h_abs < min_step else "The step size is not a number."
                 )
             t_new = t + h_abs * direction
             if direction * (t_new - t_end) > 0:
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            evaluate(stages, t, h, y)
-            ay_new = [abs(v) for v in y_new_view]
-            KT.dot(E, out=err)
-            for i, s in enumerate(_scale(ay, ay_new, rtol, atol)):
-                e = err_view[i] * h
-                err_view[i] = e / s if s else _quotient(e, s)
-            error_norm = _rms(err)
+            error_norm, ay_new = attempt(t, h, y, ay)
             if error_norm < 1:
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
@@ -336,7 +400,7 @@ def _dormand_prince(A, t0, t_end, y0, rtol, atol, max_step, dense):
                 raise SolutionOverflow(f"Y({t_new!r}) is outside the float range")
         if dense:
             steps.append((t, t_new, y, KT.dot(P)))
-        t, y, ay = t_new, y_new_view.tolist(), ay_new
+        t, y, ay = t_new, y_new.tolist(), ay_new
         K0[:] = K6
     return y, steps
 

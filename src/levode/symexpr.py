@@ -577,6 +577,19 @@ def _parse_int_poly(text: str) -> Coeffs:
 _MAX_HALVINGS = 200
 
 
+def _critical_polynomial(f: RationalFn) -> Coeffs:
+    """crit = n'd - nd' of f = n/d, whose real roots are f's critical
+    points.  For d = c*x**k (f's lane) it is c*x**(k-1)*(x*n' - k*n), whose
+    coefficients (j - k)*c*n_j take one pass over n, where the products
+    would walk d's k zeros; with k = 0 that is c*n'."""
+    n, d, k = f.int_num, f.int_den, f.lane
+    if k is None:
+        return poly.sub(poly.mul(poly.derivative(n), d), poly.mul(n, poly.derivative(d)))
+    c = d[-1]
+    terms = poly.trim([(j - k) * c * a for j, a in enumerate(n)])
+    return poly.shift(terms, k - 1) if k else terms[1:]
+
+
 def sup_bound(f: RationalFn, X, *, rel_slack=Fraction(1, 20)) -> Fraction:
     """Certified upper bound for sup of |f| on [X, infinity).
 
@@ -606,9 +619,7 @@ def sup_bound(f: RationalFn, X, *, rel_slack=Fraction(1, 20)) -> Fraction:
     if f.has_pole_in(X):
         raise PoleInDomain(f"denominator vanishes on [{X}, inf)")
 
-    crit = poly.sub(
-        poly.mul(poly.derivative(n), d), poly.mul(n, poly.derivative(d))
-    )
+    crit = _critical_polynomial(f)
     intervals = poly.isolate_roots(crit, X, poly.fujiwara_bound(crit))
     attained = max(
         [abs(f.eval_exact(X)), abs(f.limit_at_infinity())]
@@ -960,7 +971,7 @@ def _float_function(rows, varying):
     lines.append(f"    return [{displays}]")
     namespace = {"__builtins__": {}}
     exec("\n".join(lines), namespace)
-    return namespace["f"]
+    return namespace.pop("f")  # f's globals then hold no reference to f
 
 
 def _horner_lines(name: str, coeffs) -> list[str]:

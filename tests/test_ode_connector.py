@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import ast
 import csv
+import gc
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -169,6 +171,65 @@ def test_runaway_growth_emits_no_float_warning():
             integrate(system, (1.0,), 0.0, 100.0, rtol=1e-10, atol=1e-12)
 
 
+def test_step_size_that_is_not_a_number_is_refused():
+    # with atol = 0 the zero component makes the initial step 0/0, and
+    # every comparison with a NaN step size is false: scipy's loop never
+    # ends on this input.  Run apart, so that a hang fails by the timeout
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from levode import SymMatrix, StepSizeUnderflow, integrate, linear_system\n"
+        "system = linear_system(SymMatrix([['0', '0'], ['0', '1']]), 0, 1)\n"
+        "try:\n"
+        "    integrate(system, (0.0, 1.0), 0.0, 1.0, rtol=1e-6, atol=0.0)\n"
+        "except StepSizeUnderflow as e:\n"
+        "    print(e)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", script, src], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout == "The step size is not a number.\n"
+
+
+def test_integrations_leave_no_cyclic_garbage():
+    # the stage functions hold their buffers as closure cells: with the
+    # collector off, five integrations (one on a fresh system, which
+    # compiles its own stages) leave nothing for it to find
+    A = hypergeometric_companion()
+    system = linear_system(A, Fraction(1), Fraction(10))
+    args = ((10.0, 1.0, 0.5), 10.0, 5.0)
+    integrate(system, *args, rtol=1e-8, atol=1e-10)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(4):
+            integrate(system, *args, rtol=1e-8, atol=1e-10)
+        integrate(linear_system(A, Fraction(1), Fraction(10)), *args, rtol=1e-8, atol=1e-10)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_stages_compile_once_per_system(monkeypatch):
+    compiled = []
+
+    def counting(A):
+        compiled.append(A)
+        return compile_stages(A)
+
+    compile_stages = ode_connector._compile_stages
+    monkeypatch.setattr(ode_connector, "_compile_stages", counting)
+    system = linear_system(hypergeometric_companion(), Fraction(1), Fraction(10))
+    first = integrate(system, (10.0, 1.0, 0.5), 10.0, 5.0, rtol=1e-8, atol=1e-10)
+    second = integrate(system, (10.0, 1.0, 0.5), 10.0, 5.0, rtol=1e-8, atol=1e-10)
+    assert first == second
+    assert compiled == [system.A]
+    # a copy is rebuilt without them, and compiles its own
+    copy = pickle.loads(pickle.dumps(system))
+    assert copy == system
+    assert integrate(copy, (10.0, 1.0, 0.5), 10.0, 5.0, rtol=1e-8, atol=1e-10) == first
+    assert len(compiled) == 2
+
+
 def test_non_finite_value_reported_as_overflow():
     # y' = y/50 from 1.7e308 passes the largest double near x = 2.79
     system = linear_system(const_matrix([[Fraction(1, 50)]]), Fraction(0), Fraction(100))
@@ -260,12 +321,14 @@ class StrictMatrix:
 
 def test_rk45_loop_reads_only_float_table_and_eval_float(fixture_spec):
     # perfbench's CountingMatrix forwards every other attribute and counts
-    # RHS evaluations as eval_float calls: the loop reads nothing else from
-    # A and evaluates it once per stage, twice to start (at X and for the
-    # initial step) and then six times per attempted step
+    # RHS evaluations as eval_float calls: the compiled stages and the loop
+    # read nothing else from A and evaluate it once per stage, twice to
+    # start (at X and for the initial step) and then six times per
+    # attempted step
     A = StrictMatrix(derive_original_system(fixture_spec))
+    make = ode_connector._compile_stages(A)
     y, _ = ode_connector._dormand_prince(
-        A, 10.0, 0.0, list(Y3_AT_10), 1e-10, 1e-12, math.inf, False
+        A, make, 10.0, 0.0, list(Y3_AT_10), 1e-10, 1e-12, math.inf, False
     )
     assert tuple(y) == Y3_AT_0
     start, points = A.points[:2], A.points[2:]
@@ -509,10 +572,14 @@ def test_a_step_reaches_a_nan_state_from_a_finite_one():
 @pytest.mark.parametrize("b", [0.0, 1.0, math.inf, math.nan])
 @pytest.mark.parametrize("a", [0.0, 1.0, math.inf, math.nan])
 def test_error_scale_takes_the_larger_as_numpy_does(a, b):
-    # a NaN in either place wins, as in np.maximum
-    want = 1e-8 + np.maximum(np.array([a]), np.array([b])) * 1e-6
-    got = ode_connector._scale([a], [b], 1e-6, 1e-8)
-    assert [v.hex() for v in got] == [float(v).hex() for v in want]
+    # the compiled attempt's lines for one component with |y| = a,
+    # |y_new| = b and err = 1: a NaN in either place wins, as in np.maximum
+    # (Python's max(1.0, nan) is 1.0), and an infinite scale gives 0
+    names = {"abs": abs, "quotient": ode_connector._quotient, "a0": a, "yv": [b],
+             "errv": [1.0], "h": 1.0, "rtol": 1e-6, "atol": 1e-8}
+    exec("\n".join(ode_connector._error_lines(0)), names)
+    want = 1.0 / (1e-8 + np.maximum(np.array([a]), np.array([b])) * 1e-6)
+    assert [v.hex() for v in names["errv"]] == [float(v).hex() for v in want]
 
 
 @pytest.mark.parametrize("b", [0.0, -0.0, 4.0, math.inf])
@@ -542,6 +609,11 @@ def test_larger_systems_match_scipy_bit_for_bit(tmp_path):
             rtol = rng.choice((1e-4, 1e-7, 1e-10))
             _assert_same_run(A, x_from, x_to, y0, rtol, rtol / 100, None,
                              tmp_path / f"n{n}-{case}.csv")
+    # and one 10x10 system: the compiled stages unroll 10 components
+    A = SymMatrix([[_rational_entry(rng) for _ in range(10)] for _ in range(10)])
+    y0 = tuple(rng.uniform(-2, 2) for _ in range(10))
+    _assert_same_run(A, Fraction(0), Fraction(1, 2), y0, 1e-7, 1e-9, None,
+                     tmp_path / "n10.csv")
 
 
 @pytest.mark.parametrize(
@@ -551,8 +623,12 @@ def test_larger_systems_match_scipy_bit_for_bit(tmp_path):
           ["0", "0", "0", "1", "0"], ["-1", "0", "0", "0", "1"],
           ["1/5", "0", "-3", "0", "-1"]], 0),
         ([["0", "1", "0"], ["0", "0", "1"], ["-1", "(1)/(x^2 + 1)", "0"]], 1),
+        ([["(x - 4)/(4)", "(1)/(x^2 + 1)", "(x)/(8)"],
+          ["(x)/(x^2 + 1)", "(-x)/(5)", "(5 - x)/(10)"],
+          ["(1 - x)/(x^2 + 2)", "(2)/(x^2 + x + 1)", "(-x^2)/(8)"]], 9),
+        ([["(x - 1)/(2)"]], 1),
     ],
-    ids=["all-constant", "one-varying"],
+    ids=["all-constant", "one-varying", "all-varying", "scalar-varying"],
 )
 def test_split_extremes_match_scipy_bit_for_bit(tmp_path, rows, varying):
     A = SymMatrix(rows)

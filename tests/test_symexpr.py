@@ -608,6 +608,23 @@ def test_sup_bound_dominates_dense_sampling(source, X0):
     assert bound >= limit
 
 
+def test_critical_polynomial_of_a_lane_equals_the_schoolbook_one():
+    # for d = c*x**k the one-pass form must give n'd - nd' tuple for
+    # tuple, so every bound built on it stays as it was
+    rng = random.Random(26)
+    lanes = set()
+    for _ in range(400):
+        num = [rng.choice((0, 0, rng.randint(-50, 50))) for _ in range(rng.randint(1, 12))]
+        num[-1] = num[-1] or 1
+        den = [0] * rng.randint(0, 12) + [rng.randint(1, 30)]
+        f = RationalFn(tuple(num), tuple(den))
+        n, d = f.int_num, f.int_den
+        want = poly.sub(poly.mul(poly.derivative(n), d), poly.mul(n, poly.derivative(d)))
+        assert symexpr._critical_polynomial(f) == want
+        lanes.add(f.lane)
+    assert set(range(13)) <= lanes
+
+
 def test_sup_bound_exact_for_monotone_decay():
     assert sup_bound(fn("(3)/(x)"), F(10)) == F(3, 10)
     assert sup_bound(fn("(3)/(x^3)"), F(10)) == F(3, 1000)
