@@ -98,8 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(solve, need_problem=True)
     solve.add_argument("-k", type=int, required=True, help="solution index (1-based)")
     solve.add_argument("--target", help="continuation target point (rational)")
-    solve.add_argument("--rtol", type=float, default=1e-10)
-    solve.add_argument("--atol", type=float, default=1e-12)
+    solve.add_argument("--rtol", default="1e-10")
+    solve.add_argument("--atol", default="1e-12")
     solve.add_argument("--dense-csv", metavar="PATH", help="write dense output CSV")
 
     verify = sub.add_parser("verify", help="run the built-in check suite")
@@ -155,6 +155,18 @@ def _rational_flag(value: str, flag: str) -> Fraction:
         raise InvalidInput(
             f"{flag} must be a rational number, got {value!r}"
         ) from None
+
+
+def _tolerance_flag(text: str, flag: str) -> float:
+    """The flag's float, which must be positive and finite; the message
+    names the text, since a value such as 1e-400 reads 0.0 as a float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise InvalidInput(f"{flag} must be a positive finite number, got {text!r}")
+    return value
 
 
 def _float_range(value: Fraction, what: str) -> None:
@@ -303,12 +315,9 @@ def _cmd_solve(args) -> int:
         write_dense,
     )
 
-    for flag, value in (("--rtol", args.rtol), ("--atol", args.atol)):
-        if not 0 < value < math.inf:
-            raise InvalidInput(
-                f"{flag} must be a positive finite number, got {value!r}"
-            )
-    if args.rtol < MIN_RTOL:
+    rtol = _tolerance_flag(args.rtol, "--rtol")
+    atol = _tolerance_flag(args.atol, "--atol")
+    if rtol < MIN_RTOL:
         # integrate refuses it as well, but only after the reduction ran
         raise InvalidInput(
             f"--rtol must be at least {MIN_RTOL!r} (100 machine epsilons), got {args.rtol!r}"
@@ -387,15 +396,15 @@ def _cmd_solve(args) -> int:
             report["Y_at_X"],
             spec.X,
             target,
-            rtol=args.rtol,
-            atol=args.atol,
+            rtol=rtol,
+            atol=atol,
             dense_path=args.dense_csv,
         )
         report["continuation"] = {
             "target": args.target,
             "Y": list(y_target),
-            "rtol": args.rtol,
-            "atol": args.atol,
+            "rtol": rtol,
+            "atol": atol,
             "integrator": METHOD_INFO,
         }
 

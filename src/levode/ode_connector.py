@@ -7,20 +7,22 @@ poles by an exact root count when it is built.
 
 The integrator is the Dormand-Prince 5(4) pair (Dormand & Prince 1980,
 J. Comput. Appl. Math. 6) with Shampine's quartic dense output (Math.
-Comp. 46, 1986), specialised to Y' = A(x) Y.  A ``LinearSystem`` compiles
-its stage arithmetic once, on its first integration, from the matrix's
-float table: one straight-line function per kind of evaluation (the
-derivative at the start, the initial-step probe and the six-stage attempt
-with its error norm), each stage unrolled over the components and over
-the entries that vary with x.  Every stage calls ``SymMatrix.eval_float``
-once and writes just the varying entries into the array of the constant
-ones.  It follows scipy's ``RK45`` step for step: the same tableau,
-initial step selection, RMS error norm, step-size controller and stage
-sums, in scipy's order of float operations, so every trajectory equals
-``solve_ivp(method="RK45")`` bit for bit, without importing scipy.  numpy
-forms only the sums scipy forms with ``np.dot``; the element-wise
-arithmetic is Python float arithmetic, which rounds each operation as
-numpy does.
+Comp. 46, 1986), specialised to Y' = A(x) Y.  The stage arithmetic is
+compiled once per matrix, on the first integration over it, from its
+float table, and kept with the matrix, so every later system over the same
+A, whatever its domain, compiles nothing: one straight-line function per
+kind of evaluation (the derivative at the start, the initial-step probe
+and the six-stage attempt with its error norm), each stage unrolled over
+the components and over the entries that vary with x.  Every stage
+evaluates A once, by the function ``SymMatrix.eval_float`` calls, and
+writes just the varying entries into the array of the constant ones,
+except the last, whose node is the one before it.  It follows scipy's
+``RK45`` step for step: the same tableau, initial step selection, RMS
+error norm, step-size controller and stage sums, in scipy's order of float
+operations, so every trajectory equals ``solve_ivp(method="RK45")`` bit
+for bit, without importing scipy.  numpy forms only the sums scipy forms
+with ``np.dot``; the element-wise arithmetic is Python float arithmetic,
+which rounds each operation as numpy does.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 from .errors import ComputationFailed, SolutionOverflow
@@ -78,15 +79,6 @@ class LinearSystem:
                     raise PoleInInterval(
                         f"entry ({i + 1},{j + 1}) has a pole in [{lo}, {hi}]"
                     )
-
-    @cached_property
-    def _stages(self):
-        """The stage factory ``_dormand_prince`` runs, compiled on the first
-        integration and kept for the next ones."""
-        return _compile_stages(self.A)
-
-    def __reduce__(self):  # rebuilt through __init__, without the stages
-        return LinearSystem, (self.A, self.domain)
 
 
 def linear_system(A: SymMatrix, lo, hi) -> LinearSystem:
@@ -140,9 +132,14 @@ def integrate(
             write_dense(dense_path, [t0], [tuple(y0)])
         return tuple(float(v) for v in y0)
 
+    A = system.A
+    make = A._stages
+    if make is None:  # the first integration over A; copies compile their own
+        make = _compile_stages(A)
+        object.__setattr__(A, "_stages", make)
     with np.errstate(all="ignore"):
         y, steps = _dormand_prince(
-            system.A, system._stages, t0, t_end, y0.tolist(), float(rtol), float(atol),
+            A, make, t0, t_end, y0.tolist(), float(rtol), float(atol),
             max_step, dense_path is not None,
         )
     if dense_path is not None:
@@ -196,7 +193,9 @@ def _quotient(a: float, b: float) -> float:
 def _compile_stages(A):
     """The factory ``make(eval_float, rtol, atol)`` of one integration's
     buffers and stage functions ``(K, y_new, start, probe, attempt)``,
-    compiled from A's float table.
+    compiled from A's float table.  ``integrate`` keeps it in A's
+    ``_stages`` slot, so it is compiled once per matrix; each integration
+    passes its own evaluation of A (``_dormand_prince``).
 
     K holds the seven stage derivatives and y_new (a memoryview) the
     fifth-order solution; y is a list of floats.  ``start(t, 0.0, y)``
@@ -206,13 +205,14 @@ def _compile_stages(A):
     stage: numpy's sum ``dot(weights, z)`` as scipy forms it (none for
     K[0], whose sums are 0.0), ``z[i] = z[i] * h + y_i`` per component
     through z's memoryview, one ``eval_float(t + c * h)`` with the node c
-    as its repr, one write per varying entry into A's array and the
-    product A z, each ndarray.dot given its output array by position (a
-    keyword costs numpy a parse per call).  The attempt ends with the error sum ``K.T E``, the
-    scaled errors of ``_error_lines`` and the norm's own formula, the
-    square root of ``err.dot(err)``, over sqrt(n).  The stage functions
-    hold their buffers as closure cells, and ``make`` leaves the namespace
-    it is compiled in, so an integration leaves no reference cycle.
+    as its repr, one write per varying entry into A's array (none in stage
+    6, whose node is stage 5's) and the product A z, each ndarray.dot given
+    its output array by position (a keyword costs numpy a parse per call).
+    The attempt ends with the error sum ``K.T E``, the scaled errors of
+    ``_error_lines`` and the norm's own formula, the square root of
+    ``err.dot(err)``, over sqrt(n).  The stage functions hold their
+    buffers as closure cells, and ``make`` leaves the namespace it is
+    compiled in, so an integration leaves no reference cycle.
     """
     import numpy as np
 
@@ -223,14 +223,18 @@ def _compile_stages(A):
 
     def stage(s, weights, c, out, view, k):
         # k = A(t + c*h) z for z = out = K[:s].T.dot(weights)*h + y, the
-        # sums 0.0 where s = 0
+        # sums 0.0 where s = 0; stage 6 runs at stage 5's node, so M holds
+        # A(t + h) already and only the evaluation scipy makes is kept
         lines, sums = [], ["0.0"] * n
         if s:
             lines.append(f"dot{s}({weights}, {out})")
             sums = [f"{view}[{i}]" for i in range(n)]
         lines += [f"{view}[{i}] = {v} * h + y{i}" for i, v in enumerate(sums)]
-        lines.append(f"e = ev(t + {c!r} * h)")
-        lines += [f"flat[{p}] = e[{i}][{j}]" for p, i, j in places]
+        if s == 6:
+            lines.append(f"ev(t + {c!r} * h)")
+        else:
+            lines.append(f"e = ev(t + {c!r} * h)")
+            lines += [f"flat[{p}] = e[{i}][{j}]" for p, i, j in places]
         lines.append(f"prod({out}, {k})")
         return lines
 
@@ -325,7 +329,8 @@ def _dormand_prince(A, make, t0, t_end, y0, rtol, atol, max_step, dense):
     (t_old, t, y_old, Q) for ``_dense_values``.
 
     ``make`` is A's stage factory from ``_compile_stages``; its functions
-    call ``A.eval_float`` once per stage.  An attempted step is one call
+    evaluate A once per stage, a SymMatrix by its ``float_function()``
+    and any other A by its ``eval_float``.  An attempted step is one call
     of its ``attempt``: six stages, the last one's sum, with the weights
     B, the fifth-order solution, whose derivative starts the next step
     (first same as last), then the error norm.  numpy forms only the sums
@@ -342,7 +347,10 @@ def _dormand_prince(A, make, t0, t_end, y0, rtol, atol, max_step, dense):
     """
     import numpy as np
 
-    K, y_new, start, probe, attempt = make(A.eval_float, rtol, atol)
+    # the function eval_float calls, one frame less per stage; a proxy
+    # that counts evaluations is called through its own eval_float
+    ev = A.float_function() if type(A) is SymMatrix else A.eval_float
+    K, y_new, start, probe, attempt = make(ev, rtol, atol)
     KT = K.T
     K0, K6 = memoryview(K[0]), memoryview(K[6])
     P = np.array(_P)

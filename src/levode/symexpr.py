@@ -500,6 +500,9 @@ def _format_int_poly(coeffs) -> str:
 
 
 def _split_fraction(text: str) -> tuple[str, str | None]:
+    """The numerator and denominator at the first '/' outside parentheses.
+    A side that is a sum outside parentheses is refused, since '/' binds
+    tighter than '+' and '-': read as a quotient, "x/4 - 1" would be x/3."""
     depth = 0
     for i, ch in enumerate(text):
         if ch == "(":
@@ -509,10 +512,29 @@ def _split_fraction(text: str) -> tuple[str, str | None]:
             if depth < 0:
                 raise ParseError(f"unbalanced parentheses in {text!r}")
         elif ch == "/" and depth == 0:
-            return text[:i], text[i + 1:]
+            num, den = text[:i], text[i + 1:]
+            if _is_sum(num) or _is_sum(den):
+                raise ParseError(
+                    f"parenthesise a sum on either side of '/' in {text!r}"
+                )
+            return num, den
     if depth != 0:
         raise ParseError(f"unbalanced parentheses in {text!r}")
     return text, None
+
+
+def _is_sum(side: str) -> bool:
+    """Whether side has a '+' or '-' outside parentheses, past a leading sign."""
+    s = side.strip()
+    depth = 0
+    for ch in s[1:] if s[:1] in ("+", "-") else s:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and depth == 0:
+            return True
+    return False
 
 
 def _strip_outer_parens(s: str) -> str:
@@ -661,8 +683,10 @@ class SymMatrix:
     """Dense matrix of RationalFn entries with exact non-commutative products."""
 
     # _float_table: what float_table returns, kept from its first call;
-    # _float_fn: the function eval_float compiles from it on its first call
-    __slots__ = ("rows", "cols", "entries", "_float_table", "_float_fn")
+    # _float_fn: the function eval_float compiles from it on its first call;
+    # _stages: the RK45 stage factory ode_connector compiles from it on the
+    # first integration over the matrix
+    __slots__ = ("rows", "cols", "entries", "_float_table", "_float_fn", "_stages")
 
     def __init__(self, entries):
         rows = tuple(tuple(_as_fn(e) for e in row) for row in entries)
@@ -855,18 +879,22 @@ class SymMatrix:
             _set(self, "_float_table", table)
         return table
 
-    def eval_float(self, x: float) -> list[list[float]]:
-        """Entries at x as fresh rows, by one function of x compiled from
-        ``float_table`` on the first call and kept (``_float_function``):
-        each entry that varies is num(x) / den(x) by Horner's rule, each sum
-        started from 0.0 and the division skipped where den is None, the
-        others the table's constants.  A 1x1 matrix is the float form of
-        one ``RationalFn``."""
+    def float_function(self):
+        """The function of x that ``eval_float`` calls, compiled from
+        ``float_table`` on the first call and kept (``_float_function``)."""
         f = self._float_fn
         if f is None:
             f = _float_function(*self.float_table())
             _set(self, "_float_fn", f)
-        return f(x)
+        return f
+
+    def eval_float(self, x: float) -> list[list[float]]:
+        """Entries at x as fresh rows, by ``float_function()``: each entry
+        that varies is num(x) / den(x) by Horner's rule, each sum started
+        from 0.0 and the division skipped where den is None, the others the
+        table's constants.  A 1x1 matrix is the float form of one
+        ``RationalFn``."""
+        return self.float_function()(x)
 
     def to_strings(self) -> list[list[str]]:
         return [[e.to_string() for e in row] for row in self.entries]
@@ -937,6 +965,7 @@ def _fill(m: SymMatrix, rows: tuple[tuple[RationalFn, ...], ...]) -> None:
     _set(m, "entries", rows)
     _set(m, "_float_table", None)
     _set(m, "_float_fn", None)
+    _set(m, "_stages", None)
 
 
 def _matrix(rows: tuple[tuple[RationalFn, ...], ...]) -> SymMatrix:

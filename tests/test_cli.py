@@ -243,6 +243,17 @@ def test_undecodable_problem_file_rejected(capsys, tmp_path, content):
     assert err.count("\n") == 1
 
 
+def test_sum_beside_a_slash_rejected(capsys, tmp_path):
+    # read at its first '/', the entry would be x/3
+    doc = fixture_document()
+    doc["E1"][0][0] = "x/4 - 1"
+    code, out, err = run_cli(capsys, "transform", "--problem", write_problem(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == (
+        "invalid input: E1: parenthesise a sum on either side of '/' in 'x/4 - 1'\n"
+    )
+
+
 @pytest.mark.parametrize(
     "field,value,message",
     [
@@ -315,6 +326,16 @@ def test_bad_tolerance_or_target_rejected(capsys, argv, flag):
     assert err.startswith("invalid input: ")
     assert flag in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flag,text", [("--atol", "1e-400"), ("--rtol", "1e-400"), ("--rtol", "abc")]
+)
+def test_tolerance_is_reported_as_written(capsys, flag, text):
+    # as a float 1e-400 is 0.0; the message keeps the flag's text instead
+    code, out, err = run_cli(capsys, *SOLVE, "--target", "0", flag, text)
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: {flag} must be a positive finite number, got {text!r}\n"
 
 
 def test_rtol_below_machine_resolution_rejected(capsys):

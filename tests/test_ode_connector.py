@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import copy
 import csv
 import gc
 import math
@@ -192,8 +193,8 @@ def test_step_size_that_is_not_a_number_is_refused():
 
 def test_integrations_leave_no_cyclic_garbage():
     # the stage functions hold their buffers as closure cells: with the
-    # collector off, five integrations (one on a fresh system, which
-    # compiles its own stages) leave nothing for it to find
+    # collector off, five integrations (one on a fresh system over the same
+    # matrix, which reuses its compiled stages) leave nothing for it to find
     A = hypergeometric_companion()
     system = linear_system(A, Fraction(1), Fraction(10))
     args = ((10.0, 1.0, 0.5), 10.0, 5.0)
@@ -209,7 +210,7 @@ def test_integrations_leave_no_cyclic_garbage():
         gc.enable()
 
 
-def test_stages_compile_once_per_system(monkeypatch):
+def test_stages_compile_once_per_matrix(monkeypatch):
     compiled = []
 
     def counting(A):
@@ -218,16 +219,26 @@ def test_stages_compile_once_per_system(monkeypatch):
 
     compile_stages = ode_connector._compile_stages
     monkeypatch.setattr(ode_connector, "_compile_stages", counting)
-    system = linear_system(hypergeometric_companion(), Fraction(1), Fraction(10))
-    first = integrate(system, (10.0, 1.0, 0.5), 10.0, 5.0, rtol=1e-8, atol=1e-10)
-    second = integrate(system, (10.0, 1.0, 0.5), 10.0, 5.0, rtol=1e-8, atol=1e-10)
-    assert first == second
-    assert compiled == [system.A]
-    # a copy is rebuilt without them, and compiles its own
-    copy = pickle.loads(pickle.dumps(system))
-    assert copy == system
-    assert integrate(copy, (10.0, 1.0, 0.5), 10.0, 5.0, rtol=1e-8, atol=1e-10) == first
-    assert len(compiled) == 2
+    args = ((10.0, 1.0, 0.5), 10.0, 5.0)
+    A = hypergeometric_companion()
+    system = linear_system(A, Fraction(1), Fraction(10))
+    first = integrate(system, *args, rtol=1e-8, atol=1e-10)
+    assert integrate(system, *args, rtol=1e-8, atol=1e-10) == first
+    # a system over the same matrix on another domain compiles nothing
+    wider = linear_system(A, Fraction(1, 2), Fraction(12))
+    assert integrate(wider, *args, rtol=1e-8, atol=1e-10) == first
+    assert compiled == [A]
+    # a copied or pickled matrix is rebuilt without them, and compiles its own
+    routes = (copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m)))
+    for route in routes:
+        twin = route(A)
+        assert twin == A and twin._stages is None
+        assert integrate(linear_system(twin, 1, 10), *args, rtol=1e-8, atol=1e-10) == first
+        assert compiled[-1] is twin
+    assert len(compiled) == 4
+    # a system pickles as its matrix does
+    twin = pickle.loads(pickle.dumps(system))
+    assert twin == system and twin.A._stages is None
 
 
 def test_non_finite_value_reported_as_overflow():
@@ -347,6 +358,21 @@ def test_continuation_trajectory_is_pinned(fixture_spec):
     A = CountingMatrix(derive_original_system(fixture_spec))
     system = LinearSystem(A, (Fraction(0), Fraction(10)))
     y = integrate(system, Y3_AT_10, 10, 0, rtol=1e-10, atol=1e-12)
+    assert A.calls == 6290
+    assert y == Y3_AT_0
+
+
+def test_a_proxy_over_a_compiled_matrix_counts_every_evaluation(fixture_spec):
+    # the stages compiled over the matrix itself, which evaluate it by its
+    # float_function(), are made with the proxy's eval_float, so the pinned
+    # trajectory still counts 6,290 calls
+    matrix = derive_original_system(fixture_spec)
+    plain = integrate(linear_system(matrix, 0, 10), Y3_AT_10, 10, 0, rtol=1e-10, atol=1e-12)
+    assert matrix._stages is not None
+    assert plain == Y3_AT_0
+    A = CountingMatrix(matrix)
+    y = integrate(LinearSystem(A, (Fraction(0), Fraction(10))), Y3_AT_10, 10, 0,
+                  rtol=1e-10, atol=1e-12)
     assert A.calls == 6290
     assert y == Y3_AT_0
 

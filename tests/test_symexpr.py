@@ -569,6 +569,29 @@ def test_parse_rejects_garbage():
             RationalFn.parse(bad)
 
 
+@pytest.mark.parametrize("text", ["x/4 - 1", "1 + x/4", "x^2/8 - 1", "1/2 - x/10", "(x)/(4) - 1"])
+def test_parse_refuses_a_sum_beside_a_slash(text):
+    # '/' binds tighter than '+' and '-': split at the slash, "x/4 - 1"
+    # would read as x/3 and "1 + x/4" as (x + 1)/4
+    with pytest.raises(ParseError, match="parenthesise a sum"):
+        RationalFn.parse(text)
+
+
+@pytest.mark.parametrize(
+    "text,want",
+    [
+        ("(x - 4)/(4)", "(x - 4)/(4)"),
+        ("-1/3", "(-1)/(3)"),
+        ("3/x^2", "(3)/(x^2)"),
+        ("2*x/3", "(2*x)/(3)"),
+        ("-x/(x^2 + 1)", "(-x)/(x^2 + 1)"),
+        ("1/-x", "(-1)/(x)"),
+    ],
+)
+def test_parse_keeps_a_signed_or_parenthesised_side(text, want):
+    assert RationalFn.parse(text).to_string() == want
+
+
 def test_canonical_string_is_normalized():
     # same function through different arithmetic routes, same string
     a = fn("(1)/(x)") + fn("(2)/(x^2)")
@@ -887,7 +910,7 @@ def test_inverse_row_update_matches_two_step_reference(fixture_spec):
     import random
 
     pool = ["0"] * 2 + [
-        "1", "-3", "x - 1/3", "(1)/(x^2)", "(x^2 + 1)/(x - 2)", "(3*x)/(x^2 + x + 1)",
+        "1", "-3", "(x - 1)/(3)", "(1)/(x^2)", "(x^2 + 1)/(x - 2)", "(3*x)/(x^2 + x + 1)",
         "(2)/(x^2 - 3)", "(x - 7)/(x + 5)", "(5*x^3 - 1)/(2*x^2 + 7)",
     ]
     matrices = [fixture_spec.back_transform]
@@ -978,7 +1001,7 @@ def test_matrix_eval_float_is_bit_identical_to_reference():
             lambda num, den: RationalFn(num) / fn(den),
             polynomial,
             st.sampled_from(
-                ["x^3 - 1", "x^2 + x + 1", "3*x^2 - 7", "7*x^4 + 2*x + 1/3", "5*x^9"]
+                ["x^3 - 1", "x^2 + x + 1", "3*x^2 - 7", "(7*x^4 + 2*x + 1)/(3)", "5*x^9"]
             ),
         ),
         sparse.map(RationalFn),
