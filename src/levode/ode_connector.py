@@ -13,16 +13,16 @@ float table, and kept with the matrix, so every later system over the same
 A, whatever its domain, compiles nothing: one straight-line function per
 kind of evaluation (the derivative at the start, the initial-step probe
 and the six-stage attempt with its error norm), each stage unrolled over
-the components and over the entries that vary with x.  Every stage
-evaluates A once, by the function ``SymMatrix.eval_float`` calls, and
-writes just the varying entries into the array of the constant ones,
-except the last, whose node is the one before it.  It follows scipy's
-``RK45`` step for step: the same tableau, initial step selection, RMS
-error norm, step-size controller and stage sums, in scipy's order of float
-operations, so every trajectory equals ``solve_ivp(method="RK45")`` bit
-for bit, without importing scipy.  numpy forms only the sums scipy forms
-with ``np.dot``; the element-wise arithmetic is Python float arithmetic,
-which rounds each operation as numpy does.
+the components and over the entries that vary with x.  Every stage but
+the last, whose node is the one before it, writes the entries that vary
+straight into the array of the constant ones, by the Horner statements
+``SymMatrix.eval_float`` runs for them, and builds no rows.  It follows
+scipy's ``RK45`` step for step: the same tableau, initial step selection,
+RMS error norm, step-size controller and stage sums, in scipy's order of
+float operations, so every trajectory equals ``solve_ivp(method="RK45")``
+bit for bit, without importing scipy.  numpy forms only the sums scipy
+forms with ``np.dot``; the element-wise arithmetic is Python float
+arithmetic, which rounds each operation as numpy does.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ComputationFailed, SolutionOverflow
-from .symexpr import SymMatrix
+from .symexpr import SymMatrix, _entry_lines
 
 METHOD_INFO = {"method": "RK45", "order": 5}
 # the smallest rtol the step-size controller can resolve, as scipy's RK45 has it
@@ -44,9 +44,9 @@ DENSE_POINTS = 201
 # The most accepted steps one integration may take.  The built-in problem
 # stiffens as x goes negative (its x**2 entry): from X = 10, a continuation
 # to -100 takes about 120,000 steps and one to -200 about 940,000.  Toward
-# -1000 a step costs about 15 us, rejected attempts included (one pinned
+# -1000 a step costs about 14 us, rejected attempts included (one pinned
 # CPU of a shared 2-vCPU Xeon), so a target out of reach is refused after
-# about 7.5 s instead of running without end.
+# about 7.3 s instead of running without end.
 _MAX_STEPS = 500_000
 
 
@@ -191,11 +191,12 @@ def _quotient(a: float, b: float) -> float:
 
 
 def _compile_stages(A):
-    """The factory ``make(eval_float, rtol, atol)`` of one integration's
-    buffers and stage functions ``(K, y_new, start, probe, attempt)``,
-    compiled from A's float table.  ``integrate`` keeps it in A's
-    ``_stages`` slot, so it is compiled once per matrix; each integration
-    passes its own evaluation of A (``_dormand_prince``).
+    """The factory ``make(ev, rtol, atol)`` of one integration's buffers
+    and stage functions ``(K, y_new, start, probe, attempt)``, compiled
+    from A's float table.  ``integrate`` keeps it in A's ``_stages`` slot,
+    so it is compiled once per matrix; each integration passes ``ev``:
+    None over a SymMatrix, A's ``eval_float`` over any other A
+    (``_dormand_prince``).
 
     K holds the seven stage derivatives and y_new (a memoryview) the
     fifth-order solution; y is a list of floats.  ``start(t, 0.0, y)``
@@ -204,38 +205,41 @@ def _compile_stages(A):
     its RMS error norm and |y_new|, ay being |y|.  ``stage`` writes every
     stage: numpy's sum ``dot(weights, z)`` as scipy forms it (none for
     K[0], whose sums are 0.0), ``z[i] = z[i] * h + y_i`` per component
-    through z's memoryview, one ``eval_float(t + c * h)`` with the node c
-    as its repr, one write per varying entry into A's array (none in stage
-    6, whose node is stage 5's) and the product A z, each ndarray.dot given
-    its output array by position (a keyword costs numpy a parse per call).
-    The attempt ends with the error sum ``K.T E``, the scaled errors of
-    ``_error_lines`` and the norm's own formula, the square root of
-    ``err.dot(err)``, over sqrt(n).  The stage functions hold their
-    buffers as closure cells, and ``make`` leaves the namespace it is
-    compiled in, so an integration leaves no reference cycle.
+    through z's memoryview, ``fill(x)`` at x = t + c * h with the node c
+    as its repr (none in stage 6, whose node is stage 5's), ``ev(x)``
+    where ev is not None, its value unused, and the product A z, each
+    ndarray.dot given its output array by position (a keyword costs numpy
+    a parse per call).  ``fill`` writes each entry of A(x) that varies
+    straight into A's array, by the statements ``SymMatrix.eval_float``
+    runs for it (``symexpr._entry_lines``).  The attempt ends with the
+    error sum ``K.T E``, the scaled errors of ``_error_lines`` and the
+    norm's own formula, the square root of ``err.dot(err)``, over
+    sqrt(n).  The stage functions hold their buffers as closure cells,
+    and ``make`` leaves the namespace it is compiled in, so an
+    integration leaves no reference cycle.
     """
     import numpy as np
 
     rows, varying = A.float_table()
     n = len(rows)
-    places = [(i * n + j, i, j) for i, j, *_ in varying]
     ys, ays = ("".join(f"{name}{i}, " for i in range(n)) for name in "ya")
+    fill = []
+    for i, j, num, den in varying:
+        fill += _entry_lines("e", num, den)
+        fill.append(f"    flat[{i * n + j}] = e")
 
     def stage(s, weights, c, out, view, k):
         # k = A(t + c*h) z for z = out = K[:s].T.dot(weights)*h + y, the
         # sums 0.0 where s = 0; stage 6 runs at stage 5's node, so M holds
-        # A(t + h) already and only the evaluation scipy makes is kept
+        # A(t + h) already
         lines, sums = [], ["0.0"] * n
         if s:
             lines.append(f"dot{s}({weights}, {out})")
             sums = [f"{view}[{i}]" for i in range(n)]
         lines += [f"{view}[{i}] = {v} * h + y{i}" for i, v in enumerate(sums)]
-        if s == 6:
-            lines.append(f"ev(t + {c!r} * h)")
-        else:
-            lines.append(f"e = ev(t + {c!r} * h)")
-            lines += [f"flat[{p}] = e[{i}][{j}]" for p, i, j in places]
-        lines.append(f"prod({out}, {k})")
+        if s < 6:
+            lines += [f"x = t + {c!r} * h", "fill(x)"]
+        lines += ["if ev is not None:", "    ev(x)", f"prod({out}, {k})"]
         return lines
 
     attempt = [f"{ays}= ay"]
@@ -265,7 +269,9 @@ def _compile_stages(A):
     lines += [
         f"    z, y_new, err = empty({n}), empty({n}), empty({n})",
         "    zv, yv, errv = memoryview(z), memoryview(y_new), memoryview(err)",
+        "    def fill(x):",
     ]
+    lines += [f"    {line}" for line in fill or ["    pass"]]
     for signature, body in functions.items():
         lines += [f"    def {signature}:", f"        {ys}= y"]
         lines += [f"        {line}" for line in body]
@@ -329,27 +335,28 @@ def _dormand_prince(A, make, t0, t_end, y0, rtol, atol, max_step, dense):
     (t_old, t, y_old, Q) for ``_dense_values``.
 
     ``make`` is A's stage factory from ``_compile_stages``; its functions
-    evaluate A once per stage, a SymMatrix by its ``float_function()``
-    and any other A by its ``eval_float``.  An attempted step is one call
-    of its ``attempt``: six stages, the last one's sum, with the weights
-    B, the fifth-order solution, whose derivative starts the next step
-    (first same as last), then the error norm.  numpy forms only the sums
-    scipy forms with ``np.dot``: the stage, fifth-order and error sums,
-    the product A(x) z and the norm's ``err.dot(err)``.  Summed in Python
-    floats they differ from scipy's BLAS products in the last bit, and the
-    trajectory with them.  The rest is element-wise, one IEEE operation
-    per item, which a Python float rounds as numpy does: the state y is a
-    list of floats.  A step size that is not a number (the initial step
-    is one when atol = 0 and a component of y0 is zero) raises
-    ``StepSizeUnderflow``, where scipy's loop never ends.
-    The loop takes at most ``_MAX_STEPS`` accepted steps, then raises
+    write A(x) into the stage matrix themselves, and over any A that is
+    not a SymMatrix also call its ``eval_float`` once per stage, the last
+    included, so a proxy sees scipy's count of evaluations.  An attempted
+    step is one call of its ``attempt``: six stages, the last one's sum,
+    with the weights B, the fifth-order solution, whose derivative starts
+    the next step (first same as last), then the error norm.  numpy forms
+    only the sums scipy forms with ``np.dot``: the stage, fifth-order and
+    error sums, the product A(x) z and the norm's ``err.dot(err)``.  Summed
+    in Python floats they differ from scipy's BLAS products in the last
+    bit, and the trajectory with them.  The rest is element-wise, one IEEE
+    operation per item, which a Python float rounds as numpy does: the
+    state y is a list of floats.  A step size that is not a number (the
+    initial step is one when atol = 0 and a component of y0 is zero)
+    raises ``StepSizeUnderflow``, where scipy's loop never ends.  The loop
+    takes at most ``_MAX_STEPS`` accepted steps, then raises
     ``StepBudgetExceeded``.
     """
     import numpy as np
 
-    # the function eval_float calls, one frame less per stage; a proxy
-    # that counts evaluations is called through its own eval_float
-    ev = A.float_function() if type(A) is SymMatrix else A.eval_float
+    # the stages fill A(x) in themselves; a proxy that counts evaluations
+    # is called through its own eval_float as well
+    ev = None if type(A) is SymMatrix else A.eval_float
     K, y_new, start, probe, attempt = make(ev, rtol, atol)
     KT = K.T
     K0, K6 = memoryview(K[0]), memoryview(K[6])

@@ -858,8 +858,9 @@ class SymMatrix:
         rows with every constant entry's float in place (0.0 where an entry
         varies with x), and ``(i, j, num, den)`` for each entry that varies,
         its numerator and denominator as ``poly.float_coeffs`` over lc(D),
-        the denominator None when it is constant.  ``eval_float`` compiles
-        its function from this table; read the rows, never change them."""
+        the denominator None when it is constant.  ``eval_float`` and the
+        RK45 stages (``ode_connector``) compile their functions from this
+        table; read the rows, never change them."""
         table = self._float_table
         if table is None:
             rows, varying = [], []
@@ -879,22 +880,18 @@ class SymMatrix:
             _set(self, "_float_table", table)
         return table
 
-    def float_function(self):
-        """The function of x that ``eval_float`` calls, compiled from
-        ``float_table`` on the first call and kept (``_float_function``)."""
+    def eval_float(self, x: float) -> list[list[float]]:
+        """Entries at x as fresh rows, by the function compiled from
+        ``float_table`` on the first call and kept (``_float_function``):
+        each entry that varies is num(x) / den(x) by Horner's rule, each
+        sum started from 0.0 and the division skipped where den is None,
+        the others the table's constants.  A 1x1 matrix is the float form
+        of one ``RationalFn``."""
         f = self._float_fn
         if f is None:
             f = _float_function(*self.float_table())
             _set(self, "_float_fn", f)
-        return f
-
-    def eval_float(self, x: float) -> list[list[float]]:
-        """Entries at x as fresh rows, by ``float_function()``: each entry
-        that varies is num(x) / den(x) by Horner's rule, each sum started
-        from 0.0 and the division skipped where den is None, the others the
-        table's constants.  A 1x1 matrix is the float form of one
-        ``RationalFn``."""
-        return self.float_function()(x)
+        return f(x)
 
     def to_strings(self) -> list[list[str]]:
         return [[e.to_string() for e in row] for row in self.entries]
@@ -979,28 +976,36 @@ def _float_function(rows, varying):
     """The function of x that ``SymMatrix.eval_float`` calls, compiled
     from its ``float_table`` (rows, varying).
 
-    Its source is straight-line: for each varying entry, one statement per
-    Horner step, ``e = 0.0 * x + c0`` then ``e = e * x + c``, the same for
-    the denominator ``d`` and one ``e = e / d`` (none where den is None),
+    Its source is straight-line: ``_entry_lines`` for each varying entry,
     then the rows returned as list displays of the floats' reprs and the
-    entry names.  Nested expressions would hit the parser's nesting limit
-    at degrees ``MAX_DEGREE`` admits.  Every table float is finite (int
-    true division raises OverflowError rather than give inf), so its repr
-    reads back as the same double, and the source runs with no builtins.
+    entry names.  Every table float is finite (int true division raises
+    OverflowError rather than give inf), so its repr reads back as the
+    same double, and the source runs with no builtins.
     """
     lines = ["def f(x):"]
     out = [[repr(v) for v in row] for row in rows]
     for k, (i, j, num, den) in enumerate(varying):
         e = out[i][j] = f"e{k}"
-        lines += _horner_lines(e, num)
-        if den is not None:
-            lines += _horner_lines("d", den)
-            lines.append(f"    {e} = {e} / d")
+        lines += _entry_lines(e, num, den)
     displays = ", ".join(f"[{', '.join(row)}]" for row in out)
     lines.append(f"    return [{displays}]")
     namespace = {"__builtins__": {}}
     exec("\n".join(lines), namespace)
     return namespace.pop("f")  # f's globals then hold no reference to f
+
+
+def _entry_lines(name: str, num, den) -> list[str]:
+    """Statements, indented once, that leave the float num(x) / den(x) of
+    one ``float_table`` entry in ``name``: one per Horner step,
+    ``e = 0.0 * x + c0`` then ``e = e * x + c``, the same for the
+    denominator ``d`` and one ``e = e / d`` (none where den is None).
+    Nested expressions would hit the parser's nesting limit at degrees
+    ``MAX_DEGREE`` admits."""
+    lines = _horner_lines(name, num)
+    if den is not None:
+        lines += _horner_lines("d", den)
+        lines.append(f"    {name} = {name} / d")
+    return lines
 
 
 def _horner_lines(name: str, coeffs) -> list[str]:

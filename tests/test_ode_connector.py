@@ -28,7 +28,7 @@ from levode import (
 )
 from levode.fixtures import hypergeometric_companion
 from levode.levinson_solver import SolutionOverflow
-from levode import ode_connector
+from levode import ode_connector, symexpr
 from levode.ode_connector import (
     DENSE_POINTS,
     METHOD_INFO,
@@ -363,9 +363,10 @@ def test_continuation_trajectory_is_pinned(fixture_spec):
 
 
 def test_a_proxy_over_a_compiled_matrix_counts_every_evaluation(fixture_spec):
-    # the stages compiled over the matrix itself, which evaluate it by its
-    # float_function(), are made with the proxy's eval_float, so the pinned
-    # trajectory still counts 6,290 calls
+    # the stages compiled over the matrix itself, which fill A(x) in
+    # without calling eval_float, are made with the proxy's eval_float,
+    # which they call once per stage, so the pinned trajectory still
+    # counts 6,290 calls
     matrix = derive_original_system(fixture_spec)
     plain = integrate(linear_system(matrix, 0, 10), Y3_AT_10, 10, 0, rtol=1e-10, atol=1e-12)
     assert matrix._stages is not None
@@ -375,6 +376,19 @@ def test_a_proxy_over_a_compiled_matrix_counts_every_evaluation(fixture_spec):
                   rtol=1e-10, atol=1e-12)
     assert A.calls == 6290
     assert y == Y3_AT_0
+
+
+def test_stages_over_a_matrix_build_no_rows(fixture_spec, monkeypatch):
+    # the stages write A(x) into their own array: the function that
+    # eval_float compiles is never needed on the bare-matrix path
+    def refuse(rows, varying):
+        raise AssertionError("the RK45 stages compiled eval_float's function")
+
+    monkeypatch.setattr(symexpr, "_float_function", refuse)
+    A = derive_original_system(fixture_spec)
+    y = integrate(linear_system(A, 0, 10), Y3_AT_10, 10, 0, rtol=1e-10, atol=1e-12)
+    assert y == Y3_AT_0
+    assert A._float_fn is None
 
 
 # The continuation grid from Y3_AT_10 at X = 10, atol = rtol/100: for each
@@ -399,15 +413,20 @@ CONTINUATION_GRID = {
 }
 
 
-@pytest.mark.parametrize(
-    "target, rtol", list(CONTINUATION_GRID), ids=lambda v: str(v)
-)
-def test_continuation_grid_is_pinned(fixture_spec, target, rtol):
+# each point through a proxy that counts evaluations, and through the bare
+# matrix as the CLI and the benchmark integrate it ("matrix-" cases)
+@pytest.mark.parametrize("target, rtol, counted", [
+    pytest.param(target, rtol, counted, id=f"{'' if counted else 'matrix-'}{target}-{rtol}")
+    for target, rtol in CONTINUATION_GRID for counted in (True, False)
+])
+def test_continuation_grid_is_pinned(fixture_spec, target, rtol, counted):
     calls, want = CONTINUATION_GRID[target, rtol]
-    A = CountingMatrix(derive_original_system(fixture_spec))
+    matrix = derive_original_system(fixture_spec)
+    A = CountingMatrix(matrix) if counted else matrix
     system = LinearSystem(A, (Fraction(target), Fraction(10)))
     y = integrate(system, Y3_AT_10, 10, Fraction(target), rtol=rtol, atol=rtol / 100)
-    assert A.calls == calls
+    if counted:
+        assert A.calls == calls
     assert tuple(v.hex() for v in y) == want
 
 
