@@ -322,6 +322,8 @@ def _cmd_solve(args) -> int:
         raise InvalidInput(
             f"--rtol must be at least {MIN_RTOL!r} (100 machine epsilons), got {args.rtol!r}"
         )
+    if args.dense_csv is not None and args.target is None:
+        raise InvalidInput("--dense-csv needs --target: it samples the continuation")
     spec = _load_spec(args)
     if not 1 <= args.k <= spec.n:
         raise InvalidInput(f"k must be in 1..{spec.n}, got {args.k}")

@@ -59,7 +59,12 @@ class LedgerEntry:
 
     stage: int
     matrix: SymMatrix
-    via_iteration: int | None
+
+    @property
+    def via_iteration(self) -> int | None:
+        """stage - 1, the iteration whose P the implicit factor inverts;
+        None at stage 1."""
+        return None if self.stage == 1 else self.stage - 1
 
 
 @dataclass(frozen=True)

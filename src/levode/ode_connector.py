@@ -15,9 +15,9 @@ kind of evaluation (the derivative at the start, the initial-step probe
 and the six-stage attempt with its error norm), each stage unrolled over
 the components and over the entries that vary with x.  Every stage but
 the last, whose node is the one before it, writes the entries that vary
-straight into the array of the constant ones, by the Horner statements
-``SymMatrix.eval_float`` runs for them, and builds no rows.  It follows
-scipy's ``RK45`` step for step: the same tableau, initial step selection,
+straight into the array of the constant ones, by Horner's rule in the
+order of operations of ``SymMatrix.eval_float``, and builds no rows.  It
+follows scipy's ``RK45`` step for step: the same tableau, initial step selection,
 RMS error norm, step-size controller and stage sums, in scipy's order of
 float operations, so every trajectory equals ``solve_ivp(method="RK45")``
 bit for bit, without importing scipy.  numpy forms only the sums scipy
@@ -101,11 +101,14 @@ def integrate(
     With dense_path set, writes an evenly spaced (x, components) CSV
     sampled from the integrator's dense output.  An rtol below
     ``MIN_RTOL`` (100 machine epsilons, the least the step-size controller
-    resolves) or NaN raises ``ValueError``, as a bad y0, atol or max_step
-    does.  Float overflow inside the integrator emits no warning: it ends
-    in ``StepSizeUnderflow``, or in ``SolutionOverflow`` once the solution
-    reaches the end of the float range.  A target that needs more than
-    ``_MAX_STEPS`` steps raises ``StepBudgetExceeded``.
+    resolves) or NaN raises ``ValueError``, as a bad y0 or max_step does,
+    and so does an atol that is not positive: with atol > 0 every error
+    scale is positive, inf or NaN, so the scaled errors divide as Python
+    floats with no zero divisor.  Float overflow inside the integrator
+    emits no warning: it ends in ``StepSizeUnderflow``, or in
+    ``SolutionOverflow`` once the solution reaches the end of the float
+    range.  A target that needs more than ``_MAX_STEPS`` steps raises
+    ``StepBudgetExceeded``.
     """
     # imported here so that commands which never integrate skip its load time
     import numpy as np
@@ -122,8 +125,8 @@ def integrate(
     max_step = math.inf if max_step is None else max_step
     if not max_step > 0:
         raise ValueError("max_step must be positive")
-    if not atol >= 0:
-        raise ValueError("atol must be nonnegative")
+    if not atol > 0:
+        raise ValueError("atol must be positive")
     if not rtol >= MIN_RTOL:
         raise ValueError(f"rtol must be at least {MIN_RTOL!r}, got {rtol!r}")
     t0, t_end = float(x_from), float(x_to)
@@ -179,17 +182,6 @@ _ERROR_EXPONENT = -1 / 5  # the embedded error estimate is of order 4
 _FLOAT_MAX = sys.float_info.max
 
 
-def _quotient(a: float, b: float) -> float:
-    """a / b as numpy divides: by a zero it gives inf or nan, where Python
-    raises ZeroDivisionError (a scale is zero only when atol is)."""
-    try:
-        return a / b
-    except ZeroDivisionError:
-        if a == 0 or a != a:
-            return math.nan
-        return math.copysign(math.inf, a) * math.copysign(1.0, b)
-
-
 def _compile_stages(A):
     """The factory ``make(ev, rtol, atol)`` of one integration's buffers
     and stage functions ``(K, y_new, start, probe, attempt)``, compiled
@@ -210,11 +202,11 @@ def _compile_stages(A):
     where ev is not None, its value unused, and the product A z, each
     ndarray.dot given its output array by position (a keyword costs numpy
     a parse per call).  ``fill`` writes each entry of A(x) that varies
-    straight into A's array, by the statements ``SymMatrix.eval_float``
-    runs for it (``symexpr._entry_lines``).  The attempt ends with the
-    error sum ``K.T E``, the scaled errors of ``_error_lines`` and the
-    norm's own formula, the square root of ``err.dot(err)``, over
-    sqrt(n).  The stage functions hold their buffers as closure cells,
+    straight into A's array, by Horner statements in the order of
+    operations of ``SymMatrix.eval_float`` (``symexpr._entry_lines``).
+    The attempt ends with the error sum ``K.T E``, the scaled errors of
+    ``_error_lines`` and the norm's own formula, the square root of
+    ``err.dot(err)``, over sqrt(n).  The stage functions hold their buffers as closure cells,
     and ``make`` leaves the namespace it is compiled in, so an
     integration leaves no reference cycle.
     """
@@ -276,8 +268,8 @@ def _compile_stages(A):
         lines += [f"    def {signature}:", f"        {ys}= y"]
         lines += [f"        {line}" for line in body]
     lines.append("    return K, yv, start, probe, attempt")
-    namespace = {"array": np.array, "empty": np.empty, "quotient": _quotient, "rows": rows,
-                 "sqrt": math.sqrt, "B": np.array(_B), "E": np.array(_E), "P1": np.array((1.0,))}
+    namespace = {"array": np.array, "empty": np.empty, "rows": rows, "sqrt": math.sqrt,
+                 "B": np.array(_B), "E": np.array(_E), "P1": np.array((1.0,))}
     namespace.update((f"W{s}", np.array(_A[s])) for s in range(1, 6))
     exec("\n".join(lines), namespace)
     return namespace.pop("make")
@@ -286,13 +278,13 @@ def _compile_stages(A):
 def _error_lines(i: int) -> list[str]:
     """The attempt's lines for component i after the error sum: b_i =
     |y_new_i|, the scale ``max(a_i, b_i) * rtol + atol`` with a_i = |y_i|
-    (a NaN in either wins, as in np.maximum) and err_i*h/scale in place,
-    divided as numpy divides."""
+    (a NaN in either wins, as in np.maximum) and err_i*h/scale in place;
+    the scale is never zero, as atol > 0."""
     return [
         f"b{i} = abs(yv[{i}])",
         f"s = (a{i} if a{i} >= b{i} or a{i} != a{i} else b{i}) * rtol + atol",
         f"r = errv[{i}] * h",
-        f"errv[{i}] = r / s if s else quotient(r, s)",
+        f"errv[{i}] = r / s",
     ]
 
 
@@ -306,10 +298,11 @@ def _initial_step(probe, K, t0, y0, t_end, direction, rtol, atol, max_step):
     scale = [atol + abs(v) * rtol for v in y0]
 
     def norm(values):
-        # a numpy float: dividing by a zero norm gives inf or nan, as in
-        # scipy, where a Python float raises ZeroDivisionError; the norm by
-        # numpy's formula, the square root of q.dot(q)
-        q = np.array([_quotient(v, s) for v, s in zip(values, scale)])
+        # a numpy float: dividing it by a zero h0 gives inf or nan, as in
+        # scipy, where a Python float raises ZeroDivisionError; every scale
+        # is positive, as atol > 0; the norm by numpy's formula, the square
+        # root of q.dot(q)
+        q = np.array([v / s for v, s in zip(values, scale)])
         return np.float64(math.sqrt(q.dot(q)) / q.size ** 0.5)
 
     f0 = K[0].tolist()
@@ -346,11 +339,11 @@ def _dormand_prince(A, make, t0, t_end, y0, rtol, atol, max_step, dense):
     in Python floats they differ from scipy's BLAS products in the last
     bit, and the trajectory with them.  The rest is element-wise, one IEEE
     operation per item, which a Python float rounds as numpy does: the
-    state y is a list of floats.  A step size that is not a number (the
-    initial step is one when atol = 0 and a component of y0 is zero)
-    raises ``StepSizeUnderflow``, where scipy's loop never ends.  The loop
-    takes at most ``_MAX_STEPS`` accepted steps, then raises
-    ``StepBudgetExceeded``.
+    state y is a list of floats.  A step size that is not a number raises
+    ``StepSizeUnderflow``, where scipy's loop never ends; with atol > 0
+    (``integrate`` refuses any other) none is known to arise, so this is
+    a guard.  The loop takes at most ``_MAX_STEPS`` accepted steps, then
+    raises ``StepBudgetExceeded``.
     """
     import numpy as np
 

@@ -35,7 +35,7 @@ each entry of a product one such sum of unreduced products;
   (no floating point enters the bound),
 * a canonical string form and the matching parser,
 * float evaluation of a matrix (of one function, as a 1x1 matrix) by
-  one straight-line Horner function compiled on first use.
+  Horner's rule over the float table built on first use.
 
 Everything downstream (the reduction engine, the error ledger, the
 asymptotic evaluator) stores its symbolic state in these two types.
@@ -683,10 +683,9 @@ class SymMatrix:
     """Dense matrix of RationalFn entries with exact non-commutative products."""
 
     # _float_table: what float_table returns, kept from its first call;
-    # _float_fn: the function eval_float compiles from it on its first call;
     # _stages: the RK45 stage factory ode_connector compiles from it on the
     # first integration over the matrix
-    __slots__ = ("rows", "cols", "entries", "_float_table", "_float_fn", "_stages")
+    __slots__ = ("rows", "cols", "entries", "_float_table", "_stages")
 
     def __init__(self, entries):
         rows = tuple(tuple(_as_fn(e) for e in row) for row in entries)
@@ -858,9 +857,9 @@ class SymMatrix:
         rows with every constant entry's float in place (0.0 where an entry
         varies with x), and ``(i, j, num, den)`` for each entry that varies,
         its numerator and denominator as ``poly.float_coeffs`` over lc(D),
-        the denominator None when it is constant.  ``eval_float`` and the
-        RK45 stages (``ode_connector``) compile their functions from this
-        table; read the rows, never change them."""
+        the denominator None when it is constant.  ``eval_float`` runs
+        over this table and the RK45 stages (``ode_connector``) compile
+        their functions from it; read the rows, never change them."""
         table = self._float_table
         if table is None:
             rows, varying = [], []
@@ -881,17 +880,25 @@ class SymMatrix:
         return table
 
     def eval_float(self, x: float) -> list[list[float]]:
-        """Entries at x as fresh rows, by the function compiled from
-        ``float_table`` on the first call and kept (``_float_function``):
-        each entry that varies is num(x) / den(x) by Horner's rule, each
-        sum started from 0.0 and the division skipped where den is None,
-        the others the table's constants.  A 1x1 matrix is the float form
-        of one ``RationalFn``."""
-        f = self._float_fn
-        if f is None:
-            f = _float_function(*self.float_table())
-            _set(self, "_float_fn", f)
-        return f(x)
+        """Entries at x as fresh rows: each entry that varies is num(x) /
+        den(x) by Horner's rule over ``float_table``, each sum started from
+        0.0 and the division skipped where den is None, in the order of
+        operations of the statements the RK45 stages compile
+        (``_entry_lines``); the others are the table's constants.  A 1x1
+        matrix is the float form of one ``RationalFn``."""
+        rows, varying = self.float_table()
+        out = [list(row) for row in rows]
+        for i, j, num, den in varying:
+            e = 0.0
+            for c in num:
+                e = e * x + c
+            if den is not None:
+                d = 0.0
+                for c in den:
+                    d = d * x + c
+                e = e / d
+            out[i][j] = e
+        return out
 
     def to_strings(self) -> list[list[str]]:
         return [[e.to_string() for e in row] for row in self.entries]
@@ -961,7 +968,6 @@ def _fill(m: SymMatrix, rows: tuple[tuple[RationalFn, ...], ...]) -> None:
     _set(m, "cols", len(rows[0]))
     _set(m, "entries", rows)
     _set(m, "_float_table", None)
-    _set(m, "_float_fn", None)
     _set(m, "_stages", None)
 
 
@@ -970,28 +976,6 @@ def _matrix(rows: tuple[tuple[RationalFn, ...], ...]) -> SymMatrix:
     m = object.__new__(SymMatrix)
     _fill(m, rows)
     return m
-
-
-def _float_function(rows, varying):
-    """The function of x that ``SymMatrix.eval_float`` calls, compiled
-    from its ``float_table`` (rows, varying).
-
-    Its source is straight-line: ``_entry_lines`` for each varying entry,
-    then the rows returned as list displays of the floats' reprs and the
-    entry names.  Every table float is finite (int true division raises
-    OverflowError rather than give inf), so its repr reads back as the
-    same double, and the source runs with no builtins.
-    """
-    lines = ["def f(x):"]
-    out = [[repr(v) for v in row] for row in rows]
-    for k, (i, j, num, den) in enumerate(varying):
-        e = out[i][j] = f"e{k}"
-        lines += _entry_lines(e, num, den)
-    displays = ", ".join(f"[{', '.join(row)}]" for row in out)
-    lines.append(f"    return [{displays}]")
-    namespace = {"__builtins__": {}}
-    exec("\n".join(lines), namespace)
-    return namespace.pop("f")  # f's globals then hold no reference to f
 
 
 def _entry_lines(name: str, num, den) -> list[str]:

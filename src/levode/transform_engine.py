@@ -67,7 +67,6 @@ class PSplit:
 
     scaled: SymMatrix
     plain: SymMatrix
-    m: int
 
     @functools.cached_property
     def combined(self) -> SymMatrix:
@@ -185,7 +184,7 @@ def _solve_P(
             else:
                 plain[i][j] = v / (d[j] - d[i])
     return (
-        PSplit(_matrix(tuple(map(tuple, scaled))), _matrix(tuple(map(tuple, plain))), state.m),
+        PSplit(_matrix(tuple(map(tuple, scaled))), _matrix(tuple(map(tuple, plain)))),
         _matrix(tuple(map(tuple, leftover))),
     )
 
@@ -435,9 +434,9 @@ def run(spec: ProblemSpec) -> FinalState:
     )
     entries: list[LedgerEntry] = []
     if not spec.E1.is_zero:
-        entries.append(LedgerEntry(stage=1, matrix=spec.E1, via_iteration=None))
+        entries.append(LedgerEntry(stage=1, matrix=spec.E1))
     for stage, W in truncations:
-        entries.append(LedgerEntry(stage=stage, matrix=W, via_iteration=stage - 1))
+        entries.append(LedgerEntry(stage=stage, matrix=W))
     ledger = ErrorLedger(
         entries=tuple(entries),
         p_matrices=tuple(ps.combined for ps in state.history),

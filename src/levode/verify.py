@@ -222,7 +222,7 @@ def _check_eta_soundness(ctx, tol):
     import mpmath  # loaded only when this check runs
 
     R = ctx.final_state.residual
-    rho = SymMatrix([[ctx.spec.rho_fn]])  # compiled once, on the first point
+    rho = SymMatrix([[ctx.spec.rho_fn]])  # its float table built on the first point
 
     def norm_at(t) -> float:
         t = float(t)

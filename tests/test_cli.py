@@ -317,9 +317,16 @@ def test_evaluation_point_before_pole_rejected(capsys):
         (("--atol", "0"), "--atol"),
         (("--target", "1e400"), "--target"),
         (("-X", "1e400", "--target", "0"), "evaluation point X"),
+        # no continuation to sample
+        (("--dense-csv", "out.csv"), "--dense-csv"),
     ],
 )
-def test_bad_tolerance_or_target_rejected(capsys, argv, flag):
+def test_bad_tolerance_or_target_rejected(capsys, monkeypatch, argv, flag):
+    # each is refused before the reduction runs
+    def refuse(spec):
+        raise AssertionError("the reduction ran")
+
+    monkeypatch.setattr(cli, "run", refuse)
     code, out, err = run_cli(capsys, *SOLVE, *argv)
     assert code == 2
     assert out == ""

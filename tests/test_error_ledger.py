@@ -56,7 +56,7 @@ def simple(entry: str, X: Fraction, n: int = 2, p: str | None = None) -> ErrorLe
     if p is not None:
         ps.append(SymMatrix.zeros(n).with_entry(1, 0, fn(p)))
     return ErrorLedger(
-        entries=(LedgerEntry(1, E, None),),
+        entries=(LedgerEntry(1, E),),
         p_matrices=tuple(ps),
         X=X,
         n=n,
@@ -92,7 +92,7 @@ def test_entry_sum_is_monotone():
     one = simple("(7)/(x^9)", Fraction(10), p="(1)/(x^3)")
     extra = SymMatrix.zeros(2).with_entry(1, 1, fn("(1)/(x^10)"))
     two = ErrorLedger(
-        entries=one.entries + (LedgerEntry(2, extra, 1),),
+        entries=one.entries + (LedgerEntry(2, extra),),
         p_matrices=one.p_matrices,
         X=one.X,
         n=2,

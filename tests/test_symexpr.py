@@ -944,11 +944,11 @@ def test_matrix_diagonal_split():
 def test_ledger_matrices_survive_copy_and_pickle(route, fixture_final):
     for entry in fixture_final.ledger.entries:
         m = entry.matrix
-        m.eval_float(10.0)  # compiles the float function, which is not carried over
+        m.eval_float(10.0)  # builds the float table, which is not carried over
         twin = route(m)
         assert twin == m
         assert twin.to_strings() == m.to_strings()
-        assert twin._float_table is None and twin._float_fn is None
+        assert twin._float_table is None
         for x in (10.0, 37.5, 1e6):
             got = [v for row in twin.eval_float(x) for v in row]
             assert _bits(got) == _bits([v for row in m.eval_float(x) for v in row])
@@ -1044,27 +1044,6 @@ def test_matrix_eval_float_is_bit_identical_to_reference():
                 assert _bits(got) == _bits(want)
 
     check()
-
-
-def test_eval_float_compiles_once_per_matrix(monkeypatch):
-    built = []
-    generator = symexpr._float_function
-
-    def counting(*table):
-        built.append(table)
-        return generator(*table)
-
-    monkeypatch.setattr(symexpr, "_float_function", counting)
-    xs = [1.0 + i / 37 for i in range(1000)]
-    M = SymMatrix([["x", "(1)/(x^2 + 1)"], ["2", "(x^3 - 1)/(x^4)"]])
-    for x in xs:
-        M.eval_float(x)
-    assert len(built) == 1
-    # the 1x1 form of one function, as verify's eta row evaluates rho
-    f = SymMatrix([[fn("(x^2 - 3)/(x^2 + 1)")]])
-    for x in xs:
-        f.eval_float(x)
-    assert len(built) == 2
 
 
 @pytest.mark.parametrize(
