@@ -22,6 +22,7 @@ return.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,10 +43,13 @@ class BoundOverflow(ComputationFailed, OverflowError):
 
 
 def _to_float(value: Fraction, what: str) -> float:
+    """value as a float; a positive value below the float range becomes
+    the least positive float, so a positive bound never reports 0."""
     try:
-        return float(value)
+        f = float(value)
     except OverflowError:
         raise BoundOverflow(f"{what} exceeds the float range") from None
+    return math.nextafter(0.0, math.inf) if f == 0 and value > 0 else f
 
 
 @dataclass(frozen=True)

@@ -11,21 +11,26 @@ it.
 Almost every denominator the reduction meets is c*x**k, and those terms
 take the Laurent lane.  A value's ``lane`` is k for such a denominator,
 else None, set when the value is made, so a denominator is scanned only
-in ``_normal``.  A term in the lane is the triple (numerator, c, k), and
-``_laurent`` turns acc/(c*x**k) into its canonical pair, slicing off the
-common power of x and dividing by gcd(c, content) with no polynomial
-gcd.  Products of two such terms (``*`` and matrix products) form
-(n_a*n_b, c_a*c_b, k_a + k_b), a derivative is (x*p' - k*p)/(c*x**(k+1)),
-and ``rational_sum`` lifts any number of them to lcm(c)*x**max(k) and
-adds their numerators in one list.  ``+`` and ``-`` are its two-term
-case, and a zero operand short-circuits.  Terms over other denominators
-are added over their product and divided by the primitive integer gcd;
-every polynomial operation is that of ``poly``, the integer kernel.
+in ``_fn``, the normaliser.  A term in the lane is the triple
+(numerator, c, k), and ``_laurent`` makes the value of acc/(c*x**k),
+slicing off the common power of x and dividing by gcd(c, content) with
+no polynomial gcd.  Products of two such terms (``*`` and matrix
+products) form (n_a*n_b, c_a*c_b, k_a + k_b), a derivative is
+(x*p' - k*p)/(c*x**(k+1)), and a Laurent split reads its terms off the
+numerator.  Sums take one pass per entry: ``rational_sum`` collects the
+nonzero terms in one loop, returns a lone one as it is (or negated), and
+hands all-Laurent ones to ``_lifted_sum``, which lifts them to
+lcm(c)*x**max(k), adds their numerators in one list and normalises once.
+``+`` and ``-`` are its two-term case, and a zero operand
+short-circuits.  Terms over other denominators are added over their
+product and divided by the primitive integer gcd; every polynomial
+operation is that of ``poly``, the integer kernel.
 
-``SymMatrix`` is a dense matrix of them with non-commutative products,
-each entry of a product one such sum of unreduced products;
-``SymMatrix.sum`` adds many matrices entry by entry, and
-``SymMatrix.commutator`` forms D*P - P*D for a diagonal D as
+``SymMatrix`` is a dense matrix of them with non-commutative products.
+Each entry of a product is the sum of its nonzero unreduced products: none
+gives zero, one is normalised alone, and all-Laurent ones go to
+``_lifted_sum`` directly.  ``SymMatrix.sum`` adds many matrices entry by
+entry, and ``SymMatrix.commutator`` forms D*P - P*D for a diagonal D as
 (d_i - d_j)*P_ij.  On top of the arithmetic the module provides
 
 * differentiation and the leading power at infinity,
@@ -91,10 +96,10 @@ class RationalFn:
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         ints = tuple(poly._primitive_ints(num + den))
-        num, den, lane = _normal(ints[: len(num)], ints[len(num):])
-        _set(self, "int_num", num)
-        _set(self, "int_den", den)
-        _set(self, "lane", lane)
+        f = _fn(ints[: len(num)], ints[len(num):])
+        _set(self, "int_num", f.int_num)
+        _set(self, "int_den", f.int_den)
+        _set(self, "lane", f.lane)
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("RationalFn is immutable")
@@ -128,7 +133,7 @@ class RationalFn:
     @classmethod
     def monomial(cls, c, e: int) -> "RationalFn":
         """c * x**e for any integer e."""
-        if type(c) is not int:
+        if not isinstance(c, (int, Fraction)):
             c = Fraction(c)
         if not c:
             return _ZERO
@@ -202,7 +207,7 @@ class RationalFn:
         a, b = self.int_den, o.int_den
         n = poly.mul(self.int_num, o.int_num)
         if self.lane is not None and o.lane is not None:
-            return _pair(*_laurent(n, a[-1] * b[-1], self.lane + o.lane))
+            return _laurent(n, a[-1] * b[-1], self.lane + o.lane)
         return _fn(n, poly.mul(a, b))
 
     __rmul__ = __mul__
@@ -242,7 +247,7 @@ class RationalFn:
     def differentiate(self) -> "RationalFn":
         n, d, k = self.int_num, self.int_den, self.lane
         if k is not None:  # (p/(c*x**k))' = (x*p' - k*p)/(c*x**(k+1))
-            return _pair(*_laurent([(i - k) * c for i, c in enumerate(n)], d[-1], k + 1))
+            return _laurent([(i - k) * c for i, c in enumerate(n)], d[-1], k + 1)
         return _fn(
             poly.sub(poly.mul(poly.derivative(n), d), poly.mul(n, poly.derivative(d))),
             poly.mul(d, d),
@@ -273,9 +278,18 @@ class RationalFn:
         Returns (terms, tail): terms is a list of (coefficient, exponent)
         with exponents strictly above ``stop_exponent`` in decreasing order,
         and tail is the exact rational remainder, every Laurent term of
-        which sits at or below ``stop_exponent``.
+        which sits at or below ``stop_exponent``.  In the Laurent lane,
+        n/(c*x**k), the terms are n_i/c at i - k, read off the numerator,
+        and the tail is its low part over the same denominator.
         """
-        terms: list[tuple[Fraction, int]] = []
+        n, d, k = self.int_num, self.int_den, self.lane
+        if k is not None:
+            cut = max(0, min(len(n), math.floor(stop_exponent) + k + 1))
+            terms = [
+                (Fraction(n[i], d[-1]), i - k) for i in range(len(n) - 1, cut - 1, -1) if n[i]
+            ]
+            return terms, self if cut == len(n) else _laurent(n[:cut], d[-1], k)
+        terms = []
         g = self
         while not g.is_zero:
             e = g.leading_order()
@@ -340,9 +354,9 @@ def _x_exponent(den: Coeffs) -> int | None:
     return k if den.count(0) == k else None
 
 
-def _laurent(acc, c: int, k: int) -> tuple[Coeffs, Coeffs, int]:
-    """The canonical pair of acc/(c*x**k) and its lane, for an int
-    sequence ``acc`` (trailing zeros allowed), a nonzero int c and k >= 0.
+def _laurent(acc, c: int, k: int) -> RationalFn:
+    """The RationalFn acc/(c*x**k), for an int sequence ``acc`` (trailing
+    zeros allowed), a nonzero int c and k >= 0.
 
     Such a denominator shares at most x**min(valuation(acc), k) with the
     numerator, which is cancelled by slicing, leaving the lane k - v; the
@@ -354,7 +368,7 @@ def _laurent(acc, c: int, k: int) -> tuple[Coeffs, Coeffs, int]:
     while n and not acc[n - 1]:
         n -= 1
     if not n:
-        return poly.ZERO, poly.ONE, 0
+        return _ZERO
     v = 0
     while v < k and not acc[v]:
         v += 1
@@ -365,37 +379,7 @@ def _laurent(acc, c: int, k: int) -> tuple[Coeffs, Coeffs, int]:
     if g != 1:
         num = [a // g for a in num]
         c //= g
-    return tuple(num), (0,) * (k - v) + (c,), k - v
-
-
-def _normal(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs, int | None]:
-    """The canonical pair of num/den and its lane, for trimmed int tuples,
-    den nonzero.
-
-    A denominator that is not c*x**k is divided, with its numerator, by
-    their primitive gcd, which can leave c*x**j, so the quotient is
-    scanned too.  One of the form c*x**k is then the Laurent lane's
-    (``_laurent``); any other has the common integer content divided out
-    and the sign that makes lc(den) positive.
-    """
-    if not num:
-        return poly.ZERO, poly.ONE, 0
-    k = _x_exponent(den)
-    if k is None:
-        g = poly.gcd(num, den)
-        if len(g) > 1:
-            num = poly.divmod_exact(num, g)[0]
-            den = poly.divmod_exact(den, g)[0]
-            k = _x_exponent(den)
-    if k is not None:
-        return _laurent(num, den[-1], k)
-    c = math.gcd(*num, *den)
-    if den[-1] < 0:
-        c = -c
-    if c != 1:
-        num = tuple(v // c for v in num)
-        den = tuple(v // c for v in den)
-    return num, den, None
+    return _pair(tuple(num), (0,) * (k - v) + (c,), k - v)
 
 
 _set = object.__setattr__
@@ -411,10 +395,33 @@ def _pair(num: Coeffs, den: Coeffs, lane: int | None) -> RationalFn:
 
 
 def _fn(num: Coeffs, den: Coeffs) -> RationalFn:
-    """num/den through the normaliser: trimmed int tuples, den nonzero."""
+    """The normaliser: num/den as a RationalFn, for trimmed int tuples, den
+    nonzero.
+
+    A denominator that is not c*x**k is divided, with its numerator, by
+    their primitive gcd, which can leave c*x**j, so the quotient is
+    scanned too.  One of the form c*x**k is then the Laurent lane's
+    (``_laurent``); any other has the common integer content divided out
+    and the sign that makes lc(den) positive.
+    """
     if not num:
         return _ZERO
-    return _pair(*_normal(num, den))
+    k = _x_exponent(den)
+    if k is None:
+        g = poly.gcd(num, den)
+        if len(g) > 1:
+            num = poly.divmod_exact(num, g)[0]
+            den = poly.divmod_exact(den, g)[0]
+            k = _x_exponent(den)
+    if k is not None:
+        return _laurent(num, den[-1], k)
+    c = math.gcd(*num, *den)
+    if den[-1] < 0:
+        c = -c
+    if c != 1:
+        num = tuple(v // c for v in num)
+        den = tuple(v // c for v in den)
+    return _pair(num, den, None)
 
 
 _ZERO = _pair(poly.ZERO, poly.ONE, 0)
@@ -425,50 +432,62 @@ def rational_sum(plus, minus=()) -> RationalFn:
     """The sum of the RationalFns ``plus`` less those of ``minus``,
     normalised once.
 
-    Each term goes to ``_sum`` by its lane: over c*x**k as a Laurent
-    triple, any other as its pair; ``RationalFn.__add__`` and ``__sub__``
-    are the cases of two terms.  With fewer than two nonzero terms there
-    is nothing to add.
+    One pass collects the nonzero terms by lane: over c*x**k as a Laurent
+    triple, a subtracted one with its sign on c, any other as its pair.
+    With fewer than two there is nothing to add; all-Laurent terms go to
+    ``_lifted_sum``, mixed ones to ``_sum``.  ``RationalFn.__add__`` and
+    ``__sub__`` are the cases of two terms.
     """
-    plus = [f for f in plus if f.int_num]
-    minus = [f for f in minus if f.int_num]
-    if len(plus) + len(minus) < 2:
-        return plus[0] if plus else -minus[0] if minus else _ZERO
-    pairs, lifted = [], []
+    lifted, pairs, last = [], [], None
     for sign, terms in ((1, plus), (-1, minus)):
         for f in terms:
-            num, den = f.int_num, f.int_den
-            if f.lane is None:
-                pairs.append((num if sign > 0 else poly.neg(num), den))
-            else:  # a subtracted term's sign goes to c
-                lifted.append((num, sign * den[-1], f.lane))
-    return _sum(pairs, lifted)
+            num = f.int_num
+            if num:
+                last, last_sign = f, sign
+                if f.lane is None:
+                    pairs.append((num if sign > 0 else poly.neg(num), f.int_den))
+                else:  # a subtracted term's sign goes to c
+                    lifted.append((num, sign * f.int_den[-1], f.lane))
+    if len(lifted) + len(pairs) < 2:
+        return _ZERO if last is None else last if last_sign > 0 else -last
+    return _sum(pairs, lifted) if pairs else _lifted_sum(lifted)
+
+
+def _lifted_sum(lifted) -> RationalFn:
+    """The sum of num/(c*x**k) over the nonempty Laurent triples
+    (num, c, k) of ``lifted``, c of either sign: every numerator, scaled
+    by lcm(c)/c, is added into one list over lcm(c)*x**max(k), which
+    ``_laurent`` normalises once."""
+    top, lcm, width = 0, 1, 0  # max k, lcm(c), max(len(num) - k)
+    for num, c, k in lifted:
+        if k > top:
+            top = k
+        if c != lcm:
+            lcm = math.lcm(lcm, c)
+        if len(num) - k > width:
+            width = len(num) - k
+    acc = [0] * (width + top)
+    for num, c, k in lifted:
+        i = top - k
+        if c == lcm:
+            for v in num:
+                acc[i] += v
+                i += 1
+        else:
+            a = lcm // c
+            for v in num:
+                acc[i] += a * v
+                i += 1
+    return _laurent(acc, lcm, top)
 
 
 def _sum(pairs, lifted) -> RationalFn:
-    """The sum of num/(c*x**k) over the Laurent triples (num, c, k) of
-    ``lifted`` and of num/den over the int-tuple ``pairs``, whose
-    denominators are not of that form; every num and den nonzero, not
-    necessarily reduced.
-
-    The triples are added in one sum over lcm(c)*x**max(k); each pair is
-    then added to the running total over the product of the denominators.
-    """
-    total = _ZERO
-    if len(lifted) == 1:
-        total = _pair(*_laurent(*lifted[0]))
-    elif lifted:
-        top, lcm, width = 0, 1, 0  # max k, lcm(c), max(len(num) - k)
-        for num, c, k in lifted:
-            top = max(top, k)
-            lcm = math.lcm(lcm, c)
-            width = max(width, len(num) - k)
-        acc = [0] * (width + top)
-        for num, c, k in lifted:
-            a = lcm // c
-            for i, v in enumerate(num, top - k):
-                acc[i] += a * v
-        total = _pair(*_laurent(acc, lcm, top))
+    """The sum of the Laurent triples ``lifted`` (``_lifted_sum``) and of
+    num/den over the int-tuple ``pairs``, whose denominators are not
+    c*x**k; every num and den nonzero, not necessarily reduced.  Each
+    pair is added to the running total over the product of the
+    denominators."""
+    total = _lifted_sum(lifted) if lifted else _ZERO
     for n2, d2 in pairs:
         n1, d1 = total.int_num, total.int_den
         if not n1:
@@ -763,23 +782,24 @@ class SymMatrix:
         return SymMatrix.sum((self,), (other,))
 
     def __neg__(self):
-        return _matrix(tuple(tuple(-e for e in row) for row in self.entries))
+        return _matrix(tuple([tuple([-e for e in row]) for row in self.entries]))
 
     @staticmethod
     def sum(plus, minus=()) -> "SymMatrix":
         """The matrices ``plus`` less the matrices ``minus``, at least one
-        matrix in all, of one shape: each entry is one ``rational_sum``."""
+        matrix in all, of one shape: each entry is one ``rational_sum``,
+        and a single matrix is returned as it is, or negated."""
         plus, minus = list(plus), list(minus)
         mats = plus + minus
         for m in mats[1:]:
             mats[0]._match(m)
+        if len(mats) == 1:
+            return plus[0] if plus else -minus[0]
         k = len(plus)
-        return _matrix(
-            tuple(
-                tuple(rational_sum(col[:k], col[k:]) for col in zip(*rows))
-                for rows in zip(*(m.entries for m in mats))
-            )
-        )
+        rows = zip(*(m.entries for m in mats))
+        if k == len(mats):  # nothing subtracted: no slices
+            return _matrix(tuple([tuple([rational_sum(e) for e in zip(*r)]) for r in rows]))
+        return _matrix(tuple([tuple([rational_sum(e[:k], e[k:]) for e in zip(*r)]) for r in rows]))
 
     def commutator(self, diag) -> "SymMatrix":
         """D*self - self*D for D = diagonal(diag): entry (i, j) is
@@ -787,15 +807,13 @@ class SymMatrix:
         d = [_as_fn(v) for v in diag]
         if not self.rows == self.cols == len(d):
             raise ValueError("shape mismatch")
-        return _matrix(
-            tuple(
-                tuple(
-                    _ZERO if i == j or not e.int_num else (d[i] - d[j]) * e
-                    for j, e in enumerate(row)
-                )
-                for i, row in enumerate(self.entries)
-            )
-        )
+        return _matrix(tuple([
+            tuple([
+                _ZERO if i == j or not e.int_num else (d[i] - d[j]) * e
+                for j, e in enumerate(row)
+            ])
+            for i, row in enumerate(self.entries)
+        ]))
 
     def __mul__(self, other):
         if isinstance(other, SymMatrix):
@@ -807,24 +825,22 @@ class SymMatrix:
                 for col in zip(*other.entries)
             ]
             zero_row = (_ZERO,) * other.cols
-            return _matrix(
-                tuple(
-                    tuple(_dot(row, col) for col in cols)
-                    if any(a.int_num for a in row)
-                    else zero_row
-                    for row in self.entries
-                )
-            )
+            return _matrix(tuple([
+                tuple([_dot(row, col) for col in cols])
+                if any(a.int_num for a in row)
+                else zero_row
+                for row in self.entries
+            ]))
         f = _as_fn_or_none(other)
         if f is None:
             return NotImplemented
-        return _matrix(tuple(tuple(e * f for e in row) for row in self.entries))
+        return _matrix(tuple([tuple([e * f for e in row]) for row in self.entries]))
 
     def __rmul__(self, other):
         f = _as_fn_or_none(other)
         if f is None:
             return NotImplemented
-        return _matrix(tuple(tuple(f * e for e in row) for row in self.entries))
+        return _matrix(tuple([tuple([f * e for e in row]) for row in self.entries]))
 
     def _match(self, other: "SymMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -833,9 +849,7 @@ class SymMatrix:
     # -- calculus, orders, evaluation ---------------------------------
 
     def derivative(self) -> "SymMatrix":
-        return _matrix(
-            tuple(tuple(e.differentiate() for e in row) for row in self.entries)
-        )
+        return _matrix(tuple([tuple([e.differentiate() for e in row]) for row in self.entries]))
 
     def max_leading_order(self) -> int | None:
         orders = [
@@ -1003,14 +1017,19 @@ def _dot(row, col) -> RationalFn:
     (k, num, den, lane), each left unreduced for one normalisation: two
     c*x**k denominators give the Laurent triple
     (n_a*n_b, c_a*c_b, k_a + k_b), any other pair the product pair, whose
-    denominator is then not of that form either."""
-    pairs, lifted = [], []
+    denominator is then not of that form either.  No product is zero, one
+    in the lane is normalised on its own, and all-Laurent products go
+    straight to ``_lifted_sum``."""
+    lifted, pairs = [], []
     for k, nb, db, kb in col:
         a = row[k]
-        if not a.int_num:
-            continue
-        if a.lane is not None and kb is not None:
-            lifted.append((poly.mul(a.int_num, nb), a.int_den[-1] * db[-1], a.lane + kb))
-        else:
-            pairs.append((poly.mul(a.int_num, nb), poly.mul(a.int_den, db)))
-    return _sum(pairs, lifted)
+        if a.int_num:
+            if a.lane is None or kb is None:
+                pairs.append((poly.mul(a.int_num, nb), poly.mul(a.int_den, db)))
+            else:
+                lifted.append((poly.mul(a.int_num, nb), a.int_den[-1] * db[-1], a.lane + kb))
+    if pairs:
+        return _sum(pairs, lifted)
+    if len(lifted) > 1:
+        return _lifted_sum(lifted)
+    return _laurent(*lifted[0]) if lifted else _ZERO

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .error_ledger import ErrorLedger, LedgerEntry
 from .errors import ComputationFailed, Resonance
-from .symexpr import RationalFn, SymMatrix, _matrix
+from .symexpr import RationalFn, SymMatrix, _matrix, rational_sum
 from .system_model import INVERSE_X, ProblemSpec
 
 _EXPANSION_CAP = 64
@@ -170,7 +170,7 @@ def _solve_P(
                 scaled[i][j] = v / (lam * (D[j] - D[i]))
             elif spec.mode == INVERSE_X:
                 terms, tail = v.laurent_split(accuracy)
-                acc = zero
+                parts = []
                 for c, e in terms:
                     den = d[j] - d[i] + e
                     if den == 0:
@@ -178,8 +178,8 @@ def _solve_P(
                             f"resonance at iteration {state.m}: "
                             f"d_{j + 1} - d_{i + 1} = {-e} in entry ({i + 1},{j + 1})"
                         )
-                    acc = acc + RationalFn.monomial(c / den, e)
-                plain[i][j] = acc
+                    parts.append(RationalFn.monomial(c / den, e))
+                plain[i][j] = rational_sum(parts)
                 leftover[i][j] = tail
             else:
                 plain[i][j] = v / (d[j] - d[i])
@@ -298,12 +298,12 @@ def _first_order_products(
     """Everything the conjugated system contains beyond the new dominant
     scale, before re-expansion in powers of P.  Deterministic label order.
     """
-    rho_inv = spec.rho_inv
+    minus_rho_inv = -spec.rho_inv
     out: list[tuple[str, SymMatrix]] = [
-        ("Qtilde_deriv", -(rho_inv * psplit.scaled.derivative())),
+        ("Qtilde_deriv", minus_rho_inv * psplit.scaled.derivative()),
     ]
     if spec.mode != INVERSE_X:
-        out.append(("Q_deriv", -(rho_inv * psplit.plain.derivative())))
+        out.append(("Q_deriv", minus_rho_inv * psplit.plain.derivative()))
     out.extend(
         [
             ("cross", terms.cross),

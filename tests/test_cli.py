@@ -791,6 +791,33 @@ def test_bound_beyond_float_range_exits_1(capsys, monkeypatch, stubs, argv, what
     assert err == f"computation failed: {what} exceeds the float range\n"
 
 
+@pytest.mark.parametrize(
+    "argv,fmt,count",
+    [(TRANSFORM, "json", 6), (TRANSFORM, "text", 4), (SOLVE, "json", 2), (SOLVE, "text", 2)],
+    ids=["transform-json", "transform-text", "solve-json", "solve-text"],
+)
+def test_bound_below_float_range_stays_positive(capsys, argv, fmt, count):
+    # at X = 1e400 every exact bound is positive and far below the least
+    # positive float, which is what it reports: never 0.  The transform
+    # report has the total, two P norms and three stage norms (the text
+    # one no P norms); solve has eta and the total
+    code, out, err = run_cli(capsys, *argv, "-X", "1e400", "--format", fmt)
+    assert code == 0
+    assert err == ""
+    if fmt == "json":
+        report = json.loads(out)
+        bounds = [report["total_error_bound"]]
+        if argv == TRANSFORM:
+            ledger = report["ledger"]
+            bounds += ledger["P_norms"] + [e["norm_at_X"] for e in ledger["entries"]]
+        else:
+            bounds.append(report["eta_bound"])
+    else:
+        bounds = [float(v) for v in re.findall(r"(?:bound|norm at X)\s*[:=]\s*(\S+)", out)]
+    assert len(bounds) == count
+    assert all(0 < b < 1e-300 for b in bounds), bounds
+
+
 CATEGORIES = (
     errors.InvalidInput,
     errors.ComputationFailed,

@@ -354,6 +354,66 @@ def test_laurent_lane_matrix_products_match_the_gcd_path():
     run()
 
 
+def test_fused_matrix_paths_match_a_binary_fold():
+    """Matrix products, sums and commutators, which add each entry's terms
+    in one pass, give the int pair, lane and string of a left fold of
+    binary ``*``, ``+`` and ``-`` over the same entries.  The matrices are
+    sparse, with whole zero rows and columns, so an entry has 0, 1 or
+    many nonzero products; lanes are mixed and c takes either sign."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    zero = RationalFn.const(0)
+    entry = st.one_of(st.just(zero), st.just(zero), _lane_terms())
+
+    def matrix(data, rows, cols):
+        entries = data.draw(st.lists(
+            st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+        ))
+        i, j = data.draw(st.integers(-1, rows - 1)), data.draw(st.integers(-1, cols - 1))
+        if i >= 0:
+            entries[i] = [zero] * cols
+        if j >= 0:
+            for row in entries:
+                row[j] = zero
+        return SymMatrix(entries)
+
+    def fold(plus, minus=()):
+        total = zero
+        for f in plus:
+            total = total + f
+        for f in minus:
+            total = total - f
+        return total
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 4), inner=st.integers(1, 4), m=st.integers(1, 4))
+    def run(data, n, inner, m):
+        A, B = matrix(data, n, inner), matrix(data, inner, m)
+        C, D = matrix(data, n, m), matrix(data, n, m)
+        product = A * B
+        for i in range(n):
+            for j in range(m):
+                want = fold([A.entry(i, t) * B.entry(t, j) for t in range(inner)])
+                _same(product.entry(i, j), want)
+        for plus, minus in [
+            ([C], []), ([], [C]), ([C, D], []), ([C], [D]), ([], [C, D]), ([D, C, D], [C]),
+        ]:
+            total = SymMatrix.sum(plus, minus)
+            for i in range(n):
+                for j in range(m):
+                    want = fold([M.entry(i, j) for M in plus], [M.entry(i, j) for M in minus])
+                    _same(total.entry(i, j), want)
+        S = matrix(data, n, n)
+        d = data.draw(st.lists(_lane_terms(), min_size=n, max_size=n))
+        commutator = S.commutator(d)
+        for i in range(n):
+            for j in range(n):
+                _same(commutator.entry(i, j), d[i] * S.entry(i, j) - S.entry(i, j) * d[j])
+
+    run()
+
+
 def test_every_value_carries_its_lane():
     """A value's lane is k exactly when its denominator is c*x^k, and None
     otherwise, whichever way the value was made: a wrong k gives wrong
@@ -431,10 +491,10 @@ def test_every_value_carries_its_lane():
 )
 def test_laurent_helper_gives_the_canonical_pair(acc, c, k, pair):
     got = symexpr._laurent(acc, c, k)
-    assert got == (*pair, len(pair[1]) - 1)
-    assert all(type(v) is tuple for v in pair)
+    assert (got.int_num, got.int_den, got.lane) == (*pair, len(pair[1]) - 1)
+    assert type(got.int_num) is tuple and type(got.int_den) is tuple
     if pair[0]:
-        _same(symexpr._pair(*got), _gcd_normal(acc, [0] * k + [c]))
+        _same(got, _gcd_normal(acc, [0] * k + [c]))
 
 
 def _mul_by_loop(p, q):
@@ -537,6 +597,36 @@ def test_laurent_split_zero_and_pure_tail():
     terms, tail = f.laurent_split(F(-6))
     assert terms == []
     assert tail == f
+
+
+def _split_by_subtraction(f, stop):
+    """The general route: subtract one leading monomial per term."""
+    terms, g = [], f
+    while g and g.leading_order() > stop:
+        c, e = g.leading_coefficient(), g.leading_order()
+        terms.append((c, e))
+        g = g - RationalFn.monomial(c, e)
+    return terms, g
+
+
+def test_lane_laurent_split_matches_repeated_subtraction():
+    """In the lane the terms are read off the numerator and the tail is
+    its low part: the same terms, coefficient types and canonical tail as
+    subtracting the leading monomials one by one, for stop exponents above
+    all terms, among them and below them all."""
+    rng = random.Random(2024)
+    for _ in range(300):
+        k = rng.randint(0, 6)
+        num = [rng.choice([0, 0, 1, -3, 7, 2**70 + 1]) for _ in range(rng.randint(0, 7))]
+        f = RationalFn(num, [0] * k + [rng.choice([1, 2, -5, 12])])
+        assert f.lane is not None
+        top = len(f.int_num) - len(f.int_den)
+        for stop in [top + 1, top, top - F(1, 2), top - 2, -f.lane, -f.lane - F(5, 3), -9]:
+            terms, tail = f.laurent_split(stop)
+            want_terms, want_tail = _split_by_subtraction(f, stop)
+            assert terms == want_terms
+            assert all(type(c) is Fraction for c, _ in terms)
+            _same(tail, want_tail)
 
 
 # -- parsing and formatting --------------------------------------------
