@@ -462,22 +462,14 @@ def _lifted_sum(lifted) -> RationalFn:
     for num, c, k in lifted:
         if k > top:
             top = k
-        if c != lcm:
-            lcm = math.lcm(lcm, c)
+        lcm = math.lcm(lcm, c)
         if len(num) - k > width:
             width = len(num) - k
     acc = [0] * (width + top)
     for num, c, k in lifted:
-        i = top - k
-        if c == lcm:
-            for v in num:
-                acc[i] += v
-                i += 1
-        else:
-            a = lcm // c
-            for v in num:
-                acc[i] += a * v
-                i += 1
+        a = lcm // c
+        for i, v in enumerate(num, top - k):
+            acc[i] += a * v
     return _laurent(acc, lcm, top)
 
 
@@ -797,8 +789,6 @@ class SymMatrix:
             return plus[0] if plus else -minus[0]
         k = len(plus)
         rows = zip(*(m.entries for m in mats))
-        if k == len(mats):  # nothing subtracted: no slices
-            return _matrix(tuple([tuple([rational_sum(e) for e in zip(*r)]) for r in rows]))
         return _matrix(tuple([tuple([rational_sum(e[:k], e[k:]) for e in zip(*r)]) for r in rows]))
 
     def commutator(self, diag) -> "SymMatrix":
