@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import sys
 from datetime import datetime, timezone
+from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 
 from .error_ledger import _to_float, bound_ledger, eta_bound, total_error_bound
@@ -245,6 +247,15 @@ def _transform_report(spec: ProblemSpec, fs: FinalState, args) -> dict:
     return report
 
 
+def _bound_text(bound: float, digits: int) -> str:
+    """``f"{bound:.{digits}e}"`` rounded up at its last digit instead of to
+    nearest, so that a text report never prints a bound below the float its
+    JSON report carries."""
+    up = Context(prec=digits + 1, rounding=ROUND_CEILING).plus(Decimal(bound))
+    exponent = up.adjusted()
+    return f"{up.scaleb(-exponent):.{digits}f}e{exponent:+03d}"
+
+
 def _render_matrix(rows: list[list[str]], indent: str = "  ") -> str:
     return "\n".join(indent + "[" + ", ".join(row) + "]" for row in rows)
 
@@ -278,10 +289,10 @@ def _transform_text(report: dict) -> str:
     for e in report["ledger"]["entries"]:
         lines.append(
             f"  stage {e['stage']} (via iteration {e['via_iteration']}): "
-            f"norm at X = {e['norm_at_X']:.6e}"
+            f"norm at X = {_bound_text(e['norm_at_X'], 6)}"
         )
     lines.append(f"residual leading order: {report['residual_leading_order']}")
-    lines.append(f"total error bound: {report['total_error_bound']:.8e}")
+    lines.append(f"total error bound: {_bound_text(report['total_error_bound'], 8)}")
     return "\n".join(lines)
 
 
@@ -423,13 +434,13 @@ def _solve_text(report: dict) -> str:
         f"solution k={report['k']}",
         f"normalization C = {report['C']!r}",
         f"Z(X) = {report['Z_at_X']!r}",
-        f"eta bound = {report['eta_bound']:.6e}",
-        f"total error bound = {report['total_error_bound']:.6e}",
+        f"eta bound = {_bound_text(report['eta_bound'], 6)}",
+        f"total error bound = {_bound_text(report['total_error_bound'], 6)}",
     ]
     exp = report["exponent"]
     lines.append(
         f"exponent: log coefficient {exp['log_coefficient']}, "
-        f"power terms {exp['terms']!r}, tail budget {exp['tail_budget']:.3e}"
+        f"power terms {exp['terms']!r}, tail budget {_bound_text(exp['tail_budget'], 3)}"
     )
     if "Y_at_X" in report:
         lines.append(f"Y(X) = {report['Y_at_X']!r}")
@@ -504,5 +515,21 @@ def main(argv=None) -> int:
         return InvalidInput.exit_code
 
 
+def program() -> int:
+    """The program's entry point, ``levode`` and ``python -m levode.cli``:
+    ``main`` on ``sys.argv``, then ``gc.freeze()`` before the interpreter
+    finalises.  Finalisation still flushes the streams, runs the atexit
+    handlers and frees by reference count, but its collections no longer
+    traverse the objects of numpy, levode and the standard library that a
+    command leaves and they would free none of.  No output waits for a
+    finaliser: every file the CLI writes is closed by its ``with`` block.
+    ``main`` leaves the collector alone, so a test or a library call of it
+    finds it as it was."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(program())

@@ -27,7 +27,6 @@ arithmetic, which rounds each operation as numpy does.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass
@@ -434,6 +433,8 @@ def _dense_values(steps, xs, ascending):
 
 
 def write_dense(path, xs, rows) -> None:
+    import csv  # loaded only when a dense CSV is written
+
     n = len(rows[0]) if rows else 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -743,7 +743,11 @@ class SymMatrix:
 
     @property
     def is_zero(self) -> bool:
-        return not any(e.int_num for row in self.entries for e in row)
+        for row in self.entries:
+            for e in row:
+                if e.int_num:
+                    return False
+        return True
 
     def __eq__(self, other):
         if not isinstance(other, SymMatrix):
@@ -842,10 +846,14 @@ class SymMatrix:
         return _matrix(tuple([tuple([e.differentiate() for e in row]) for row in self.entries]))
 
     def max_leading_order(self) -> int | None:
-        orders = [
-            len(e.int_num) - len(e.int_den) for row in self.entries for e in row if e.int_num
-        ]
-        return max(orders) if orders else None
+        top = None
+        for row in self.entries:
+            for e in row:
+                if e.int_num:
+                    order = len(e.int_num) - len(e.int_den)
+                    if top is None or order > top:
+                        top = order
+        return top
 
     def order_at_most(self, exponent: Fraction) -> bool:
         """True when every entry is O(x**exponent) at infinity."""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import importlib
 import json
 import pkgutil
@@ -7,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -818,6 +820,31 @@ def test_bound_below_float_range_stays_positive(capsys, argv, fmt, count):
     assert all(0 < b < 1e-300 for b in bounds), bounds
 
 
+@pytest.mark.parametrize("x_flag", [(), ("-X", "1e400")], ids=["builtin", "X-1e400"])
+@pytest.mark.parametrize("argv", [TRANSFORM, SOLVE], ids=["transform", "solve"])
+def test_text_bounds_are_at_least_their_json_floats(capsys, argv, x_flag):
+    # a text report rounds each bound up at its last printed digit: to
+    # nearest, solve -k 3 printed a total of 2.283149e-08 for the float
+    # 2.2831494880328522e-08, and at X = 1e400 4.940656e-324 for 5e-324
+    code, out, _ = run_cli(capsys, *argv, *x_flag, "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    if argv == TRANSFORM:
+        floats = [e["norm_at_X"] for e in report["ledger"]["entries"]]
+        floats.append(report["total_error_bound"])
+    else:
+        floats = [
+            report["eta_bound"], report["total_error_bound"],
+            report["exponent"]["tail_budget"],
+        ]
+    code, out, _ = run_cli(capsys, *argv, *x_flag)
+    assert code == 0
+    texts = re.findall(r"(?:bound|norm at X|tail budget)\s*[:=]?\s*(\S+)", out)
+    assert len(texts) == len(floats)
+    for text, bound in zip(texts, floats):
+        assert Decimal(text) >= Decimal(bound), (text, bound)
+
+
 CATEGORIES = (
     errors.InvalidInput,
     errors.ComputationFailed,
@@ -1103,30 +1130,96 @@ def test_fuzzed_problem_documents_keep_the_exit_code_contract(capsys, tmp_path):
 
 # -- console entry point ------------------------------------------------
 
-def test_installed_script_runs():
-    # the installed console script when there is one; otherwise the
-    # [project.scripts] target it would call must import and be callable,
-    # and its module runs as a script
+def _console_script() -> list[str]:
+    """The installed ``levode`` script when there is one; otherwise what
+    the script pip generates from ``[project.scripts]`` runs: the target
+    called, its value the exit code."""
     script = shutil.which("levode")
-    if script is None:
-        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
-        entry = re.search(
-            r'^\[project\.scripts\][^\[]*?^levode\s*=\s*"([\w.]+):(\w+)"', pyproject, re.M
-        )
-        assert entry, "pyproject.toml declares no levode console script"
-        module, name = entry.groups()
-        assert callable(getattr(importlib.import_module(module), name))
-        command = [sys.executable, "-m", module]
-    else:
-        command = [script]
+    if script is not None:
+        return [script]
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    entry = re.search(
+        r'^\[project\.scripts\][^\[]*?^levode\s*=\s*"([\w.]+):(\w+)"', pyproject, re.M
+    )
+    assert entry, "pyproject.toml declares no levode console script"
+    module, name = entry.groups()
+    assert callable(getattr(importlib.import_module(module), name))
+    return [sys.executable, "-c", f"import sys; from {module} import {name}; sys.exit({name}())"]
+
+
+ENTRY_POINTS = {
+    "console-script": _console_script,
+    "module": lambda: [sys.executable, "-m", "levode.cli"],
+}
+
+
+def test_installed_script_runs():
     proc = subprocess.run(
-        [*command, "transform", "--builtin", "hypergeom", "--format", "json"],
+        [*_console_script(), "transform", "--builtin", "hypergeom", "--format", "json"],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "transform"
+
+
+def _without_timestamp(text: str) -> str:
+    return "".join(
+        line for line in text.splitlines(keepends=True) if '"timestamp":' not in line
+    )
+
+
+OUTPUT_FILES = [
+    (TRANSFORM + ("--format", "json"), False),
+    (TRANSFORM, False),
+    (SOLVE + ("--target", "5", "--format", "json"), True),
+    (SOLVE + ("--target", "0"), False),
+]
+
+
+def _written_files(folder: Path) -> dict[str, str]:
+    return {p.name: _without_timestamp(p.read_text()) for p in folder.iterdir()}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_write_complete_files(capsys, tmp_path, entry):
+    # the entry points freeze the collector before the interpreter
+    # finalises; every file must be closed and whole by then
+    command = ENTRY_POINTS[entry]()
+    for i, (argv, dense) in enumerate(OUTPUT_FILES):
+        process, in_process = tmp_path / f"process-{i}", tmp_path / f"in-process-{i}"
+        for folder in (process, in_process):
+            folder.mkdir()
+            flags = ["--output", str(folder / "report")]
+            if dense:
+                flags += ["--dense-csv", str(folder / "trace.csv")]
+            if folder is process:
+                proc = subprocess.run(
+                    [*command, *argv, *flags], capture_output=True, text=True, timeout=120
+                )
+                assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+            else:
+                assert run_cli(capsys, *argv, *flags) == (0, "", "")
+        assert _written_files(process) == _written_files(in_process)
+        assert len(_written_files(process)) == 1 + dense
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [(TRANSFORM, 0), (SOLVE + ("--target", "0"), 0), (TRANSFORM + ("-M", "1"), 2)],
+    ids=["transform", "solve", "exit-2"],
+)
+def test_only_the_entry_point_freezes_the_collector(capsys, monkeypatch, argv, want):
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    assert run_cli(capsys, *argv)[0] == want
+    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+
+    calls = []
+    monkeypatch.setattr(sys, "argv", ["levode", *argv])
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append(gc.get_freeze_count()))
+    assert cli.program() == want
+    assert calls == [frozen]
 
 
 def test_cli_import_leaves_numerics_unloaded():
@@ -1188,11 +1281,22 @@ def test_solve_leaves_mpmath_scipy_and_verify_unloaded():
     # the integrator is levode's own, and solution values need no mpmath
     code, loaded, out = _modules_loaded_by(
         ["solve", "--builtin", "hypergeom", "-k", "3", "--target", "0"],
-        ["levode.verify", "mpmath", "scipy", "levode.levinson_solver", "numpy"],
+        ["levode.verify", "mpmath", "scipy", "csv", "levode.levinson_solver", "numpy"],
     )
     # the solver and numpy do load: the check above is not vacuous
     assert (code, loaded) == (0, ["levode.levinson_solver", "numpy"])
     assert "Y(0) = [1.8777858808658072, " in out
+
+
+def test_dense_csv_loads_csv(tmp_path):
+    trace = tmp_path / "trace.csv"
+    code, loaded, _ = _modules_loaded_by(
+        ["solve", "--builtin", "hypergeom", "-k", "3", "--target", "5",
+         "--dense-csv", str(trace)],
+        ["csv"],
+    )
+    assert (code, loaded) == (0, ["csv"])
+    assert trace.read_text().startswith("x,y1,y2,y3\n")
 
 
 def test_integrator_import_leaves_the_solver_unloaded():
