@@ -174,9 +174,7 @@ def check_dichotomy(spec: ProblemSpec, diag: tuple[RationalFn, ...]) -> Dichotom
         if F.is_zero:
             decided[j, k] = (True, False)
             continue
-        sign_constant = not F.has_pole_in(spec.X) and not poly.count_roots_in(
-            poly.odd_multiplicity_part(F.int_num), spec.X
-        )
+        sign_constant = not F.has_pole_in(spec.X) and poly.keeps_sign_above(F.int_num, spec.X)
         decided[j, k] = (sign_constant, F.leading_order() >= -1)
     return DichotomyReport(tuple(
         PairResult(j, k, *decided[min(j, k), max(j, k)])
@@ -233,12 +231,11 @@ def back_transform(Z_value, P_history, spec: ProblemSpec, x_eval) -> tuple[float
     T = require_back_transform(spec)
     n = spec.n
     x = Fraction(x_eval)
-    identity = SymMatrix.identity(n)
     product = T.eval_exact(x)
     for psplit in P_history:
-        factor = (identity + psplit.combined).eval_exact(x)
+        P = psplit.combined.eval_exact(x)
         product = [
-            [sum(product[i][t] * factor[t][j] for t in range(n)) for j in range(n)]
+            [product[i][j] + sum(product[i][t] * P[t][j] for t in range(n)) for j in range(n)]
             for i in range(n)
         ]
     out = []

@@ -4,17 +4,17 @@ A polynomial is an immutable tuple of coefficients indexed by power, with
 no trailing zeros; the zero polynomial is the empty tuple.  It is an
 integer kernel: the ring operations (``add``, ``neg``, ``sub``, ``mul``,
 ``shift``, ``derivative``) keep a tuple of ints in Z[x], ``divmod_exact``
-does too whenever the divisor divides, ``gcd`` and Yun's
-``squarefree_decomposition`` return primitive ints (exact by Gauss's
-lemma), and one integer Horner rule evaluates at a rational point.
-``Fraction``s appear only where values enter or leave: ``make``, points,
-interval ends and bounds.  Besides ring arithmetic this module provides
-the real-root machinery the rest of the package relies on: one integer
-Taylor shift, under Descartes' rule of signs with bisection to isolate
-each root in a half-open interval of its own (root counts are the number
-of intervals) and under magnitude bounds on an interval from the Taylor
-coefficients at its left end, and the Fujiwara bound that confines every
-root to a disc.
+does too whenever the divisor divides, ``gcd`` returns primitive ints
+(exact by Gauss's lemma), and one integer Horner rule evaluates at a
+rational point.  ``Fraction``s appear only where values enter or leave:
+``make``, points, interval ends and bounds.  Besides ring arithmetic this
+module provides the real-root machinery the rest of the package relies
+on: one integer Taylor shift, under ``isolate_roots`` (Descartes' rule of
+signs with bisection, giving each root a half-open piece of its own; a
+root count is the number of pieces, and a sign test reads the sign just
+right of each piece), and under magnitude bounds on an interval from the
+Taylor coefficients at its left end; and the Fujiwara bound that
+confines every root to a disc.
 """
 
 from __future__ import annotations
@@ -284,43 +284,6 @@ def fujiwara_bound(p: Coeffs) -> Fraction:
     return Fraction(2) ** (max(exponents) + 1) if exponents else Fraction(0)
 
 
-def squarefree_decomposition(p: Coeffs) -> list[Coeffs]:
-    """Yun decomposition: returns [a1, a2, ...] with p ~ prod a_i**i.
-
-    Factors are primitive ints with positive leading coefficients, and
-    every quotient is exact in Z[x] by Gauss's lemma; constant factors are
-    dropped.  Characteristic zero only, which is all we have.
-    """
-    if degree(p) < 1:
-        return []
-    p = gcd(p, ZERO)
-    g = gcd(p, derivative(p))
-    if degree(g) == 0:
-        return [p]
-    out: list[Coeffs] = []
-    w = divmod_exact(p, g)[0]
-    y = divmod_exact(derivative(p), g)[0]
-    z = sub(y, derivative(w))
-    while not is_zero(z):
-        h = gcd(w, z)
-        out.append(h)
-        w = divmod_exact(w, h)[0]
-        y = divmod_exact(z, h)[0]
-        z = sub(y, derivative(w))
-    out.append(w)
-    return out
-
-
-def odd_multiplicity_part(p: Coeffs) -> Coeffs:
-    """Product of the factors of odd multiplicity; carries all sign changes."""
-    factors = squarefree_decomposition(p)
-    out = ONE
-    for i, f in enumerate(factors):
-        if i % 2 == 0:  # multiplicity i+1 odd
-            out = mul(out, f)
-    return out
-
-
 def _squarefree_part(p: Coeffs) -> list[int]:
     """Primitive ints for p / gcd(p, p'), with x^k split off first and x
     kept once.  The rest is squarefree if coprime to its derivative modulo
@@ -360,25 +323,24 @@ def _descartes(ints: list[int], lo: Fraction, hi: Fraction) -> int:
 
 def count_roots_above(p: Coeffs, a: Fraction) -> int:
     """Number of distinct real roots of ``p`` in the open interval (a, inf)."""
-    return count_roots_in(p, a)
+    return len(isolate_roots(p, a))
 
 
-def count_roots_in(p: Coeffs, a: Fraction, b: Fraction | None = None) -> int:
-    """Number of distinct real roots of ``p`` in the half-open interval (a, b];
-    ``b`` None means (a, inf), which ends at the Fujiwara bound."""
-    return len(isolate_roots(p, a, fujiwara_bound(p) if b is None else b))
+def isolate_roots(
+    p: Coeffs, a: Fraction, b: Fraction | None = None
+) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals for the distinct real roots of ``p`` in (a, b];
+    ``b`` None means (a, inf), which ends at the Fujiwara bound.
 
-
-def isolate_roots(p: Coeffs, a: Fraction, b: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals for the distinct real roots of ``p`` in (a, b].
-
-    Returns disjoint half-open intervals (lo, hi], in increasing order, each
-    holding exactly one distinct root: the widest piece of the bisection of
-    (a, b] at midpoints that holds no other.  A piece holds the roots of
-    the squarefree part P in (lo, hi), and hi when P(hi) = 0; a piece that
+    Returns pieces (lo, hi] of the bisection of (a, b] at midpoints, in
+    increasing order, each holding exactly one distinct root; a count of
+    roots is the number of pieces.  A piece holds the roots of the
+    squarefree part P in (lo, hi), and hi when P(hi) = 0; a piece that
     Descartes' rule does not bound by one root is halved (Collins &
-    Akritas, 1976).
+    Akritas, 1976), the left half first.
     """
+    if b is None:
+        b = fujiwara_bound(p)
     if degree(p) < 1 or b <= a:
         return []
     ints = _squarefree_part(p)
@@ -392,13 +354,22 @@ def isolate_roots(p: Coeffs, a: Fraction, b: Fraction) -> list[tuple[Fraction, F
         elif roots > 1:
             mid = (lo + hi) / 2
             todo += [(mid, hi), (lo, mid)]
-    # variations may overcount: widen each piece to the first on its way
-    # down from (a, b] that holds neither neighbouring root
-    out = []
-    for i, (_, v) in enumerate(found):
-        lo, hi = a, b
-        while (i and lo <= found[i - 1][0]) or (i + 1 < len(found) and found[i + 1][1] <= hi):
-            mid = (lo + hi) / 2
-            lo, hi = (lo, mid) if v <= mid else (mid, hi)
-        out.append((lo, hi))
-    return out
+    return found
+
+
+def _positive_right_of(p: Coeffs, x: Fraction) -> bool:
+    """Whether ``p`` (nonzero) is positive just right of x: the sign of its
+    first nonzero Taylor coefficient there, p(x) itself unless that is 0."""
+    return next(c for c in _taylor_shift(p, x.numerator, x.denominator) if c) > 0
+
+
+def keeps_sign_above(p: Coeffs, a: Fraction) -> bool:
+    """Whether ``p`` (nonzero) keeps one sign on (a, inf).
+
+    Between consecutive roots p keeps its sign, so it does on (a, inf) iff
+    its sign just right of a agrees with its sign just right of each root
+    above a; just right of the root in a piece (lo, hi] it is the sign just
+    right of hi, as the piece holds no other root.
+    """
+    positive = _positive_right_of(p, a)
+    return all(_positive_right_of(p, hi) == positive for _, hi in isolate_roots(p, a))

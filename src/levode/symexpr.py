@@ -316,7 +316,7 @@ class RationalFn:
         if len(den) < 2:
             return False
         lo, hi = Fraction(lo), None if hi is None else Fraction(hi)
-        return poly.eval_at(den, lo) == 0 or poly.count_roots_in(den, lo, hi) > 0
+        return poly.eval_at(den, lo) == 0 or bool(poly.isolate_roots(den, lo, hi))
 
     # -- canonical text form -------------------------------------------
 
@@ -653,7 +653,7 @@ def sup_bound(f: RationalFn, X, *, rel_slack=Fraction(1, 20)) -> Fraction:
         raise PoleInDomain(f"denominator vanishes on [{X}, inf)")
 
     crit = _critical_polynomial(f)
-    intervals = poly.isolate_roots(crit, X, poly.fujiwara_bound(crit))
+    intervals = poly.isolate_roots(crit, X)
     attained = max(
         [abs(f.eval_exact(X)), abs(f.limit_at_infinity())]
         + [abs(f.eval_exact(v)) for _, v in intervals]

@@ -4,6 +4,7 @@ import gc
 import importlib
 import json
 import pkgutil
+import random
 import re
 import shutil
 import subprocess
@@ -24,6 +25,7 @@ from levode import (
 from levode import cli, errors, ode_connector, transform_engine
 from levode.cli import main
 from levode.ode_connector import PoleInInterval
+from levode.sampling import random_problem
 from levode.symexpr import BoundNotCertified, PoleInDomain, UnboundedAtInfinity
 from levode.transform_engine import DivisionByZeroDenominator, OrderRegression
 from levode.system_model import (
@@ -704,6 +706,34 @@ def test_computation_failure_exits_1(capsys, monkeypatch, module, name, error):
     assert code == 1
     assert out == ""
     assert err == f"computation failed: {error}\n"
+
+
+def test_expansion_cap_exceeded_exits_1(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(transform_engine, "_EXPANSION_CAP", 0)
+    doc = serialize_problem(random_problem(random.Random(2024)))
+    code, out, err = run_cli(capsys, "transform", "--problem", write_problem(tmp_path, doc))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "computation failed: expansion of V2 at iteration 1 did not reach accuracy\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "target,code", [("0", 1), ("5", 0)], ids=["across-the-pole", "short-of-it"]
+)
+def test_continuation_stops_at_a_pole(capsys, tmp_path, target, code):
+    # with a zero E1 the built-in's derived A has a pole in [0, 10]
+    doc = fixture_document()
+    doc["E1"] = [["0"] * 3 for _ in range(3)]
+    path = write_problem(tmp_path, doc)
+    got, out, err = run_cli(capsys, "solve", "--problem", path, "-k", "3", "--target", target)
+    assert got == code
+    if code:
+        assert out == ""
+        assert err == "computation failed: entry (1,1) has a pole in [0, 10]\n"
+    else:
+        assert err == ""
 
 
 def test_zero_denominator_exits_3(capsys, monkeypatch):

@@ -1192,21 +1192,42 @@ def test_poly_gcd_with_a_zero_operand_is_the_other_made_primitive():
     assert poly.gcd(poly.ZERO, poly.ZERO) == poly.ZERO
 
 
-def test_poly_squarefree_decomposition_stays_in_integers():
-    # (x-1)^2 (x-3)^3 (2x+1), with content -6 and as Fractions
-    p = poly.mul(poly.mul((-1, 1), (-1, 1)), (1, 2))
-    for _ in range(3):
-        p = poly.mul(p, (-3, 1))
-    want = [(1, 2), (-1, 1), (-3, 1)]
-    assert p == (-27, 27, 72, -134, 81, -21, 2)
-    minus_6p = (162, -162, -432, 804, -486, 126, -12)
-    for q in (p, minus_6p, poly.make(F(c, 7) for c in p)):
-        factors = poly.squarefree_decomposition(q)
-        assert factors == want
-        assert all(type(c) is int for f in factors for c in f)
-    part = poly.odd_multiplicity_part(p)
-    assert part == poly.mul((1, 2), (-3, 1))
-    assert all(type(c) is int for c in part)
+def _product(*factors):
+    p = poly.ONE
+    for f in factors:
+        p = poly.mul(p, f)
+    return p
+
+
+@pytest.mark.parametrize(
+    "p,X,expected",
+    [
+        (_product((-2, 1), (-2, 1), (-3, 1)), F(0), False),
+        # a root at X: the sign just right of X, where p(X) = 0
+        (_product((-1, 1), (-4, 1), (-4, 1)), F(1), True),
+        (_product((1, -1), (-4, 1), (-4, 1)), F(1), True),
+        (_product((-1, 1), (-1, 1), (-3, 1)), F(1), False),
+        # the irrational double root sqrt(2)
+        (_product((-2, 0, 1), (-2, 0, 1), (1, 1)), F(0), True),
+        (_product((-2, 0, 1), (-2, 0, 1), (-3, 1)), F(0), False),
+        # no root above X
+        (_product((-1, 1), (-2, 1)), F(5), True),
+        ((-7,), F(0), True),
+    ],
+    ids=["odd-root-after-a-double-root",
+         "root-at-X-positive", "root-at-X-negative", "odd-root-after-X",
+         "irrational-double-root", "odd-root-after-an-irrational-double-root",
+         "no-root-above-X", "constant"],
+)
+def test_poly_keeps_sign_above(p, X, expected):
+    assert poly.keeps_sign_above(p, X) is expected
+
+
+def test_poly_keeps_sign_above_reads_a_double_root_at_a_piece_end():
+    # (x-2)^2 (x-4)^2 is positive off its roots, where p(hi) = 0
+    p = _product((-2, 1), (-2, 1), (-4, 1), (-4, 1))
+    assert poly.isolate_roots(p, F(0)) == [(F(0), F(2)), (F(2), F(4))]
+    assert poly.keeps_sign_above(p, F(0))
 
 
 def test_poly_root_counting():
@@ -1215,16 +1236,8 @@ def test_poly_root_counting():
     assert poly.count_roots_above(p, F(0)) == 3
     assert poly.count_roots_above(p, F(2)) == 2
     assert poly.count_roots_above(p, F(5)) == 0
-    assert poly.count_roots_in(p, F(0), F(4)) == 2
-    assert poly.count_roots_in(p, F(1), F(3)) == 1  # half-open: excludes 1, includes 3
-
-
-def test_poly_odd_multiplicity_part():
-    # (x-1)^2 (x-3): sign changes only at x = 3
-    p = poly.mul(poly.mul(poly.make([-1, 1]), poly.make([-1, 1])), poly.make([-3, 1]))
-    part = poly.odd_multiplicity_part(p)
-    assert poly.count_roots_above(part, F(0)) == 1
-    assert poly.count_roots_above(part, F(2)) == 1
+    assert len(poly.isolate_roots(p, F(0), F(4))) == 2
+    assert len(poly.isolate_roots(p, F(1), F(3))) == 1  # half-open: excludes 1, includes 3
 
 
 def test_poly_fujiwara_bound_exceeds_every_root():
@@ -1242,7 +1255,7 @@ def test_poly_fujiwara_bound_exceeds_every_root():
         bound = poly.fujiwara_bound(p)
         assert all(abs(r) <= bound for r in roots)
         assert poly.count_roots_above(p, bound) == 0
-        assert poly.count_roots_in(p, -bound - 1, bound) == len(set(roots))
+        assert len(poly.isolate_roots(p, -bound - 1, bound)) == len(set(roots))
     assert poly.fujiwara_bound(poly.make([5])) == 0
 
 
@@ -1348,14 +1361,6 @@ def test_poly_isolate_roots_gives_one_root_per_interval():
     assert len(poly.isolate_roots(p, F(1), F(4))) == 3
 
 
-def _bisection_parent(a, b, lo, hi):
-    """The piece of the bisection of (a, b] that was halved into (lo, hi]."""
-    w = hi - lo
-    index = (lo - a) / w
-    assert index.denominator == 1
-    return (lo, hi + w) if index % 2 == 0 else (lo - w, hi)
-
-
 def test_poly_root_isolation_matches_sympy():
     """Oracle: sympy's exact real roots, on integer polynomials with
     repeated factors, powers of x and roots at the interval ends."""
@@ -1378,7 +1383,9 @@ def test_poly_root_isolation_matches_sympy():
         for r, m in roots:
             for _ in range(m):
                 p = poly.mul(p, (-r.numerator, r.denominator))
-        real = set(sympy.Poly(list(reversed(p)), x).real_roots()) if poly.degree(p) > 0 else set()
+        # real_roots() repeats each root by its multiplicity
+        with_multiplicity = sympy.Poly(list(reversed(p)), x).real_roots() if poly.degree(p) > 0 else []
+        real = set(with_multiplicity)
 
         def held(lo, hi=None):
             lo_s = sympy.Rational(lo.numerator, lo.denominator)
@@ -1389,17 +1396,21 @@ def test_poly_root_isolation_matches_sympy():
 
         ends = st.sampled_from([r for r, _ in roots] + [F(0)]) | rational
         a, b = sorted((data.draw(ends), data.draw(ends)))
-        assert poly.count_roots_in(p, a) == held(a)
-        assert poly.count_roots_in(p, a, b) == held(a, b)
+        assert len(poly.isolate_roots(p, a)) == held(a)
         intervals = poly.isolate_roots(p, a, b)
         assert len(intervals) == held(a, b)
         for lo, hi in intervals:
             assert a <= lo < hi <= b
             assert held(lo, hi) == 1
-            if (lo, hi) != (a, b):
-                assert held(*_bisection_parent(a, b, lo, hi)) >= 2
+            # a piece of the bisection of (a, b]
+            pieces, offset = (b - a) / (hi - lo), (lo - a) / (hi - lo)
+            assert pieces.denominator == 1 and pieces.numerator & (pieces.numerator - 1) == 0
+            assert offset.denominator == 1
         for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
             assert hi <= lo
+        a_s = sympy.Rational(a.numerator, a.denominator)
+        odd = any(with_multiplicity.count(r) % 2 for r in real if bool(r > a_s))
+        assert poly.keeps_sign_above(p, a) is not odd
 
     check()
 
@@ -1415,7 +1426,7 @@ def test_poly_isolate_roots_separates_close_roots_without_recursion():
     (lo1, hi1), (lo2, hi2) = intervals
     assert lo1 < F(1, 3) <= hi1 <= lo2 < F(gap + 3, 3 * gap) <= hi2
     assert hi1 - lo1 == hi2 - lo2 == F(2, gap)
-    assert poly.count_roots_in(p, F(0)) == 2
+    assert len(poly.isolate_roots(p, F(0))) == 2
 
 
 def _counting_gcd(monkeypatch):
@@ -1438,7 +1449,7 @@ def test_poly_isolate_roots_when_the_modulus_divides_the_leading_coefficient(mon
     calls = _counting_gcd(monkeypatch)
     assert poly.isolate_roots(p, F(0), F(4)) == [(F(0), F(1)), (F(1), F(2))]
     assert calls
-    assert poly.count_roots_in(poly.mul(p, (-1, q)), F(0)) == 2
+    assert len(poly.isolate_roots(poly.mul(p, (-1, q)), F(0))) == 2
 
 
 def test_poly_isolate_roots_of_a_non_squarefree_critical_polynomial(monkeypatch):

@@ -13,6 +13,7 @@ from levode.sampling import random_problem
 from levode.transform_engine import (
     CommittedError,
     EliminationIdentityViolated,
+    ExpansionCapExceeded,
     IterationState,
     _commutator_terms,
     _iterate,
@@ -297,6 +298,18 @@ def test_order_regression_detected(fixture_spec):
     )
     with pytest.raises(OrderRegression):
         iterate(state, fixture_spec)
+
+
+def test_expansion_cap_exceeded_names_the_label_and_the_iteration(monkeypatch):
+    # with no power of P allowed, the first stream-2024 problem keeps one
+    # in the expansion of V2; the built-in keeps none, so cannot show it
+    monkeypatch.setattr(transform_engine, "_EXPANSION_CAP", 0)
+    spec = random_problem(random.Random(2024))
+    with pytest.raises(
+        ExpansionCapExceeded,
+        match=r"^expansion of V2 at iteration 1 did not reach accuracy$",
+    ):
+        run(spec)
 
 
 def test_iterate_beyond_completion_rejected(fixture_spec):
