@@ -9,7 +9,7 @@ elimination; 4 dichotomy failure.  Every failure but an unwritable output
 is a ``LevodeError``, raised by the stage that meets it: ``main`` prints
 its category's prefix and message as one line on stderr and returns its
 category's exit code (``levode.errors``).  JSON reports never contain
-Infinity or NaN.
+Infinity or NaN, and carry no timestamp: equal runs print equal bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import gc
 import json
 import math
 import sys
-from datetime import datetime, timezone
 from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 
@@ -37,7 +36,7 @@ from .system_model import (
     load_problem,
     validate,
 )
-from .transform_engine import FinalState, run
+from .transform_engine import run
 
 # solve imports the solver and the integrator, verify its check suite:
 # transform loads neither
@@ -92,12 +91,12 @@ def _build_parser() -> argparse.ArgumentParser:
     transform = sub.add_parser(
         "transform", help="run the reduction and report the transcript"
     )
-    _add_common(transform, need_problem=True)
+    _add_common(transform)
 
     solve = sub.add_parser(
         "solve", help="evaluate one asymptotic solution, optionally continue it"
     )
-    _add_common(solve, need_problem=True)
+    _add_common(solve)
     solve.add_argument("-k", type=int, required=True, help="solution index (1-based)")
     solve.add_argument("--target", help="continuation target point (rational)")
     solve.add_argument("--rtol", default="1e-10")
@@ -118,8 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_common(p: argparse.ArgumentParser, need_problem: bool) -> None:
-    g = p.add_mutually_exclusive_group(required=need_problem)
+def _add_common(p: argparse.ArgumentParser) -> None:
+    g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--builtin", choices=sorted(BUILTINS), help="built-in problem name")
     g.add_argument("--problem", metavar="PATH", help="problem description JSON file")
     p.add_argument(
@@ -178,11 +177,15 @@ def _float_range(value: Fraction, what: str) -> None:
         raise InvalidInput(f"{what} is beyond the float range") from None
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
-def _emit(args, text: str) -> None:
+def _emit(args, report: dict, render) -> None:
+    """Writes a command's report once, to ``--output`` or to stdout: as
+    sorted JSON under the schema version and the command's name, or as
+    ``render``'s text.  Equal runs write equal bytes."""
+    report = {"schema": SCHEMA_VERSION, "command": args.command, **report}
+    if args.format == "json":
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    else:
+        text = render(report)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
@@ -202,7 +205,9 @@ def _problem_summary(spec: ProblemSpec, args) -> dict:
     }
 
 
-def _transform_report(spec: ProblemSpec, fs: FinalState, args) -> dict:
+def _cmd_transform(args) -> dict:
+    spec = _load_spec(args)
+    fs = run(spec)
     iterations = []
     for rec in fs.iterations:
         entry = {
@@ -218,10 +223,7 @@ def _transform_report(spec: ProblemSpec, fs: FinalState, args) -> dict:
         iterations.append(entry)
     ledger = fs.ledger
     norms = bound_ledger(ledger)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "timestamp": _timestamp(),
-        "command": "transform",
+    return {
         "problem": _problem_summary(spec, args),
         "lambda1": [f.to_string() for f in spec.lambda1_diagonal()],
         "S1": fs.dominant_terms[0].to_strings(),
@@ -244,7 +246,6 @@ def _transform_report(spec: ProblemSpec, fs: FinalState, args) -> dict:
         "residual_leading_order": str(fs.residual.max_leading_order()),
         "total_error_bound": norms.total,
     }
-    return report
 
 
 def _bound_text(bound: float, digits: int) -> str:
@@ -287,27 +288,17 @@ def _transform_text(report: dict) -> str:
         lines.append(f"  expansion depths: {it['nu']}")
     lines.append("error ledger:")
     for e in report["ledger"]["entries"]:
+        via = e["via_iteration"]
+        via = "input remainder E1" if via is None else f"via iteration {via}"
         lines.append(
-            f"  stage {e['stage']} (via iteration {e['via_iteration']}): "
-            f"norm at X = {_bound_text(e['norm_at_X'], 6)}"
+            f"  stage {e['stage']} ({via}): norm at X = {_bound_text(e['norm_at_X'], 6)}"
         )
     lines.append(f"residual leading order: {report['residual_leading_order']}")
     lines.append(f"total error bound: {_bound_text(report['total_error_bound'], 8)}")
     return "\n".join(lines)
 
 
-def _cmd_transform(args) -> int:
-    spec = _load_spec(args)
-    fs = run(spec)
-    report = _transform_report(spec, fs, args)
-    if args.format == "json":
-        _emit(args, json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
-    else:
-        _emit(args, _transform_text(report))
-    return 0
-
-
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> dict:
     from .levinson_solver import (
         FORM_INFO,
         back_transform,
@@ -346,9 +337,10 @@ def _cmd_solve(args) -> int:
     fs = run(spec)
     dichotomy = check_dichotomy(spec, fs.diag)
     if not dichotomy.ok_for(args.k):
+        # F_kj = -F_jk: each unordered pair is decided once
         bad = [
             f"({p.j},{p.k})" for p in dichotomy.pairs
-            if (p.j == args.k or p.k == args.k) and not p.ok
+            if p.j < p.k and args.k in (p.j, p.k) and not p.ok
         ]
         raise DichotomyFailure(
             f"dichotomy fails for pairs {', '.join(bad)}; the deviation bound "
@@ -359,9 +351,6 @@ def _cmd_solve(args) -> int:
     data = bundle.exponent
 
     report = {
-        "schema": SCHEMA_VERSION,
-        "timestamp": _timestamp(),
-        "command": "solve",
         "problem": _problem_summary(spec, args),
         "k": args.k,
         "C": bundle.C,
@@ -420,12 +409,7 @@ def _cmd_solve(args) -> int:
             "atol": atol,
             "integrator": METHOD_INFO,
         }
-
-    if args.format == "json":
-        _emit(args, json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
-    else:
-        _emit(args, _solve_text(report))
-    return 0
+    return report
 
 
 def _solve_text(report: dict) -> str:
@@ -467,34 +451,36 @@ def _parse_tolerances(pairs: list[str]) -> dict[str, str]:
     return out
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     from .verify import run_checks
 
     overrides = _parse_tolerances(args.tolerance)
     rows = run_checks(only=args.only, tolerance_overrides=overrides)
-    all_pass = all(r.passed for r in rows)
-    if args.format == "json":
-        report = {
-            "schema": SCHEMA_VERSION,
-            "timestamp": _timestamp(),
-            "command": "verify",
-            "rows": [dataclasses.asdict(r) for r in rows],
-            "passed": all_pass,
-        }
-        _emit(args, json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
-    else:
-        lines = []
-        for r in rows:
-            mark = "PASS" if r.passed else "FAIL"
-            tol = "exact" if r.tolerance is None else f"{r.tolerance:g}"
-            lines.append(f"{mark}  {r.name:<28} [{r.group}]  tolerance={tol}")
-            lines.append(f"      computed:  {r.computed}")
-            lines.append(f"      reference: {r.reference}")
-        lines.append(
-            f"{sum(r.passed for r in rows)}/{len(rows)} checks passed"
-        )
-        _emit(args, "\n".join(lines))
-    return 0 if all_pass else 1
+    return {
+        "rows": [dataclasses.asdict(r) for r in rows],
+        "passed": all(r.passed for r in rows),
+    }
+
+
+def _verify_text(report: dict) -> str:
+    lines = []
+    for r in report["rows"]:
+        mark = "PASS" if r["passed"] else "FAIL"
+        tol = "exact" if r["tolerance"] is None else f"{r['tolerance']:g}"
+        lines.append(f"{mark}  {r['name']:<28} [{r['group']}]  tolerance={tol}")
+        lines.append(f"      computed:  {r['computed']}")
+        lines.append(f"      reference: {r['reference']}")
+    passed = sum(r["passed"] for r in report["rows"])
+    lines.append(f"{passed}/{len(report['rows'])} checks passed")
+    return "\n".join(lines)
+
+
+# command -> (report builder, text renderer); only verify's report has "passed"
+_COMMANDS = {
+    "transform": (_cmd_transform, _transform_text),
+    "solve": (_cmd_solve, _solve_text),
+    "verify": (_cmd_verify, _verify_text),
+}
 
 
 def main(argv=None) -> int:
@@ -502,11 +488,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(_target_values_attached(argv))
-        if args.command == "transform":
-            return _cmd_transform(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        return _cmd_verify(args)
+        build, render = _COMMANDS[args.command]
+        report = build(args)
+        _emit(args, report, render)
+        return 0 if report.get("passed", True) else 1
     except LevodeError as exc:
         print(f"{exc.prefix}{exc}", file=sys.stderr)
         return exc.exit_code

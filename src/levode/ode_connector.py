@@ -3,7 +3,7 @@
 The coefficient matrix stays symbolic up to this boundary: its entries are
 rounded to floats once per matrix (``SymMatrix.float_table``).  Continuation
 targets are regular points, and a ``LinearSystem`` screens its domain for
-poles by an exact root count when it is built.
+poles by exact root isolation (``RationalFn.has_pole_in``) when it is built.
 
 The integrator is the Dormand-Prince 5(4) pair (Dormand & Prince 1980,
 J. Comput. Appl. Math. 6) with Shampine's quartic dense output (Math.
