@@ -41,7 +41,7 @@ _SUBMODULE = {
             "check_dichotomy",
             "derive_original_system",
             "exponent_data",
-            "solution_bundle",
+            "solve",
         ),
         "ode_connector": (
             "LinearSystem",

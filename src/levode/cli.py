@@ -23,13 +23,8 @@ import sys
 from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 
-from .error_ledger import _to_float, bound_ledger, eta_bound, total_error_bound
-from .errors import (
-    ContinuationRefused,
-    DichotomyFailure,
-    InvalidInput,
-    LevodeError,
-)
+from .error_ledger import _to_float, bound_ledger
+from .errors import InvalidInput, LevodeError
 from .fixtures import BUILTINS, CHECK_GROUPS
 from .system_model import (
     ProblemSpec,
@@ -99,8 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(solve)
     solve.add_argument("-k", type=int, required=True, help="solution index (1-based)")
     solve.add_argument("--target", help="continuation target point (rational)")
-    solve.add_argument("--rtol", default="1e-10")
-    solve.add_argument("--atol", default="1e-12")
+    solve.add_argument("--rtol")
+    solve.add_argument("--atol")
     solve.add_argument("--dense-csv", metavar="PATH", help="write dense output CSV")
 
     verify = sub.add_parser("verify", help="run the built-in check suite")
@@ -299,26 +294,11 @@ def _transform_text(report: dict) -> str:
 
 
 def _cmd_solve(args) -> dict:
-    from .levinson_solver import (
-        FORM_INFO,
-        back_transform,
-        check_dichotomy,
-        derive_original_system,
-        growing_terms,
-        require_back_transform,
-        solution_bundle,
-    )
-    from .ode_connector import (
-        DENSE_POINTS,
-        METHOD_INFO,
-        MIN_RTOL,
-        integrate,
-        linear_system,
-        write_dense,
-    )
+    from .levinson_solver import FORM_INFO, require_back_transform, solve
+    from .ode_connector import DEFAULT_ATOL, DEFAULT_RTOL, METHOD_INFO, MIN_RTOL
 
-    rtol = _tolerance_flag(args.rtol, "--rtol")
-    atol = _tolerance_flag(args.atol, "--atol")
+    rtol = DEFAULT_RTOL if args.rtol is None else _tolerance_flag(args.rtol, "--rtol")
+    atol = DEFAULT_ATOL if args.atol is None else _tolerance_flag(args.atol, "--atol")
     if rtol < MIN_RTOL:
         # integrate refuses it as well, but only after the reduction ran
         raise InvalidInput(
@@ -334,81 +314,29 @@ def _cmd_solve(args) -> dict:
         require_back_transform(spec)
         _float_range(target, f"--target {args.target}")
         _float_range(spec.X, "the evaluation point X")
-    fs = run(spec)
-    dichotomy = check_dichotomy(spec, fs.diag)
-    if not dichotomy.ok_for(args.k):
-        # F_kj = -F_jk: each unordered pair is decided once
-        bad = [
-            f"({p.j},{p.k})" for p in dichotomy.pairs
-            if p.j < p.k and args.k in (p.j, p.k) and not p.ok
-        ]
-        raise DichotomyFailure(
-            f"dichotomy fails for pairs {', '.join(bad)}; the deviation bound "
-            "for this solution is not certified"
-        )
-
-    bundle = solution_bundle(args.k, fs, eta_bound(fs.residual, spec))
-    data = bundle.exponent
-
+    sol = solve(run(spec), args.k, target, rtol=rtol, atol=atol, dense_path=args.dense_csv)
+    data = sol.exponent
     report = {
         "problem": _problem_summary(spec, args),
         "k": args.k,
-        "C": bundle.C,
-        "Z_at_X": list(bundle.Z_at_X),
-        "eta_bound": bundle.eta_bound,
-        "total_error_bound": total_error_bound(fs.ledger),
+        "C": sol.Z_at_X[args.k - 1],
+        "Z_at_X": list(sol.Z_at_X),
+        "eta_bound": sol.eta_bound,
+        "total_error_bound": sol.total_error_bound,
         "exponent": {
             "log_coefficient": str(data.log_coefficient),
             "terms": [[str(c), e] for c, e in data.laurent_terms],
-            "tail_budget": bundle.tail_budget,
+            "tail_budget": sol.tail_budget,
         },
-        "dichotomy_ok": dichotomy.ok,
+        "dichotomy_ok": sol.dichotomy.ok,
     }
-    if bundle.Y_at_X is not None:
-        report["Y_at_X"] = list(bundle.Y_at_X)
-
-    if target is not None and target >= spec.X:
-        # Levinson's form holds on [X, inf): Y is evaluated there as at X
-        xs = [target]
-        if args.dense_csv and target > spec.X:
-            step = (target - spec.X) / (DENSE_POINTS - 1)
-            xs = [spec.X + i * step for i in range(DENSE_POINTS)]
-        rows = [
-            back_transform(data.solution_at(x, spec.n), fs.history, spec, x)
-            for x in xs
-        ]
-        if args.dense_csv:
-            write_dense(args.dense_csv, xs, rows)
-        report["continuation"] = {
-            "target": args.target,
-            "Y": list(rows[-1]),
-            "integrator": FORM_INFO,
-        }
-    elif target is not None:
-        growing = [f"{c}*x^{e + 1}/{e + 1}" for c, e in growing_terms(data)]
-        if growing:
-            raise ContinuationRefused(
-                f"solution k={args.k} grows exponentially toward infinity "
-                f"(exponent term {', '.join(growing)}); continuing it backward "
-                "from X would amplify the uncertified dominant part, refusing"
-            )
-        A = derive_original_system(spec)
-        y_target = integrate(
-            linear_system(A, target, spec.X),
-            report["Y_at_X"],
-            spec.X,
-            target,
-            rtol=rtol,
-            atol=atol,
-            dense_path=args.dense_csv,
-        )
-        report["continuation"] = {
-            "target": args.target,
-            "Y": list(y_target),
-            "rtol": rtol,
-            "atol": atol,
-            "integrator": METHOD_INFO,
-        }
+    if sol.Y_at_X is not None:
+        report["Y_at_X"] = list(sol.Y_at_X)
+    if target is not None:
+        how = {"integrator": FORM_INFO}
+        if target < spec.X:
+            how = {"rtol": rtol, "atol": atol, "integrator": METHOD_INFO}
+        report["continuation"] = {"target": args.target, "Y": list(sol.Y_at_target), **how}
     return report
 
 

@@ -10,7 +10,9 @@ integral over [X, inf) is bounded and charged to the eta budget.
 
 Levinson's form holds on all of [X, inf), so the k-th solution of the
 original system at any x >= X is T(x) (I + P_1)(x) ... exp(G_k(x)) e_k,
-evaluated as at X, and its deviation is the eta certified at X.
+evaluated as at X, and its deviation is the eta certified at X; below
+X it is continued numerically.  ``solve`` is the one path from a reduced
+problem to its solution values, which ``levode solve`` and ``verify`` take.
 
 The dichotomy check certifies the separation hypothesis behind the
 deviation bound: for every pair of diagonal entries, the real difference
@@ -29,14 +31,26 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import poly
-from .error_ledger import BoundOverflow, _to_float, integral_tail_bound
-from .errors import MissingBackTransform, SolutionOverflow
+from .error_ledger import (
+    BoundOverflow,
+    _to_float,
+    eta_bound,
+    integral_tail_bound,
+    total_error_bound,
+)
+from .errors import (
+    ContinuationRefused,
+    DichotomyFailure,
+    MissingBackTransform,
+    SolutionOverflow,
+)
+from .ode_connector import DENSE_POINTS, integrate, linear_system, write_dense
 from .symexpr import RationalFn, SymMatrix
 from .system_model import ProblemSpec
 
 _PREC = 40
 
-# how ``solve --target`` obtains Y at a target at or beyond X
+# how ``solve`` obtains Y at a target at or beyond X
 FORM_INFO = {"method": "Levinson form"}
 
 
@@ -121,17 +135,6 @@ class ExponentData:
         """Z_k(x) = exp(G_k(x)) e_k in dimension n."""
         value = self.exp_at(x, f"Z_{self.k}({x})")
         return tuple(value if i == self.k - 1 else 0.0 for i in range(n))
-
-
-@dataclass(frozen=True)
-class SolutionBundle:
-    k: int
-    Z_at_X: tuple[float, ...]
-    Y_at_X: tuple[float, ...] | None
-    eta_bound: float
-    C: float
-    tail_budget: float
-    exponent: ExponentData
 
 
 @dataclass(frozen=True)
@@ -266,21 +269,46 @@ def derive_original_system(spec: ProblemSpec) -> SymMatrix:
     return (T.derivative() + T * B) * T.inverse()
 
 
-def growing_terms(data: ExponentData) -> tuple[tuple[Fraction, int], ...]:
-    """The integrand terms c*x^e with c > 0 and e >= 0.  Each makes the
-    solution dominant toward infinity; continuing it backward from X would
-    amplify the deviation budget uncontrollably, so callers refuse."""
-    return tuple((c, e) for c, e in data.laurent_terms if e >= 0 and c > 0)
+@dataclass(frozen=True)
+class Solution:
+    """What ``solve`` certifies.  Y_at_X is None where the problem defines
+    no T(x), and Y_at_target is None without a target."""
+
+    Z_at_X: tuple[float, ...]
+    Y_at_X: tuple[float, ...] | None
+    eta_bound: float
+    total_error_bound: float
+    tail_budget: float
+    exponent: ExponentData
+    dichotomy: DichotomyReport
+    Y_at_target: tuple[float, ...] | None
 
 
-def solution_bundle(k: int, final_state, eta_resid: float) -> SolutionBundle:
-    """Assemble the per-solution report at x = X.
-
-    eta_resid is the deviation bound from the residual perturbation; the
-    discarded exponent tail tau enlarges it to eta + (e**tau - 1)(1 + eta),
-    or raises ``BoundOverflow`` where tau or that sum leaves the float range.
-    """
+def solve(
+    final_state, k: int, target=None, *, rtol: float, atol: float, dense_path=None
+) -> Solution:
+    """The k-th solution (1-based) of the reduced problem ``final_state``
+    at X, and at ``target`` if given; ``DichotomyFailure`` where a pair
+    with k fails the dichotomy.  The residual's eta is enlarged by the
+    exponent tail tau to eta + (e**tau - 1)(1 + eta), or ``BoundOverflow``
+    where tau or that sum leaves the float range.  At or beyond X, Y at the
+    target is Levinson's form, as at X (``dense_path`` samples
+    ``DENSE_POINTS`` points of [X, target]); below X, the RK45 continuation
+    of Y(X) at ``rtol`` and ``atol``, or ``ContinuationRefused`` for a
+    solution dominant toward infinity."""
     spec = final_state.spec
+    dichotomy = check_dichotomy(spec, final_state.diag)
+    if not dichotomy.ok_for(k):
+        # F_kj = -F_jk: each unordered pair is decided once
+        bad = [
+            f"({p.j},{p.k})" for p in dichotomy.pairs
+            if p.j < p.k and k in (p.j, p.k) and not p.ok
+        ]
+        raise DichotomyFailure(
+            f"dichotomy fails for pairs {', '.join(bad)}; the deviation bound "
+            "for this solution is not certified"
+        )
+    eta_resid = eta_bound(final_state.residual, spec)
     data = exponent_data(k, final_state.diag, spec)
     vec = data.solution_at(spec.X, spec.n)
     tau = _to_float(data.tail_budget, f"exponent tail budget of G_{k}")
@@ -295,12 +323,46 @@ def solution_bundle(k: int, final_state, eta_resid: float) -> SolutionBundle:
     Y = None
     if spec.back_transform is not None:
         Y = back_transform(vec, final_state.history, spec, spec.X)
-    return SolutionBundle(
-        k=k,
+    total = total_error_bound(final_state.ledger)
+
+    y_target = None
+    if target is not None and target >= spec.X:
+        # Levinson's form holds on [X, inf): Y is evaluated there as at X
+        xs = [target]
+        if dense_path and target > spec.X:
+            step = (target - spec.X) / (DENSE_POINTS - 1)
+            xs = [spec.X + i * step for i in range(DENSE_POINTS)]
+        rows = [
+            back_transform(data.solution_at(x, spec.n), final_state.history, spec, x)
+            for x in xs
+        ]
+        if dense_path:
+            write_dense(dense_path, xs, rows)
+        y_target = rows[-1]
+    elif target is not None:
+        # a term c*x^e, c > 0 and e >= 0, makes the solution dominant toward
+        # infinity: continued backward, it amplifies the deviation budget
+        growing = [
+            f"{c}*x^{e + 1}/{e + 1}" for c, e in data.laurent_terms if e >= 0 and c > 0
+        ]
+        if growing:
+            raise ContinuationRefused(
+                f"solution k={k} grows exponentially toward infinity "
+                f"(exponent term {', '.join(growing)}); continuing it backward "
+                "from X would amplify the uncertified dominant part, refusing"
+            )
+        A = derive_original_system(spec)
+        y_target = integrate(
+            linear_system(A, target, spec.X), Y, spec.X, target,
+            rtol=rtol, atol=atol, dense_path=dense_path,
+        )
+    return Solution(
         Z_at_X=vec,
         Y_at_X=Y,
         eta_bound=eta_total,
-        C=vec[k - 1],
+        total_error_bound=total,
         tail_budget=tau,
         exponent=data,
+        dichotomy=dichotomy,
+        Y_at_target=y_target,
     )

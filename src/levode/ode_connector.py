@@ -36,6 +36,9 @@ from .errors import ComputationFailed, SolutionOverflow
 from .symexpr import SymMatrix, _entry_lines
 
 METHOD_INFO = {"method": "RK45", "order": 5}
+# the tolerances of ``levode solve`` without --rtol/--atol, and of ``verify``
+DEFAULT_RTOL = 1e-10
+DEFAULT_ATOL = 1e-12
 # the smallest rtol the step-size controller can resolve, as scipy's RK45 has it
 MIN_RTOL = 100 * sys.float_info.epsilon
 
@@ -81,8 +84,11 @@ class LinearSystem:
 
 
 def linear_system(A: SymMatrix, lo, hi) -> LinearSystem:
-    lo, hi = sorted((Fraction(lo), Fraction(hi)))
-    return LinearSystem(A=A, domain=(lo, hi))
+    """Y' = A(x) Y on the least interval that holds lo and hi and the
+    floats they round to, where ``integrate`` starts and ends."""
+    ends = [Fraction(lo), Fraction(hi)]
+    ends += [Fraction(float(v)) for v in ends]
+    return LinearSystem(A=A, domain=(min(ends), max(ends)))
 
 
 def integrate(
@@ -107,7 +113,9 @@ def integrate(
     emits no warning: it ends in ``StepSizeUnderflow``, or in
     ``SolutionOverflow`` once the solution reaches the end of the float
     range.  A target that needs more than ``_MAX_STEPS`` steps raises
-    ``StepBudgetExceeded``.
+    ``StepBudgetExceeded``, and an entry of A that divides by zero at a
+    stage node, which can round onto a pole outside the domain,
+    ``PoleInInterval``.
     """
     # imported here so that commands which never integrate skip its load time
     import numpy as np
@@ -140,10 +148,16 @@ def integrate(
         make = _compile_stages(A)
         object.__setattr__(A, "_stages", make)
     with np.errstate(all="ignore"):
-        y, steps = _dormand_prince(
-            A, make, t0, t_end, y0.tolist(), float(rtol), float(atol),
-            max_step, dense_path is not None,
-        )
+        try:
+            y, steps = _dormand_prince(
+                A, make, t0, t_end, y0.tolist(), float(rtol), float(atol),
+                max_step, dense_path is not None,
+            )
+        except ZeroDivisionError:  # a node t + c*h rounded onto a pole
+            raise PoleInInterval(
+                f"an entry of A(x) divides by zero at an RK45 node between "
+                f"x = {t0!r} and {t_end!r}"
+            ) from None
     if dense_path is not None:
         xs = np.linspace(t0, t_end, DENSE_POINTS)
         write_dense(dense_path, xs, _dense_values(steps, xs, t_end > t0))

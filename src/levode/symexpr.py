@@ -79,6 +79,10 @@ class BoundNotCertified(ComputationFailed, RuntimeError):
     """sup_bound could not bring its bound within rel_slack of an attained value."""
 
 
+class CoefficientOverflow(ComputationFailed, OverflowError):
+    """A matrix entry has a coefficient beyond the float range."""
+
+
 class RationalFn:
     """A reduced ratio of integer polynomials in one variable.
 
@@ -871,7 +875,8 @@ class SymMatrix:
         its numerator and denominator as ``poly.float_coeffs`` over lc(D),
         the denominator None when it is constant.  ``eval_float`` runs
         over this table and the RK45 stages (``ode_connector``) compile
-        their functions from it; read the rows, never change them."""
+        their functions from it; read the rows, never change them.  A
+        coefficient beyond the float range raises ``CoefficientOverflow``."""
         table = self._float_table
         if table is None:
             rows, varying = [], []
@@ -880,12 +885,18 @@ class SymMatrix:
                 for j, e in enumerate(row):
                     num, den = e.int_num, e.int_den
                     lc = den[-1]
-                    if len(den) == 1 and len(num) <= 1:
-                        values.append(num[0] / lc if num else 0.0)
-                        continue
+                    try:
+                        if len(den) == 1 and len(num) <= 1:
+                            values.append(num[0] / lc if num else 0.0)
+                            continue
+                        fnum = poly.float_coeffs(num, lc)
+                        fden = poly.float_coeffs(den, lc) if len(den) > 1 else None
+                    except OverflowError:
+                        raise CoefficientOverflow(
+                            f"entry ({i + 1},{j + 1}) has a coefficient beyond the float range"
+                        ) from None
                     values.append(0.0)
-                    fden = poly.float_coeffs(den, lc) if len(den) > 1 else None
-                    varying.append((i, j, poly.float_coeffs(num, lc), fden))
+                    varying.append((i, j, fnum, fden))
                 rows.append(values)
             table = tuple(rows), tuple(varying)
             _set(self, "_float_table", table)

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .error_ledger import eta_bound, total_error_bound
+from .error_ledger import eta_bound
 from .errors import InvalidInput
 from .fixtures import CHECK_GROUPS, builtin_hypergeometric, hypergeometric_companion
-from .levinson_solver import check_dichotomy, derive_original_system, solution_bundle
-from .ode_connector import integrate, linear_system
+from .levinson_solver import check_dichotomy, derive_original_system, solve
+from .ode_connector import DEFAULT_ATOL, DEFAULT_RTOL, integrate, linear_system
 from .symexpr import RationalFn, SymMatrix
 from .system_model import INVERSE_X, Monomial, ProblemSpec
 from .transform_engine import EliminationIdentityViolated, run
@@ -50,9 +50,6 @@ Y0_ENCLOSURE = (
     (1.999988, 2.000011),
 )
 
-CONTINUATION_RTOL = 1e-10
-CONTINUATION_ATOL = 1e-12
-
 
 @dataclass(frozen=True)
 class CheckRow:
@@ -76,31 +73,11 @@ class FixtureContext:
         return run(self.spec)
 
     @cached_property
-    def eta(self) -> float:
-        # the residual's eta alone: the soundness row checks this bound, not
-        # the bundle's, which the exponent tail enlarges
-        return eta_bound(self.final_state.residual, self.spec)
-
-    @cached_property
-    def bundle(self):
-        """Z and Y at X of the k = 3 solution, as ``levode solve`` reports them."""
-        return solution_bundle(3, self.final_state, self.eta)
-
-    @cached_property
-    def companion_system(self):
-        """Y' = A(x) Y on [0, 10], A derived from the fixture as
-        ``levode solve --target`` derives it."""
-        return linear_system(derive_original_system(self.spec), 0, 10)
-
-    @cached_property
-    def y_at_0(self) -> tuple[float, ...]:
-        return integrate(
-            self.companion_system,
-            self.bundle.Y_at_X,
-            self.spec.X,
-            0,
-            rtol=CONTINUATION_RTOL,
-            atol=CONTINUATION_ATOL,
+    def solution(self):
+        """The k = 3 solution at X and continued to 0, as
+        ``levode solve -k 3 --target 0`` reports it."""
+        return solve(
+            self.final_state, 3, Fraction(0), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL
         )
 
 
@@ -157,16 +134,16 @@ def _check_elimination_sample(ctx, tol):
 
 
 def _check_z33(ctx, tol):
-    computed = ctx.bundle.Z_at_X[2]
+    computed = ctx.solution.Z_at_X[2]
     return repr(computed), repr(Z33_REFERENCE), abs(computed - Z33_REFERENCE) <= tol
 
 
 def _check_y10(ctx, tol):
-    return _close(ctx.bundle.Y_at_X, Y10_REFERENCE, tol)
+    return _close(ctx.solution.Y_at_X, Y10_REFERENCE, tol)
 
 
 def _check_dichotomy_fixture(ctx, tol):
-    report = check_dichotomy(ctx.spec, ctx.final_state.diag)
+    report = ctx.solution.dichotomy
     return (
         f"{sum(p.ok for p in report.pairs)}/{len(report.pairs)} pairs pass",
         "all pairs pass",
@@ -210,7 +187,7 @@ def _check_dichotomy_degenerate(ctx, tol):
 
 
 def _check_total_error(ctx, factor):
-    computed = total_error_bound(ctx.final_state.ledger)
+    computed = ctx.solution.total_error_bound
     ok = (
         computed >= 0.0
         and TOTAL_ERROR_REFERENCE / factor <= computed <= TOTAL_ERROR_REFERENCE * factor
@@ -222,6 +199,8 @@ def _check_eta_soundness(ctx, tol):
     import mpmath  # loaded only when this check runs
 
     R = ctx.final_state.residual
+    # the residual's eta alone, not the solution's, which the exponent tail enlarges
+    eta = eta_bound(R, ctx.spec)
     rho = SymMatrix([[ctx.spec.rho_fn]])  # its float table built on the first point
 
     def norm_at(t) -> float:
@@ -232,16 +211,16 @@ def _check_eta_soundness(ctx, tol):
     # tanh-sinh quadrature over [X, inf), with its own error estimate
     value, err = mpmath.quad(norm_at, [float(ctx.spec.X), mpmath.inf], error=True)
     value, err = float(value), float(err)
-    ok = math.isfinite(ctx.eta) and ctx.eta >= value - err
+    ok = math.isfinite(eta) and eta >= value - err
     return (
-        f"eta={ctx.eta!r} quadrature={value!r}",
+        f"eta={eta!r} quadrature={value!r}",
         "closed-form eta at least the quadrature value",
         ok,
     )
 
 
 def _check_y0_regression(ctx, tol):
-    return _close(ctx.y_at_0, Y0_REGRESSION, tol)
+    return _close(ctx.solution.Y_at_target, Y0_REGRESSION, tol)
 
 
 def _check_y0_analytic(ctx, tol):
@@ -249,7 +228,7 @@ def _check_y0_analytic(ctx, tol):
 
     with mpmath.workdps(30):
         analytic = float(2 * mpmath.power(3, Fraction(-1, 3)) * mpmath.gamma(Fraction(2, 3)))
-    computed = ctx.y_at_0[0]
+    computed = ctx.solution.Y_at_target[0]
     ok = (
         abs(computed - Y0_FIRST_COMPONENT) <= tol
         and abs(computed - analytic) <= tol
@@ -258,18 +237,20 @@ def _check_y0_analytic(ctx, tol):
 
 
 def _check_y0_enclosure(ctx, tol):
-    ok = all(lo <= c <= hi for c, (lo, hi) in zip(ctx.y_at_0, Y0_ENCLOSURE))
-    return repr(ctx.y_at_0), repr(Y0_ENCLOSURE), ok
+    y = ctx.solution.Y_at_target
+    ok = all(lo <= c <= hi for c, (lo, hi) in zip(y, Y0_ENCLOSURE))
+    return repr(y), repr(Y0_ENCLOSURE), ok
 
 
 def _check_exact_propagation(ctx, tol):
+    # Y = (x, 1, 0) through Y' = A(x) Y, A derived as ``solve`` derives it
     out = integrate(
-        ctx.companion_system,
+        linear_system(derive_original_system(ctx.spec), 0, 10),
         (10.0, 1.0, 0.0),
         10,
         0,
-        rtol=CONTINUATION_RTOL,
-        atol=CONTINUATION_ATOL,
+        rtol=DEFAULT_RTOL,
+        atol=DEFAULT_ATOL,
     )
     return _close(out, (0.0, 1.0, 0.0), tol)
 
@@ -294,7 +275,7 @@ _CHECKS = (
     ("y_at_0_analytic", "continuation", 1e-6, _check_y0_analytic),
     ("y_at_0_enclosure", "continuation", None, _check_y0_enclosure),
     (
-        "exact_solution_propagation", "continuation", 10 * CONTINUATION_RTOL,
+        "exact_solution_propagation", "continuation", 10 * DEFAULT_RTOL,
         _check_exact_propagation,
     ),
 )

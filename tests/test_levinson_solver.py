@@ -17,10 +17,12 @@ from levode import (
     check_dichotomy,
     derive_original_system,
     exponent_data,
-    solution_bundle,
+    solve,
+    total_error_bound,
 )
 from levode.fixtures import hypergeometric_companion
-from levode.levinson_solver import SolutionOverflow, asymptotic_value, growing_terms
+from levode.errors import ContinuationRefused
+from levode.levinson_solver import SolutionOverflow, asymptotic_value
 from levode.ode_connector import integrate, linear_system
 from levode.sampling import random_problem
 from levode.system_model import INVERSE_X, Monomial, ProblemSpec, validate
@@ -88,13 +90,15 @@ def test_decaying_solution_normalization(x, fixture_spec, fixture_final):
     assert abs(float(product) - 1.0) < 1e-12
 
 
-def test_solution_bundle_invariants(fixture_spec, fixture_final, fixture_eta):
-    bundle = solution_bundle(3, fixture_final, fixture_eta)
-    assert bundle.k == 3
-    assert bundle.Z_at_X[2] == bundle.C
-    assert bundle.eta_bound >= fixture_eta
-    assert bundle.eta_bound < 1e-6
-    y = bundle.Y_at_X
+def test_solve_invariants(fixture_final, fixture_eta):
+    sol = solve(fixture_final, 3, rtol=1e-10, atol=1e-12)
+    assert sol.Z_at_X[:2] == (0.0, 0.0)
+    assert sol.eta_bound >= fixture_eta
+    assert sol.eta_bound < 1e-6
+    assert sol.total_error_bound == total_error_bound(fixture_final.ledger)
+    assert sol.dichotomy.ok
+    assert sol.Y_at_target is None
+    y = sol.Y_at_X
     assert y[0] == pytest.approx(0.09996009933218178, rel=1e-12)
     assert y[1] == pytest.approx(-0.009984069933576718, rel=1e-12)
     assert y[2] == pytest.approx(0.001992013986677493, rel=1e-12)
@@ -188,12 +192,12 @@ def test_dichotomy_equal_exponents_fail():
 
 # -- continuation safety ------------------------------------------------
 
-def test_growing_solution_not_continuable(fixture_spec, fixture_final):
-    terms = [
-        growing_terms(exponent_data(k, fixture_final.diag, fixture_spec))
-        for k in (1, 2, 3)
-    ]
-    assert terms == [((Fraction(1), 2),), (), ()]
+def test_growing_solution_not_continuable(fixture_final):
+    # G_1's integrand holds x^2 and G_2's, G_3's no growing term
+    with pytest.raises(ContinuationRefused, match=r"\(exponent term 1\*x\^3/3\);"):
+        solve(fixture_final, 1, Fraction(0), rtol=1e-10, atol=1e-12)
+    for k in (2, 3):
+        assert solve(fixture_final, k, Fraction(0), rtol=1e-10, atol=1e-12).Y_at_target
 
 
 # -- mapping back to the original variables -----------------------------
