@@ -15,7 +15,6 @@ Infinity or NaN, and carry no timestamp: equal runs print equal bytes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import math
@@ -165,13 +164,6 @@ def _tolerance_flag(text: str, flag: str) -> float:
     return value
 
 
-def _float_range(value: Fraction, what: str) -> None:
-    try:
-        float(value)
-    except OverflowError:
-        raise InvalidInput(f"{what} is beyond the float range") from None
-
-
 def _emit(args, report: dict, render) -> None:
     """Writes a command's report once, to ``--output`` or to stdout: as
     sorted JSON under the schema version and the command's name, or as
@@ -294,8 +286,10 @@ def _transform_text(report: dict) -> str:
 
 
 def _cmd_solve(args) -> dict:
-    from .levinson_solver import FORM_INFO, require_back_transform, solve
-    from .ode_connector import DEFAULT_ATOL, DEFAULT_RTOL, METHOD_INFO, MIN_RTOL
+    from .levinson_solver import FORM_INFO, require_back_transform, require_index, solve
+    from .ode_connector import (
+        DEFAULT_ATOL, DEFAULT_RTOL, METHOD_INFO, MIN_RTOL, require_float,
+    )
 
     rtol = DEFAULT_RTOL if args.rtol is None else _tolerance_flag(args.rtol, "--rtol")
     atol = DEFAULT_ATOL if args.atol is None else _tolerance_flag(args.atol, "--atol")
@@ -307,13 +301,12 @@ def _cmd_solve(args) -> dict:
     if args.dense_csv is not None and args.target is None:
         raise InvalidInput("--dense-csv needs --target: it samples the continuation")
     spec = _load_spec(args)
-    if not 1 <= args.k <= spec.n:
-        raise InvalidInput(f"k must be in 1..{spec.n}, got {args.k}")
+    require_index(args.k, spec)
     target = None if args.target is None else _rational_flag(args.target, "--target")
     if target is not None:
         require_back_transform(spec)
-        _float_range(target, f"--target {args.target}")
-        _float_range(spec.X, "the evaluation point X")
+        require_float(target, f"--target {args.target}")
+        require_float(spec.X, "the evaluation point X")
     sol = solve(run(spec), args.k, target, rtol=rtol, atol=atol, dense_path=args.dense_csv)
     data = sol.exponent
     report = {
@@ -385,7 +378,7 @@ def _cmd_verify(args) -> dict:
     overrides = _parse_tolerances(args.tolerance)
     rows = run_checks(only=args.only, tolerance_overrides=overrides)
     return {
-        "rows": [dataclasses.asdict(r) for r in rows],
+        "rows": [dict(vars(r)) for r in rows],
         "passed": all(r.passed for r in rows),
     }
 

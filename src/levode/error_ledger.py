@@ -23,10 +23,10 @@ return.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ComputationFailed
+from .record import Record
 from .symexpr import RationalFn, SymMatrix, sup_bound
 
 
@@ -52,8 +52,7 @@ def _to_float(value: Fraction, what: str) -> float:
     return math.nextafter(0.0, math.inf) if f == 0 and value > 0 else f
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(Record):
     """Error committed at a stage, without its implicit inverse factor.
 
     stage 1 is the input remainder; stage j >= 2 holds the truncation
@@ -71,8 +70,7 @@ class LedgerEntry:
         return None if self.stage == 1 else self.stage - 1
 
 
-@dataclass(frozen=True)
-class ErrorLedger:
+class ErrorLedger(Record):
     entries: tuple[LedgerEntry, ...]
     p_matrices: tuple[SymMatrix, ...]
     X: Fraction
@@ -105,8 +103,7 @@ def _inverse_deviation(p: Fraction, n: int, what: str) -> Fraction:
     return weight * (1 + p / (1 - weight))
 
 
-@dataclass(frozen=True)
-class LedgerNorms:
+class LedgerNorms(Record):
     """Everything the ledger bounds, from one pass of sup bounds.
 
     ``entries`` and ``p_matrices`` hold norm bounds on [X, infinity),

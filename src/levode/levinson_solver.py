@@ -26,7 +26,6 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -41,10 +40,12 @@ from .error_ledger import (
 from .errors import (
     ContinuationRefused,
     DichotomyFailure,
+    InvalidInput,
     MissingBackTransform,
     SolutionOverflow,
 )
 from .ode_connector import DENSE_POINTS, integrate, linear_system, write_dense
+from .record import Record
 from .symexpr import RationalFn, SymMatrix
 from .system_model import ProblemSpec
 
@@ -88,8 +89,7 @@ def _overflow(what: str, text: str) -> SolutionOverflow:
     return SolutionOverflow(f"{what} = {text} is outside the float range")
 
 
-@dataclass(frozen=True)
-class ExponentData:
+class ExponentData(Record):
     """Closed-form antiderivative data for one solution index (1-based)."""
 
     k: int
@@ -137,8 +137,7 @@ class ExponentData:
         return tuple(value if i == self.k - 1 else 0.0 for i in range(n))
 
 
-@dataclass(frozen=True)
-class PairResult:
+class PairResult(Record):
     j: int
     k: int
     sign_constant: bool
@@ -149,8 +148,7 @@ class PairResult:
         return self.sign_constant and self.integral_divergent
 
 
-@dataclass(frozen=True)
-class DichotomyReport:
+class DichotomyReport(Record):
     pairs: tuple[PairResult, ...]
 
     @property
@@ -219,6 +217,12 @@ def asymptotic_value(
     return vec, data.exp_at(spec.X, f"C = exp(G_{k}({spec.X}))")
 
 
+def require_index(k: int, spec: ProblemSpec) -> None:
+    """``InvalidInput`` unless k names a solution of ``spec``, 1 to n."""
+    if not 1 <= k <= spec.n:
+        raise InvalidInput(f"k must be in 1..{spec.n}, got {k}")
+
+
 def require_back_transform(spec: ProblemSpec) -> SymMatrix:
     """The problem's T(x), which every value of Y needs, or
     ``MissingBackTransform`` when it defines none."""
@@ -269,8 +273,7 @@ def derive_original_system(spec: ProblemSpec) -> SymMatrix:
     return (T.derivative() + T * B) * T.inverse()
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(Record):
     """What ``solve`` certifies.  Y_at_X is None where the problem defines
     no T(x), and Y_at_target is None without a target."""
 
@@ -288,7 +291,8 @@ def solve(
     final_state, k: int, target=None, *, rtol: float, atol: float, dense_path=None
 ) -> Solution:
     """The k-th solution (1-based) of the reduced problem ``final_state``
-    at X, and at ``target`` if given; ``DichotomyFailure`` where a pair
+    at X, and at ``target`` if given; ``InvalidInput`` for a k outside 1 to
+    n (``require_index``) and ``DichotomyFailure`` where a pair
     with k fails the dichotomy.  The residual's eta is enlarged by the
     exponent tail tau to eta + (e**tau - 1)(1 + eta), or ``BoundOverflow``
     where tau or that sum leaves the float range.  At or beyond X, Y at the
@@ -297,6 +301,7 @@ def solve(
     of Y(X) at ``rtol`` and ``atol``, or ``ContinuationRefused`` for a
     solution dominant toward infinity."""
     spec = final_state.spec
+    require_index(k, spec)
     dichotomy = check_dichotomy(spec, final_state.diag)
     if not dichotomy.ok_for(k):
         # F_kj = -F_jk: each unordered pair is decided once

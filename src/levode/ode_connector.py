@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ComputationFailed, SolutionOverflow
+from .errors import ComputationFailed, InvalidInput, SolutionOverflow
+from .record import Record
 from .symexpr import SymMatrix, _entry_lines
 
 METHOD_INFO = {"method": "RK45", "order": 5}
@@ -64,8 +64,7 @@ class StepBudgetExceeded(ComputationFailed, RuntimeError):
     """The integration needs more than ``_MAX_STEPS`` accepted steps."""
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(Record):
     """Y' = A(x) Y on the closed interval ``domain``, free of poles there."""
 
     A: SymMatrix
@@ -83,11 +82,21 @@ class LinearSystem:
                     )
 
 
+def require_float(value: Fraction, what: str) -> float:
+    """value rounded to a float; ``InvalidInput`` naming it as ``what``
+    where it lies beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInput(f"{what} is beyond the float range") from None
+
+
 def linear_system(A: SymMatrix, lo, hi) -> LinearSystem:
     """Y' = A(x) Y on the least interval that holds lo and hi and the
-    floats they round to, where ``integrate`` starts and ends."""
+    floats they round to, where ``integrate`` starts and ends;
+    ``InvalidInput`` for an end beyond the float range."""
     ends = [Fraction(lo), Fraction(hi)]
-    ends += [Fraction(float(v)) for v in ends]
+    ends += [Fraction(require_float(v, f"the end {v}")) for v in ends]
     return LinearSystem(A=A, domain=(min(ends), max(ends)))
 
 

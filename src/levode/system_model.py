@@ -19,11 +19,11 @@ of those denominators is zero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvalidInput
+from .record import Record
 from .symexpr import MAX_DEGREE, ParseError, RationalFn, SymMatrix
 
 STANDARD = "standard"
@@ -50,8 +50,7 @@ class ModeError(InvalidInput):
     """An operation was invoked in the wrong mode."""
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """c * x**e with an exact rational c != 0 and integer e."""
 
     coefficient: Fraction
@@ -62,12 +61,12 @@ class Monomial:
         return RationalFn.monomial(self.coefficient, self.exponent)
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(Record):
     """A validated problem.  The derived constants (rho_fn, lam_fn, rho_inv,
     Lambda_0 and Lambda_1) are computed on first use and kept on
     the instance.  They are not fields: equality, hash and repr see only
-    the problem itself, and a spec built by ``replace`` computes its own."""
+    the problem itself, and a spec built by ``with_X`` or ``with_M``
+    computes its own."""
 
     n: int
     N: int
@@ -143,21 +142,19 @@ class ProblemSpec:
         return None
 
     def with_X(self, X) -> "ProblemSpec":
-        return replace(self, X=Fraction(X))
+        return self._replace(X=Fraction(X))
 
     def with_M(self, M: int) -> "ProblemSpec":
         """The problem at accuracy index M: the rungs j < M are kept and
         the rest are folded into E1.  Unvalidated, like ``with_X``."""
-        return replace(
-            self,
+        return self._replace(
             M=M,
             ladder=tuple((j, V) for j, V in self.ladder if j < M),
             E1=SymMatrix.sum([self.E1, *(V for j, V in self.ladder if j >= M)]),
         )
 
 
-@dataclass(frozen=True)
-class ResonanceHit:
+class ResonanceHit(Record):
     """m*a equals d_j - d_i for a pair of 1-based small-block indices."""
 
     m: int
@@ -165,8 +162,7 @@ class ResonanceHit:
     j: int
 
 
-@dataclass(frozen=True)
-class ResonanceReport:
+class ResonanceReport(Record):
     hits: tuple[ResonanceHit, ...]
     sufficient_condition_holds: bool
 

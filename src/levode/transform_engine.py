@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .error_ledger import ErrorLedger, LedgerEntry
 from .errors import ComputationFailed, Resonance
+from .record import Record
 from .symexpr import RationalFn, SymMatrix, _matrix, rational_sum
 from .system_model import INVERSE_X, ProblemSpec
 
@@ -57,8 +57,7 @@ class OrderRegression(ComputationFailed, RuntimeError):
     """A re-expansion term decays slower than the iteration promises."""
 
 
-@dataclass(frozen=True)
-class PSplit:
+class PSplit(Record):
     """Transformation matrix split by elimination recipe.
 
     ``scaled`` holds the entries divided by lambda (every entry touching a
@@ -73,8 +72,7 @@ class PSplit:
         return self.scaled + self.plain
 
 
-@dataclass(frozen=True)
-class CommutatorTerms:
+class CommutatorTerms(Record):
     """First-order products of the elimination, grouped by block origin."""
 
     cross: SymMatrix
@@ -83,16 +81,14 @@ class CommutatorTerms:
     small_with_plain: SymMatrix
 
 
-@dataclass(frozen=True)
-class CommittedError:
+class CommittedError(Record):
     """Exactly pooled remainder plus per-stage truncation matrices."""
 
     exact: SymMatrix
     truncations: tuple[tuple[int, SymMatrix], ...]
 
 
-@dataclass(frozen=True)
-class IterationState:
+class IterationState(Record):
     m: int
     diag: tuple[RationalFn, ...]
     ladder: tuple[tuple[int, SymMatrix], ...]
@@ -100,8 +96,7 @@ class IterationState:
     history: tuple[PSplit, ...]
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(Record):
     m: int
     psplit: PSplit
     s_next: SymMatrix
@@ -110,8 +105,7 @@ class IterationRecord:
     bucket_orders: tuple[tuple[int, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class FinalState:
+class FinalState(Record):
     spec: ProblemSpec
     diag: tuple[RationalFn, ...]
     history: tuple[PSplit, ...]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -22,6 +21,7 @@ from .errors import InvalidInput
 from .fixtures import CHECK_GROUPS, builtin_hypergeometric, hypergeometric_companion
 from .levinson_solver import check_dichotomy, derive_original_system, solve
 from .ode_connector import DEFAULT_ATOL, DEFAULT_RTOL, integrate, linear_system
+from .record import Record
 from .symexpr import RationalFn, SymMatrix
 from .system_model import INVERSE_X, Monomial, ProblemSpec
 from .transform_engine import EliminationIdentityViolated, run
@@ -51,8 +51,7 @@ Y0_ENCLOSURE = (
 )
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(Record):
     name: str
     group: str
     computed: str

@@ -1339,10 +1339,12 @@ def _modules_loaded_by(argv: list[str], names: list[str]) -> tuple[int, list[str
 
 
 def test_transform_loads_only_the_reduction():
+    # levode's records are no dataclasses, so neither dataclasses nor the
+    # inspect it imports loads
     code, loaded, out = _modules_loaded_by(
         ["transform", "--builtin", "hypergeom", "--format", "json"],
         ["levode.levinson_solver", "levode.ode_connector", "levode.verify",
-         "numpy", "mpmath"],
+         "numpy", "mpmath", "dataclasses", "inspect"],
     )
     assert (code, loaded) == (0, [])
     assert json.loads(out)["command"] == "transform"
@@ -1352,7 +1354,8 @@ def test_solve_leaves_mpmath_scipy_and_verify_unloaded():
     # the integrator is levode's own, and solution values need no mpmath
     code, loaded, out = _modules_loaded_by(
         ["solve", "--builtin", "hypergeom", "-k", "3", "--target", "0"],
-        ["levode.verify", "mpmath", "scipy", "csv", "levode.levinson_solver", "numpy"],
+        ["levode.verify", "mpmath", "scipy", "csv", "dataclasses",
+         "levode.levinson_solver", "numpy"],
     )
     # the solver and numpy do load: the check above is not vacuous
     assert (code, loaded) == (0, ["levode.levinson_solver", "numpy"])

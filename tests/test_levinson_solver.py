@@ -21,7 +21,7 @@ from levode import (
     total_error_bound,
 )
 from levode.fixtures import hypergeometric_companion
-from levode.errors import ContinuationRefused
+from levode.errors import ContinuationRefused, InvalidInput
 from levode.levinson_solver import SolutionOverflow, asymptotic_value
 from levode.ode_connector import integrate, linear_system
 from levode.sampling import random_problem
@@ -88,6 +88,12 @@ def test_decaying_solution_normalization(x, fixture_spec, fixture_final):
         u = mpmath.mpf(x)
         product = vec[2] * u * mpmath.exp(u**-3 - u**-6 / 2)
     assert abs(float(product) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_solve_refuses_k_outside_1_to_n(fixture_final, k):
+    with pytest.raises(InvalidInput, match=rf"^k must be in 1\.\.3, got {k}$"):
+        solve(fixture_final, k, rtol=1e-10, atol=1e-12)
 
 
 def test_solve_invariants(fixture_final, fixture_eta):

@@ -26,6 +26,7 @@ from levode import (
     integrate,
     linear_system,
 )
+from levode.errors import InvalidInput
 from levode.fixtures import hypergeometric_companion
 from levode.levinson_solver import SolutionOverflow
 from levode import ode_connector
@@ -89,6 +90,13 @@ def test_non_square_matrix_rejected():
     A = SymMatrix([["0", "1", "x"], ["1", "0", "0"]])
     with pytest.raises(ValueError, match="A must be square, got 2x3"):
         linear_system(A, Fraction(0), Fraction(5))
+
+
+@pytest.mark.parametrize("lo, hi", [(10**400, 10), (10, -(10**400))], ids=["lo", "hi"])
+def test_end_beyond_the_floats_is_invalid_input(lo, hi):
+    # the float it would round to does not exist
+    with pytest.raises(InvalidInput, match=r"^the end -?1(0+) is beyond the float range$"):
+        linear_system(const_matrix([[0]]), lo, hi)
 
 
 def test_polynomial_solution_is_propagated_exactly():
